@@ -6,7 +6,7 @@
 
 use ljqo_bench::timing::{bench, black_box};
 use ljqo_cost::estimate::{intermediate_sizes, SizeWalker};
-use ljqo_cost::{CostModel, DiskCostModel, MemoryCostModel};
+use ljqo_cost::{DiskCostModel, MemoryCostModel, OrderCost};
 use ljqo_plan::JoinOrder;
 use ljqo_workload::{generate_query, Benchmark};
 

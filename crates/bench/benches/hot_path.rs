@@ -6,16 +6,16 @@
 //! * **validity** — one full validity check of a valid order: the
 //!   edge-chasing [`ValidityChecker`] scan vs the [`BitsetChecker`]'s
 //!   neighbor-bitset walk over the compiled snapshot.
-//! * **move filtering** — one `propose_counted` (sample + apply +
-//!   validity-filter + undo): the legacy full-scan filter vs the compiled
-//!   windowed filter, which revalidates only the move's touched window.
+//! * **move filtering** — the filter step of `propose_counted` (apply a
+//!   raw move + validity-check + undo): the scalar [`ValidityChecker`]
+//!   scan of the whole perturbed order vs the primed windowed
+//!   [`BitsetChecker`] check the move generator runs, which revalidates
+//!   only the move's touched window.
 //! * **move evaluation** — apply a pre-sampled valid move, cost it, undo:
 //!   a from-scratch `order_cost` walk vs the compiled incremental
 //!   evaluator (`eval_move` + `rollback`).
-//! * **end-to-end II** (largest N only) — a complete
-//!   `IterativeImprovement::run` at a fixed unit budget: full evaluation,
-//!   incremental evaluation with legacy move filtering, and the default
-//!   compiled configuration.
+//! * **end-to-end II** — a complete `IterativeImprovement::run` at a
+//!   fixed unit budget.
 //!
 //! Writes the snapshot consumed by EXPERIMENTS.md to
 //! `BENCH_compiled.json` at the workspace root (override the location
@@ -32,7 +32,7 @@ use rand::SeedableRng;
 use ljqo::IterativeImprovement;
 use ljqo_catalog::CompiledQuery;
 use ljqo_cost::estimate::SizeWalker;
-use ljqo_cost::{CostModel, Estimator, Evaluator, IncrementalEvaluator, MemoryCostModel};
+use ljqo_cost::{Estimator, Evaluator, IncrementalEvaluator, MemoryCostModel, OrderCost};
 use ljqo_plan::validity::ValidityChecker;
 use ljqo_plan::{random_valid_order, BitsetChecker, Move, MoveGenerator, MoveSet};
 use ljqo_workload::{generate_query, Benchmark};
@@ -82,13 +82,15 @@ fn main() {
             "speedup": json_num(validity_speedup),
         }));
 
-        // --- Move filtering: full-scan vs windowed revalidation --------
+        // --- Move filtering: scalar full scan vs primed window ---------
         // The work `propose_counted` does per sampled move: apply it, test
         // the perturbed order, undo. Raw (unfiltered) moves from the II/SA
         // swap distribution, so the pool mixes valid and invalid
         // perturbations exactly like the proposal loop sees them. Both
         // arms filter the *same* pool against the *same* valid base order,
-        // which is the windowed filter's precondition.
+        // which is the windowed filter's precondition. Every move is
+        // undone, so the primed prefix cache stays warm — the steady
+        // state of the proposal loop.
         let mut raw_rng = SmallRng::seed_from_u64(33);
         let raw_pool: Vec<Move> = (0..MOVE_POOL)
             .map(|_| {
@@ -104,25 +106,25 @@ fn main() {
                 }
             })
             .collect();
-        let mut legacy_checker = ValidityChecker::new(query.n_relations());
-        let mut legacy_order = order.clone();
+        let mut scalar_checker = ValidityChecker::new(query.n_relations());
+        let mut scalar_order = order.clone();
         let mut k = 0usize;
-        let legacy_ns = bench_ns(&format!("filter/legacy/{n}"), || {
+        let scalar_ns = bench_ns(&format!("filter/scalar/{n}"), || {
             let mv = raw_pool[k % MOVE_POOL];
             k += 1;
-            mv.apply(&mut legacy_order);
-            let ok = legacy_checker.is_valid(query.graph(), legacy_order.rels());
-            mv.undo(&mut legacy_order);
+            mv.apply(&mut scalar_order);
+            let ok = scalar_checker.is_valid(query.graph(), scalar_order.rels());
+            mv.undo(&mut scalar_order);
             black_box(ok)
         });
         let mut window_checker = BitsetChecker::new(query.n_relations());
         let mut window_order = order.clone();
         let mut l = 0usize;
-        let compiled_ns = bench_ns(&format!("filter/compiled/{n}"), || {
+        let windowed_ns = bench_ns(&format!("filter/windowed/{n}"), || {
             let mv = raw_pool[l % MOVE_POOL];
             l += 1;
             mv.apply(&mut window_order);
-            let ok = window_checker.window_valid(
+            let ok = window_checker.window_valid_primed(
                 &compiled,
                 window_order.rels(),
                 mv.first_touched(),
@@ -131,18 +133,18 @@ fn main() {
             mv.undo(&mut window_order);
             black_box(ok)
         });
-        let filter_speedup = legacy_ns / compiled_ns;
+        let filter_speedup = scalar_ns / windowed_ns;
         println!("filter/speedup/{n}{:>40.2}x", filter_speedup);
         filter_rows.push(ljqo_json::json!({
             "n": n,
-            "legacy_ns_per_move": json_num(legacy_ns),
-            "windowed_ns_per_move": json_num(compiled_ns),
+            "scalar_ns_per_move": json_num(scalar_ns),
+            "windowed_ns_per_move": json_num(windowed_ns),
             "speedup": json_num(filter_speedup),
         }));
 
         // --- Move evaluation: full walk vs compiled incremental --------
         let mut pool_order = order.clone();
-        let mut gen = MoveGenerator::new(query.n_relations(), MoveSet::default());
+        let mut gen = MoveGenerator::with_compiled(Arc::clone(&compiled), MoveSet::default());
         let mut pool: Vec<Move> = Vec::with_capacity(MOVE_POOL);
         while pool.len() < MOVE_POOL {
             if let Some((mv, _)) = gen.propose_counted(query.graph(), &mut pool_order, &mut rng) {
@@ -186,52 +188,35 @@ fn main() {
         }));
     }
 
-    // --- End-to-end II: same seeds and unit charges at every size, only
-    // the hot-path configuration differs --------------------------------
+    // --- End-to-end II: one complete run at a fixed unit budget -------
+    let ii = IterativeImprovement::default();
     for &n in &sizes {
         let query = generate_query(&Benchmark::Default.spec(), n, 3);
         let comp: Vec<_> = query.rel_ids().collect();
-        let configs: [(&str, bool, bool); 3] = [
-            ("full", true, false),
-            ("incremental", false, false),
-            ("compiled", false, true),
-        ];
-        let mut e2e_ns = [0.0f64; 3];
-        for (slot, &(label, full_eval, compiled_moves)) in configs.iter().enumerate() {
-            let ii = IterativeImprovement {
-                full_eval,
-                compiled_moves,
-                ..IterativeImprovement::default()
-            };
-            e2e_ns[slot] = bench_ns(&format!("ii_run/{label}/{n}"), || {
-                let mut ev = Evaluator::with_budget(&query, &model, ii_budget);
-                let mut run_rng = SmallRng::seed_from_u64(7);
-                ii.run(&mut ev, &comp, &mut run_rng);
-                black_box(ev.best_cost())
-            });
-        }
-        println!("ii_run/speedup_vs_full/{n}{:>33.2}x", e2e_ns[0] / e2e_ns[2]);
-        println!(
-            "ii_run/speedup_vs_incremental/{n}{:>26.2}x",
-            e2e_ns[1] / e2e_ns[2]
-        );
+        let run_ns = bench_ns(&format!("ii_run/{n}"), || {
+            let mut ev = Evaluator::with_budget(&query, &model, ii_budget);
+            let mut run_rng = SmallRng::seed_from_u64(7);
+            ii.run(&mut ev, &comp, &mut run_rng);
+            black_box(ev.best_cost())
+        });
         e2e_rows.push(ljqo_json::json!({
             "n": n,
             "budget_units": ii_budget,
-            "full_ns_per_run": json_num(e2e_ns[0]),
-            "incremental_ns_per_run": json_num(e2e_ns[1]),
-            "compiled_ns_per_run": json_num(e2e_ns[2]),
-            "speedup_vs_full": json_num(e2e_ns[0] / e2e_ns[2]),
-            "speedup_vs_incremental": json_num(e2e_ns[1] / e2e_ns[2]),
+            "ns_per_run": json_num(run_ns),
         }));
     }
 
     let report = ljqo_json::json!({
         "bench": "hot_path",
-        "description": "Compiled query snapshot vs the slow paths it replaces: validity checks, move filtering, move evaluation, end-to-end II",
+        "description": "Compiled query snapshot vs the scalar reference paths: validity checks, move filtering, move evaluation; plus end-to-end II",
         "model": "memory",
         "workload": "Benchmark::Default (random graphs), MoveSet::default()",
         "units": "ns (mean over the timing shim's batches)",
+        "host": ljqo_json::json!({
+            "cores": std::thread::available_parallelism().map_or(0, |n| n.get()),
+            "os": std::env::consts::OS,
+            "arch": std::env::consts::ARCH,
+        }),
         "smoke": smoke,
         "validity": ljqo_json::Value::Array(validity_rows),
         "move_filtering": ljqo_json::Value::Array(filter_rows),

@@ -3,10 +3,13 @@
 //! chain) — star graphs reject most proposals, chains reject many, so the
 //! per-valid-move cost differs sharply by shape.
 
+use std::sync::Arc;
+
 use ljqo_bench::timing::{bench, black_box};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use ljqo_catalog::CompiledQuery;
 use ljqo_plan::validity::{is_valid, ValidityChecker};
 use ljqo_plan::{random_valid_order, JoinOrder, MoveGenerator, MoveSet};
 use ljqo_workload::{generate_query, Benchmark};
@@ -35,7 +38,8 @@ fn bench_propose() {
         let comp: Vec<_> = query.rel_ids().collect();
         let mut rng = SmallRng::seed_from_u64(5);
         let mut order = random_valid_order(query.graph(), &comp, &mut rng);
-        let mut gen = MoveGenerator::new(query.n_relations(), MoveSet::default());
+        let compiled = Arc::new(CompiledQuery::new(&query));
+        let mut gen = MoveGenerator::with_compiled(compiled, MoveSet::default());
         bench(
             &format!("propose_valid_move/n50/{}", benchmark.name()),
             || {

@@ -16,8 +16,8 @@ pub fn bench<R>(name: &str, f: impl FnMut() -> R) {
 
 /// As [`bench`](fn@bench), additionally returning the measured mean
 /// ns/iter (for
-/// benches that persist snapshots, e.g. `moves_incremental` writing
-/// `BENCH_incremental.json`).
+/// benches that persist snapshots, e.g. `hot_path` writing
+/// `BENCH_compiled.json`).
 pub fn bench_ns<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
     for _ in 0..3 {
         black_box(f());

@@ -12,7 +12,7 @@
 use rand::Rng;
 
 use ljqo_catalog::{Query, RelId};
-use ljqo_cost::CostModel;
+use ljqo_cost::{CostModel, OrderCost};
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::{random_valid_order, JoinOrder, Move};
 

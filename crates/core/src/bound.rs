@@ -186,7 +186,7 @@ pub fn bound_report(query: &Query, model: &dyn CostModel) -> BoundReport {
 mod tests {
     use super::*;
     use ljqo_catalog::QueryBuilder;
-    use ljqo_cost::{FaultMode, FaultyCostModel, MemoryCostModel};
+    use ljqo_cost::{FaultMode, FaultyCostModel, MemoryCostModel, OrderCost};
 
     fn q3() -> Query {
         QueryBuilder::new()

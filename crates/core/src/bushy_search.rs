@@ -263,7 +263,8 @@ impl BushySimulatedAnnealing {
 
         // Calibrate T₀ by a short always-accepting random walk, exactly
         // like the linear annealer, then walk back to the start state
-        // (the memo rebuild is off-budget, mirroring `MovePath::reset_to`).
+        // (the memo rebuild is off-budget, mirroring the linear annealer's
+        // `IncrementalEvaluator::reset`).
         let home = te.plan().clone();
         let mut current = start_cost;
         let mut uphill_sum = 0.0f64;

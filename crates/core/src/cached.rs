@@ -40,7 +40,7 @@ use ljqo_cache::{
     fingerprint, CachedPlan, CachedSegment, FingerprintConfig, Fingerprinted, PlanCache,
 };
 use ljqo_catalog::Query;
-use ljqo_cost::{costs_agree, sanitize_cost, CostModel, Deadline};
+use ljqo_cost::{costs_agree, sanitize_cost, CostModel, Deadline, OrderCost};
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::JoinOrder;
 

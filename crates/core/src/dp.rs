@@ -9,7 +9,7 @@
 
 use ljqo_catalog::{Query, RelId};
 use ljqo_cost::estimate::clamp_card;
-use ljqo_cost::{CostModel, JoinCtx};
+use ljqo_cost::{CostModel, JoinCtx, OrderCost};
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::JoinOrder;
 

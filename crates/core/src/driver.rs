@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use ljqo_catalog::{Query, RelId};
 use ljqo_cost::estimate::{clamp_card, final_result_size};
 use ljqo_cost::{
-    sanitize_cost, BudgetSchedule, CostModel, Deadline, Evaluator, JoinCtx, TimeLimit,
+    sanitize_cost, BudgetSchedule, CostModel, Deadline, Evaluator, JoinCtx, OrderCost, TimeLimit,
 };
 use ljqo_heuristics::{AugmentationHeuristic, CardFreeHeuristic};
 use ljqo_plan::validity::is_valid;

@@ -16,8 +16,6 @@ use ljqo_catalog::RelId;
 use ljqo_cost::Evaluator;
 use ljqo_plan::{random_valid_order, JoinOrder, MoveGenerator, MoveSet};
 
-use crate::movepath::MovePath;
-
 /// Iterative improvement parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterativeImprovement {
@@ -27,20 +25,6 @@ pub struct IterativeImprovement {
     /// ends after `max(32, fail_factor·n²)` consecutive failed moves.
     /// Larger values descend deeper but finish fewer runs per budget.
     pub fail_factor: f64,
-    /// Escape hatch: force from-scratch evaluation of every candidate
-    /// instead of the incremental (delta) path. The two agree to within
-    /// floating-point re-association noise (asserted in debug builds);
-    /// this flag exists for A/B measurement and for distrusting the
-    /// delta path in the field. Models with
-    /// [`supports_incremental`](ljqo_cost::CostModel::supports_incremental)
-    /// `() == false` always take the full path regardless.
-    pub full_eval: bool,
-    /// Filter move proposals with the compiled windowed bitset checker
-    /// ([`MoveGenerator::with_compiled`]) instead of full validity scans.
-    /// The two filters accept exactly the same proposals (asserted in
-    /// debug builds and by the differential property suite), so this flag
-    /// changes throughput only; it exists for A/B measurement.
-    pub compiled_moves: bool,
 }
 
 impl Default for IterativeImprovement {
@@ -48,8 +32,6 @@ impl Default for IterativeImprovement {
         IterativeImprovement {
             move_set: MoveSet::default(),
             fail_factor: 0.25,
-            full_eval: false,
-            compiled_moves: true,
         }
     }
 }
@@ -65,9 +47,9 @@ impl IterativeImprovement {
     /// the local minimum reached (or of the last state when the budget ran
     /// out first).
     ///
-    /// Candidates are costed through the incremental (delta) path unless
-    /// [`IterativeImprovement::full_eval`] is set or the model opts out;
-    /// budget charges are identical either way (one unit per candidate).
+    /// `gen` must filter against `ev`'s compiled query. Candidates are
+    /// costed incrementally ([`Evaluator::cost_move`]), one budget unit
+    /// per candidate.
     pub fn descend<R: Rng + ?Sized>(
         &self,
         ev: &mut Evaluator<'_>,
@@ -79,24 +61,25 @@ impl IterativeImprovement {
         // validity cache inside the generator refers to the previous one.
         gen.reset();
         let start = std::mem::replace(order, JoinOrder::new(Vec::new()));
-        let (mut path, mut current) = MovePath::begin(ev, start, self.full_eval);
-        let fail_limit = self.fail_limit(path.order().len());
+        let mut inc = ev.begin_incremental(start);
+        let mut current = inc.current_cost();
+        let fail_limit = self.fail_limit(inc.order().len());
         let mut fails = 0u64;
         let graph = ev.query().graph();
         while fails < fail_limit && !ev.exhausted() {
-            let Some((mv, attempts)) = gen.propose_counted(graph, path.order_mut(), rng) else {
+            let Some((mv, attempts)) = gen.propose_counted(graph, inc.order_mut(), rng) else {
                 break; // no perturbable neighborhood (tiny component)
             };
             // Rejected proposals each performed an O(N) validity check;
             // charge them like the paper's wall clock would.
             ev.charge(u64::from(attempts) - 1);
-            let candidate = path.cost_applied(ev, &mv);
+            let candidate = ev.cost_move(&mut inc, &mv);
             if candidate < current {
-                path.accept();
+                inc.commit();
                 current = candidate;
                 fails = 0;
             } else {
-                path.reject(&mv);
+                inc.rollback();
                 // Every sampled perturbation that failed to improve —
                 // including the validity-rejected ones — counts toward
                 // declaring a local minimum, mirroring the sampled
@@ -104,7 +87,7 @@ impl IterativeImprovement {
                 fails += u64::from(attempts);
             }
         }
-        *order = path.into_order();
+        *order = inc.into_order();
         current
     }
 
@@ -112,11 +95,7 @@ impl IterativeImprovement {
     /// states until the budget is exhausted. The best local minimum is
     /// tracked by the evaluator.
     pub fn run<R: Rng + ?Sized>(&self, ev: &mut Evaluator<'_>, component: &[RelId], rng: &mut R) {
-        let mut gen = if self.compiled_moves {
-            MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set)
-        } else {
-            MoveGenerator::new(ev.query().n_relations(), self.move_set)
-        };
+        let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set);
         while !ev.exhausted() {
             let mut order = random_valid_order(ev.query().graph(), component, rng);
             self.descend(ev, &mut gen, &mut order, rng);
@@ -164,7 +143,7 @@ mod tests {
         let mut order = random_valid_order(q.graph(), &comp, &mut rng);
         let start_cost = ev.cost_uncharged(&order);
         let ii = IterativeImprovement::default();
-        let mut gen = MoveGenerator::new(q.n_relations(), ii.move_set);
+        let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), ii.move_set);
         let end_cost = ii.descend(&mut ev, &mut gen, &mut order, &mut rng);
         assert!(end_cost <= start_cost);
         assert!(is_valid(q.graph(), order.rels()));

@@ -72,7 +72,6 @@ mod error;
 pub mod eval;
 mod ii;
 mod methods;
-mod movepath;
 pub mod parallel;
 pub mod prelude;
 pub mod robust;

@@ -169,7 +169,7 @@ impl MethodRunner {
                 }
             }
             Method::Iai => {
-                let mut gen = MoveGenerator::new(ev.query().n_relations(), self.ii.move_set);
+                let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), self.ii.move_set);
                 for first in AugmentationHeuristic::first_relations(ev.query(), component) {
                     if ev.exhausted() {
                         return;
@@ -181,7 +181,7 @@ impl MethodRunner {
                 self.ii.run(ev, component, rng);
             }
             Method::Iki => {
-                let mut gen = MoveGenerator::new(ev.query().n_relations(), self.ii.move_set);
+                let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), self.ii.move_set);
                 for mut order in self.kbz.generate_all_roots(ev, component) {
                     if ev.exhausted() {
                         return;
@@ -191,7 +191,7 @@ impl MethodRunner {
                 self.ii.run(ev, component, rng);
             }
             Method::Ial => {
-                let mut gen = MoveGenerator::new(ev.query().n_relations(), self.ii.move_set);
+                let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), self.ii.move_set);
                 for first in AugmentationHeuristic::first_relations(ev.query(), component) {
                     if ev.exhausted() {
                         return;

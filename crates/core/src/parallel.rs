@@ -48,7 +48,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ljqo_catalog::{Query, RelId};
-use ljqo_cost::{sanitize_cost, CostModel, Deadline, Evaluator, SharedBest};
+use ljqo_cost::{sanitize_cost, CostModel, Deadline, Evaluator, OrderCost, SharedBest};
 use ljqo_heuristics::CardFreeHeuristic;
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::JoinOrder;

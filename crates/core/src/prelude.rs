@@ -31,7 +31,7 @@ pub use ljqo_cache::{
 pub use ljqo_catalog::{CatalogError, JoinEdge, JoinGraph, Query, QueryBuilder, RelId, Relation};
 pub use ljqo_cost::{
     BudgetSchedule, CostModel, Deadline, DiskCostModel, Evaluator, JoinCtx, MemoryCostModel,
-    TimeLimit,
+    OrderCost, TimeLimit,
 };
 pub use ljqo_heuristics::{
     AugmentationCriterion, AugmentationHeuristic, KbzHeuristic, LocalImprovement, MstWeight,

@@ -32,7 +32,7 @@ use ljqo_cache::{
     fingerprint, CachedPlan, CachedSegment, FingerprintConfig, PlanCache, PlanCacheConfig,
 };
 use ljqo_catalog::Query;
-use ljqo_cost::{sanitize_cost, CostModel};
+use ljqo_cost::{sanitize_cost, CostModel, OrderCost};
 use ljqo_plan::Plan;
 
 use crate::cached::{optimize_cached, optimize_cached_parallel, CacheOutcome};

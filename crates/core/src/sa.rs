@@ -18,10 +18,8 @@
 use rand::Rng;
 
 use ljqo_catalog::RelId;
-use ljqo_cost::Evaluator;
+use ljqo_cost::{Evaluator, IncrementalEvaluator};
 use ljqo_plan::{random_valid_order, JoinOrder, MoveGenerator, MoveSet};
-
-use crate::movepath::MovePath;
 
 /// Simulated annealing parameters (defaults follow SG88 / JAMS87).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,14 +42,6 @@ pub struct SimulatedAnnealing {
     /// Re-heat from the best state instead of stopping when frozen with
     /// budget to spare.
     pub restart_on_frozen: bool,
-    /// Escape hatch: force from-scratch evaluation of every candidate
-    /// instead of the incremental (delta) path. See
-    /// [`IterativeImprovement::full_eval`](crate::IterativeImprovement::full_eval).
-    pub full_eval: bool,
-    /// Filter move proposals with the compiled windowed bitset checker
-    /// instead of full validity scans. See
-    /// [`IterativeImprovement::compiled_moves`](crate::IterativeImprovement::compiled_moves).
-    pub compiled_moves: bool,
 }
 
 impl Default for SimulatedAnnealing {
@@ -64,8 +54,6 @@ impl Default for SimulatedAnnealing {
             frozen_chains: 5,
             min_accept_ratio: 0.02,
             restart_on_frozen: true,
-            full_eval: false,
-            compiled_moves: true,
         }
     }
 }
@@ -76,21 +64,24 @@ impl SimulatedAnnealing {
     /// acceptable with probability `p₀`. Consumes budget like any other
     /// search work.
     ///
-    /// Returns `(T₀, path, start_cost)` with the move path reset to
-    /// `start` so the annealing loop can continue on the same evaluated
-    /// state. Returning the path matters for accounting: the old shape
-    /// ([`MovePath::begin`] here *and again* in [`anneal`]) charged the
-    /// start state twice — one wasted budget unit and a duplicate
+    /// Returns `(T₀, inc, start_cost)` with the incremental evaluator
+    /// reset to `start` so the annealing loop can continue on the same
+    /// evaluated state. Returning the evaluator matters for accounting:
+    /// beginning a second one on the start state in [`anneal`] would
+    /// charge the start twice — one wasted budget unit and a duplicate
     /// evaluation on every SA run.
+    ///
+    /// [`anneal`]: SimulatedAnnealing::anneal
     fn initial_temperature<'a, R: Rng + ?Sized>(
         &self,
         ev: &mut Evaluator<'a>,
         gen: &mut MoveGenerator,
         start: JoinOrder,
         rng: &mut R,
-    ) -> (f64, MovePath<'a>, f64) {
+    ) -> (f64, IncrementalEvaluator<'a>, f64) {
         let home = start.clone();
-        let (mut path, start_cost) = MovePath::begin(ev, start, self.full_eval);
+        let mut inc = ev.begin_incremental(start);
+        let start_cost = inc.current_cost();
         let mut current = start_cost;
         let mut uphill_sum = 0.0f64;
         let mut uphill_n = 0u32;
@@ -99,30 +90,31 @@ impl SimulatedAnnealing {
             if ev.exhausted() {
                 break;
             }
-            let Some((mv, attempts)) = gen.propose_counted(graph, path.order_mut(), rng) else {
+            let Some((mv, attempts)) = gen.propose_counted(graph, inc.order_mut(), rng) else {
                 break;
             };
             ev.charge(u64::from(attempts) - 1);
-            let c = path.cost_applied(ev, &mv);
+            let c = ev.cost_move(&mut inc, &mv);
             let delta = c - current;
             if delta > 0.0 && delta.is_finite() {
                 uphill_sum += delta;
                 uphill_n += 1;
             }
-            path.accept(); // random walk: always accept during calibration
+            inc.commit(); // random walk: always accept during calibration
             current = c;
         }
-        // Walk back to the start state; its cost was paid by `begin`, so
-        // the reset is free (see [`MovePath::reset_to`]). The jump
-        // invalidates the generator's windowed validity cache.
-        path.reset_to(home);
+        // Walk back to the start state. Its cost was paid when the
+        // evaluator began, so the reset charges nothing (it rebuilds the
+        // memoized state off-budget). The jump invalidates the
+        // generator's windowed validity cache.
+        inc.reset(home);
         gen.reset();
         let t0 = if uphill_n == 0 {
             1.0
         } else {
             (uphill_sum / uphill_n as f64) / -(self.init_accept.ln())
         };
-        (t0, path, start_cost)
+        (t0, inc, start_cost)
     }
 
     /// Run annealing from `start` until frozen (and out of restarts) or the
@@ -134,12 +126,8 @@ impl SimulatedAnnealing {
             ev.cost(&start);
             return;
         }
-        let mut gen = if self.compiled_moves {
-            MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set)
-        } else {
-            MoveGenerator::new(ev.query().n_relations(), self.move_set)
-        };
-        let (t0, mut path, mut current) = self.initial_temperature(ev, &mut gen, start, rng);
+        let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set);
+        let (t0, mut inc, mut current) = self.initial_temperature(ev, &mut gen, start, rng);
         let chain_length = (self.size_factor * n).max(4);
         let graph = ev.query().graph();
 
@@ -153,19 +141,19 @@ impl SimulatedAnnealing {
                 if ev.exhausted() {
                     break;
                 }
-                let Some((mv, attempts)) = gen.propose_counted(graph, path.order_mut(), rng) else {
+                let Some((mv, attempts)) = gen.propose_counted(graph, inc.order_mut(), rng) else {
                     break;
                 };
                 ev.charge(u64::from(attempts) - 1);
-                let candidate = path.cost_applied(ev, &mv);
+                let candidate = ev.cost_move(&mut inc, &mv);
                 let delta = candidate - current;
                 let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
                 if accept {
-                    path.accept();
+                    inc.commit();
                     current = candidate;
                     accepted += 1;
                 } else {
-                    path.reject(&mv);
+                    inc.rollback();
                 }
             }
             temp *= self.cooling;
@@ -180,11 +168,11 @@ impl SimulatedAnnealing {
                 if self.restart_on_frozen && !ev.exhausted() {
                     // Re-heat from the best state found so far. Its cost
                     // was already paid when it was first evaluated, so the
-                    // restart itself charges nothing (the incremental path
+                    // restart itself charges nothing (the incremental evaluator
                     // rebuilds its memoized state off-budget).
                     if let Some((best, best_cost)) = ev.best() {
                         let best = best.clone();
-                        path.reset_to(best);
+                        inc.reset(best);
                         gen.reset();
                         current = best_cost;
                     }
@@ -288,21 +276,22 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let comp: Vec<RelId> = q.rel_ids().collect();
         let sa = SimulatedAnnealing::default();
-        let mut gen = MoveGenerator::new(q.n_relations(), sa.move_set);
+        let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), sa.move_set);
         let start = random_valid_order(q.graph(), &comp, &mut rng);
-        let (t0, path, start_cost) =
+        let (t0, inc, start_cost) =
             sa.initial_temperature(&mut ev, &mut gen, start.clone(), &mut rng);
         assert!(t0.is_finite() && t0 > 0.0);
         assert!(start_cost.is_finite());
-        // The path comes back parked on the start state, ready to anneal.
-        assert_eq!(path.order(), &start);
+        // The evaluator comes back parked on the start state, ready to
+        // anneal.
+        assert_eq!(inc.order(), &start);
     }
 
     #[test]
     fn start_state_is_charged_exactly_once() {
-        // Regression: temperature calibration opened a MovePath on the
-        // start state and `anneal` then opened a second one on the same
-        // state — charging the start twice. With a budget of one unit the
+        // Regression: temperature calibration began an incremental
+        // evaluator on the start state and `anneal` then began a second
+        // one on the same state — charging the start twice. With a budget of one unit the
         // whole run now performs exactly one evaluation (the start) and
         // stops, instead of spending a unit it never had.
         let q = chain_query();

@@ -258,11 +258,12 @@ fn tree_evaluator_move_loop_is_allocation_free_in_release() {
     }
 }
 
-/// The full budgeted driver path (`Evaluator::cost_move` with best-order
-/// tracking) is allocation-free at steady state in release builds. Debug
-/// builds intentionally run a from-scratch agreement assertion on every
-/// move (`full_eval`), which walks the order with temporary buffers — so
-/// there the assertion is skipped rather than weakened.
+/// The budgeted loop II and SA run (`Evaluator::cost_move` with
+/// best-order tracking) is allocation-free at steady state in release
+/// builds. Debug builds intentionally re-walk every unsaturated move from
+/// scratch (`IncrementalEvaluator::full_eval`) to assert agreement, and
+/// that walk allocates its own walker — so there the assertion is
+/// skipped rather than weakened.
 #[test]
 fn evaluator_cost_move_is_allocation_free_in_release() {
     const WARMUP: usize = 64;

@@ -10,7 +10,7 @@
 //! 2. **Bit-identity** — the path-to-root incremental re-cost equals a
 //!    full bottom-up re-cost bit for bit, on every move, under every
 //!    cost model; and on left-deep trees the tree recurrence equals the
-//!    linear [`CostModel::order_cost`] walk bit for bit, so linear and
+//!    linear `OrderCost::order_cost` walk bit for bit, so linear and
 //!    bushy runs are priced on exactly the same scale.
 //! 3. **Quality** — on exactly-solvable instances BUSHYII lands within
 //!    an asserted gap of the certified bushy optimum, and the DP's

@@ -74,8 +74,8 @@ fn first_eval_panic_degrades_to_the_heuristic() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xd41e_0002 ^ case);
         let q = query(&mut rng);
-        // The method's very first full evaluation panics; the heuristic's
-        // own evaluation (the next one) passes.
+        // The method's very first join step panics; the heuristic's own
+        // evaluation (the next one) passes.
         let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::PanicOnKth(1));
         let r = try_optimize(
             &q,
@@ -89,6 +89,7 @@ fn first_eval_panic_degrades_to_the_heuristic() {
             "case {case}"
         );
         assert!(r.cost.is_finite(), "case {case}");
+        assert!(model.evals() >= 1, "case {case}: the fault never fired");
     }
 }
 
@@ -135,6 +136,10 @@ fn nan_costs_are_saturated_not_propagated() {
         assert!(
             ljqo::plan::validity::is_valid(q.graph(), r.plan.segments[0].rels()),
             "case {case}"
+        );
+        assert!(
+            model.evals() >= k,
+            "case {case}: the NaN at step {k} never fired"
         );
     }
 }
@@ -223,6 +228,7 @@ fn stale_entry_plus_faulty_model_degrades_cleanly() {
         );
         // Degraded results must not be replayed to future queries.
         assert!(cache.is_empty(), "case {case}: degraded result was cached");
+        assert!(model.evals() >= 1, "case {case}: the fault never fired");
     }
 }
 

@@ -114,6 +114,7 @@ impl CostModel for DiskCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::OrderCost;
     use ljqo_catalog::QueryBuilder;
 
     #[test]

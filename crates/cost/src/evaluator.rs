@@ -8,7 +8,7 @@ use ljqo_plan::JoinOrder;
 use crate::deadline::Deadline;
 use crate::estimate::SizeWalker;
 use crate::incremental::{Estimator, IncrementalEvaluator};
-use crate::model::CostModel;
+use crate::model::{CostModel, OrderCost};
 use crate::sanitize_cost;
 use crate::shared::SharedBest;
 use ljqo_plan::Move;
@@ -273,15 +273,7 @@ impl<'a> Evaluator<'a> {
     /// Subsequent moves are costed with [`Evaluator::cost_move`]; the
     /// caller gets the order back with
     /// [`IncrementalEvaluator::into_order`].
-    ///
-    /// Callers must check [`CostModel::supports_incremental`] first — a
-    /// model that overrides its order cost cannot be summed per step.
     pub fn begin_incremental(&mut self, order: JoinOrder) -> IncrementalEvaluator<'a> {
-        debug_assert!(
-            self.model.supports_incremental(),
-            "model {} does not support incremental evaluation",
-            self.model.name()
-        );
         self.charge(1);
         let inc = IncrementalEvaluator::with_compiled(
             self.query,
@@ -306,7 +298,7 @@ impl<'a> Evaluator<'a> {
     /// candidate evaluation regardless of how cheaply it is computed — and
     /// updates best-so-far exactly like [`Evaluator::cost`]. In debug
     /// builds, asserts that the incremental cost agrees with a
-    /// from-scratch evaluation.
+    /// from-scratch evaluation whenever both are unsaturated.
     ///
     /// The caller resolves the proposal with
     /// [`IncrementalEvaluator::commit`] or
@@ -316,11 +308,19 @@ impl<'a> Evaluator<'a> {
         let c = inc.eval_applied(mv);
         self.n_evals += 1;
         self.n_inc_evals += 1;
-        debug_assert!(
-            crate::incremental::costs_agree(c, inc.full_eval()),
-            "incremental cost {c} diverged from full evaluation {} for {mv:?}",
-            inc.full_eval()
-        );
+        #[cfg(debug_assertions)]
+        {
+            // A saturated side means the model emitted a non-finite step
+            // cost. The re-walk prices every step again, so a model that
+            // faults once (a fault injector) need not fault on both walks:
+            // only unsaturated pairs are comparable. The exact agreement
+            // of healthy models is pinned by the differential suites.
+            let full = inc.full_eval();
+            assert!(
+                c == f64::MAX || full == f64::MAX || crate::incremental::costs_agree(c, full),
+                "incremental cost {c} diverged from full evaluation {full} for {mv:?}"
+            );
+        }
         if c < self.best_cost {
             self.best_cost = c;
             self.record_best(inc.order().rels());
@@ -617,6 +617,7 @@ mod tests {
         let c2 = ev.cost(&order(&[2, 1, 0]));
         assert!(c2.is_finite() && c2 < f64::MAX);
         assert_eq!(ev.best().map(|(_, c)| c), Some(c2));
+        assert!(model.evals() >= 1, "the fault never fired");
     }
 
     #[test]

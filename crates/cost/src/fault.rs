@@ -6,7 +6,12 @@
 //! non-finite costs are saturated by the [`crate::Evaluator`] and panics
 //! are isolated per component / worker in `ljqo-core`. [`FaultyCostModel`]
 //! exists to test exactly those paths: it wraps any inner model and
-//! injects a deterministic fault on the k-th full plan evaluation.
+//! injects a deterministic fault on the k-th join step it prices.
+//!
+//! The fault lives in [`CostModel::join_cost`], the one hook that both a
+//! full walk ([`crate::Evaluator::cost`]) and an incremental move
+//! evaluation ([`crate::Evaluator::cost_move`]) call, so fault-injection
+//! tests run on the same search loop production runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -14,20 +19,20 @@ use std::thread::ThreadId;
 
 use ljqo_catalog::{Query, RelId};
 
-use crate::estimate::SizeWalker;
 use crate::model::{CostModel, JoinCtx};
 
 /// What the wrapper injects, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
-    /// Panic on exactly the k-th full plan evaluation (1-based); all other
-    /// evaluations pass through.
+    /// Panic on exactly the k-th join step priced (1-based); all other
+    /// steps pass through.
     PanicOnKth(u64),
-    /// Return `NaN` for the k-th full plan evaluation (1-based); all other
-    /// evaluations pass through.
+    /// Return `NaN` for the k-th join step priced (1-based); all other
+    /// steps pass through. The step is summed into its plan's cost, so
+    /// that plan prices as saturated ([`f64::MAX`]).
     NanOnKth(u64),
-    /// Panic on every evaluation performed by any thread other than the
-    /// first thread to evaluate. Under a parallel multi-start run this
+    /// Panic on every join step priced by any thread other than the
+    /// first thread to price one. Under a parallel multi-start run this
     /// deterministically kills all workers but one, which is the
     /// worst-case input for per-worker panic isolation.
     PanicOnAllButFirstThread,
@@ -35,8 +40,8 @@ pub enum FaultMode {
 
 /// A [`CostModel`] wrapper that injects one deterministic fault.
 ///
-/// Evaluations are counted across threads with an atomic counter, so the
-/// k-th evaluation is well-defined (if racy in *which* order triggers it)
+/// Join steps are counted across threads with an atomic counter, so the
+/// k-th step is well-defined (if racy in *which* order triggers it)
 /// even under `run_parallel`. The wrapper is written for tests: it panics
 /// or emits `NaN` so the robustness of the surrounding machinery —
 /// saturation in the evaluator, `catch_unwind` isolation in the driver —
@@ -59,13 +64,14 @@ impl<M: CostModel> FaultyCostModel<M> {
         }
     }
 
-    /// Number of full plan evaluations seen so far (including the faulted
-    /// one).
+    /// Number of join steps priced so far (including the faulted one).
+    /// A plan evaluation prices one step per relation after the first; an
+    /// incremental move evaluation prices only the steps it re-costs.
     pub fn evals(&self) -> u64 {
         self.evals.load(Ordering::Relaxed)
     }
 
-    fn register_eval(&self) -> u64 {
+    fn register_step(&self) -> u64 {
         self.evals.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -86,36 +92,25 @@ impl<M: CostModel> FaultyCostModel<M> {
 
 impl<M: CostModel> CostModel for FaultyCostModel<M> {
     fn join_cost(&self, ctx: &JoinCtx) -> f64 {
-        self.inner.join_cost(ctx)
+        let n = self.register_step();
+        match self.mode {
+            FaultMode::PanicOnKth(k) if n == k => {
+                panic!("injected cost-model fault: panic on join step {k}")
+            }
+            FaultMode::NanOnKth(k) if n == k => f64::NAN,
+            FaultMode::PanicOnAllButFirstThread if !self.is_first_thread() => {
+                panic!("injected cost-model fault: panic on non-first worker thread")
+            }
+            _ => self.inner.join_cost(ctx),
+        }
     }
 
     fn name(&self) -> &'static str {
         "faulty"
     }
 
-    fn order_cost_with(&self, query: &Query, order: &[RelId], walker: &mut SizeWalker) -> f64 {
-        let n = self.register_eval();
-        match self.mode {
-            FaultMode::PanicOnKth(k) if n == k => {
-                panic!("injected cost-model fault: panic on evaluation {k}")
-            }
-            FaultMode::NanOnKth(k) if n == k => f64::NAN,
-            FaultMode::PanicOnAllButFirstThread if !self.is_first_thread() => {
-                panic!("injected cost-model fault: panic on non-first worker thread")
-            }
-            _ => self.inner.order_cost_with(query, order, walker),
-        }
-    }
-
     fn lower_bound(&self, query: &Query, component: &[RelId]) -> f64 {
         self.inner.lower_bound(query, component)
-    }
-
-    /// Fault injection hooks `order_cost_with`; an incremental evaluation
-    /// sums `join_cost` directly and would never trigger the fault, so this
-    /// model opts out and forces the full-evaluation path.
-    fn supports_incremental(&self) -> bool {
-        false
     }
 
     /// A model that panics or emits `NaN` mid-stream has no meaningful
@@ -130,6 +125,7 @@ impl<M: CostModel> CostModel for FaultyCostModel<M> {
 mod tests {
     use super::*;
     use crate::memory::MemoryCostModel;
+    use crate::model::OrderCost;
     use ljqo_catalog::QueryBuilder;
 
     fn q() -> Query {
@@ -143,15 +139,27 @@ mod tests {
 
     #[test]
     fn passes_through_until_the_fault() {
-        let query = q();
+        // Faults count join steps, not plan evaluations: each walk of a
+        // three-relation chain prices two steps, so step 3 is the first
+        // step of the second walk.
+        let query = QueryBuilder::new()
+            .relation("a", 100)
+            .relation("b", 200)
+            .relation("c", 300)
+            .join("a", "b", 0.01)
+            .join("b", "c", 0.02)
+            .build()
+            .unwrap();
         let order: Vec<RelId> = query.rel_ids().collect();
         let clean = MemoryCostModel::default().order_cost(&query, &order);
         let faulty = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(3));
         assert_eq!(faulty.order_cost(&query, &order), clean);
+        assert_eq!(faulty.evals(), 2);
+        // The NaN step poisons its walk's sum, which whole-order costing
+        // saturates like any non-finite total.
+        assert_eq!(faulty.order_cost(&query, &order), f64::MAX);
         assert_eq!(faulty.order_cost(&query, &order), clean);
-        assert!(faulty.order_cost(&query, &order).is_nan());
-        assert_eq!(faulty.order_cost(&query, &order), clean);
-        assert_eq!(faulty.evals(), 4);
+        assert_eq!(faulty.evals(), 6);
     }
 
     #[test]
@@ -165,6 +173,7 @@ mod tests {
         }));
         assert!(caught.is_err());
         let _ = faulty.order_cost(&query, &order);
+        assert!(faulty.evals() >= 2, "the fault never fired");
     }
 
     #[test]
@@ -191,5 +200,6 @@ mod tests {
         assert!(caught.is_err());
         // The first thread keeps working.
         assert_eq!(faulty.order_cost(&query, &order), c);
+        assert!(faulty.evals() >= 3, "the probe thread never priced a step");
     }
 }

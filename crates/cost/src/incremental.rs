@@ -26,8 +26,8 @@
 //!
 //! That makes a move evaluation `O(window + deg)` instead of `O(N)`: an
 //! adjacent swap is constant work, and a random arbitrary swap touches
-//! `~N/3` positions on average. The `moves_incremental` bench in
-//! `ljqo-bench` quantifies the resulting throughput.
+//! `~N/3` positions on average. The `hot_path` bench in `ljqo-bench`
+//! quantifies the resulting throughput.
 //!
 //! # Floating-point contract
 //!
@@ -54,7 +54,7 @@
 //!
 //! ```
 //! use ljqo_catalog::QueryBuilder;
-//! use ljqo_cost::{Estimator, IncrementalEvaluator, MemoryCostModel, CostModel};
+//! use ljqo_cost::{Estimator, IncrementalEvaluator, MemoryCostModel};
 //! use ljqo_plan::{JoinOrder, Move};
 //!
 //! let query = QueryBuilder::new()
@@ -88,7 +88,7 @@ use ljqo_catalog::{CompiledQuery, EdgeId, Query};
 use ljqo_plan::{JoinOrder, Move};
 
 use crate::estimate::clamp_card;
-use crate::model::{CostModel, JoinCtx};
+use crate::model::{CostModel, JoinCtx, OrderCost};
 use crate::propagate::{order_cost_propagated, DistinctState};
 use crate::sanitize_cost;
 
@@ -107,7 +107,7 @@ const AGREEMENT_EPS: f64 = 1e-9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Estimator {
     /// The static System-R estimator of [`crate::estimate`] — what
-    /// [`crate::Evaluator::cost`] and [`CostModel::order_cost`] use.
+    /// [`crate::Evaluator::cost`] and [`OrderCost::order_cost`] use.
     Static,
     /// Distinct-value propagation ([`crate::propagate`]); the reference
     /// full walk is [`order_cost_propagated`].
@@ -135,7 +135,7 @@ struct Pending {
 /// The evaluator owns the current [`JoinOrder`] and keeps, for every
 /// position `p`, the accumulated cost and intermediate cardinality of the
 /// prefix `order[..=p]` — bit-identical to what a from-scratch walk
-/// ([`CostModel::order_cost`] or [`order_cost_propagated`]) would produce.
+/// ([`OrderCost::order_cost`] or [`order_cost_propagated`]) would produce.
 /// The move protocol is:
 ///
 /// 1. apply a [`Move`] to [`IncrementalEvaluator::order_mut`] (this is
@@ -148,9 +148,9 @@ struct Pending {
 /// Budget charging and best-so-far tracking remain the job of
 /// [`crate::Evaluator`]; see [`crate::Evaluator::begin_incremental`] and
 /// [`crate::Evaluator::cost_move`], which drive this type on behalf of the
-/// optimizers. Models that override [`CostModel::order_cost_with`] (e.g.
-/// fault injectors) are not summable per step; gate on
-/// [`CostModel::supports_incremental`] before using this path.
+/// optimizers. Whole-order costing ([`OrderCost`]) is the per-step sum of
+/// [`CostModel::join_cost`] for every model, so this path is exact for
+/// all of them.
 pub struct IncrementalEvaluator<'a> {
     query: &'a Query,
     model: &'a dyn CostModel,

@@ -46,7 +46,7 @@ pub use evaluator::{Evaluator, Snapshot};
 pub use fault::{FaultMode, FaultyCostModel};
 pub use incremental::{costs_agree, Estimator, IncrementalEvaluator};
 pub use memory::MemoryCostModel;
-pub use model::{CostModel, JoinCtx};
+pub use model::{CostModel, JoinCtx, OrderCost};
 pub use multi::{JoinMethod, MultiMethodCostModel};
 pub use shared::SharedBest;
 pub use tree_eval::TreeEvaluator;

@@ -101,6 +101,7 @@ impl CostModel for MemoryCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::OrderCost;
     use ljqo_catalog::QueryBuilder;
 
     fn q3() -> Query {

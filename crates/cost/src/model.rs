@@ -34,51 +34,11 @@ pub trait CostModel: Sync {
     /// A short name for reports ("memory", "disk").
     fn name(&self) -> &'static str;
 
-    /// Total cost of processing `order` (a walk over one component).
-    ///
-    /// Provided: sums [`CostModel::join_cost`] over the steps of the order
-    /// using the shared estimator. Implementations normally keep this
-    /// default.
-    fn order_cost(&self, query: &Query, order: &[RelId]) -> f64 {
-        let mut walker = SizeWalker::new(query.n_relations());
-        self.order_cost_with(query, order, &mut walker)
-    }
-
-    /// As [`CostModel::order_cost`] but reusing a caller-provided walker
-    /// (the evaluator's hot path).
-    fn order_cost_with(&self, query: &Query, order: &[RelId], walker: &mut SizeWalker) -> f64 {
-        let mut total = 0.0f64;
-        let mut outer_rels = 1usize;
-        walker.walk(query, order, |s| {
-            total += self.join_cost(&JoinCtx {
-                outer_card: s.outer_card,
-                inner_card: s.inner_card,
-                output_card: s.output_card,
-                outer_rels,
-                is_cross_product: s.is_cross_product,
-            });
-            outer_rels += 1;
-        });
-        total.min(f64::MAX)
-    }
-
     /// An admissible lower bound on the cost of any valid order over
     /// `component`. The optimizers may stop early once the best solution is
     /// within a factor of this bound. The default is the trivial bound 0.
     fn lower_bound(&self, _query: &Query, _component: &[RelId]) -> f64 {
         0.0
-    }
-
-    /// Whether this model's order cost is the plain per-step sum of
-    /// [`CostModel::join_cost`], making it safe for
-    /// [`crate::IncrementalEvaluator`] to re-cost only the steps a move
-    /// changes. Models that override [`CostModel::order_cost_with`] with
-    /// anything other than that sum (e.g. fault injectors or models with
-    /// whole-plan terms) **must** return `false` here, or the incremental
-    /// path would silently bypass their override; the local-search methods
-    /// then fall back to full evaluation.
-    fn supports_incremental(&self) -> bool {
-        true
     }
 
     /// Whether [`CostModel::join_cost`] is monotone non-decreasing in each
@@ -93,6 +53,47 @@ pub trait CostModel: Sync {
     /// back to [`CostModel::lower_bound`]).
     fn monotone_join_cost(&self) -> bool {
         true
+    }
+}
+
+/// Whole-order costing: the sum of [`CostModel::join_cost`] over the
+/// steps of a left-deep walk, priced by the shared estimator.
+///
+/// Every [`CostModel`] gets this through the blanket impl below, and no
+/// model can override it. The incremental evaluator re-costs a move by
+/// calling `join_cost` for the changed steps only, so a whole-order cost
+/// that differed from the per-step sum would make
+/// [`crate::Evaluator::cost`] and [`crate::Evaluator::cost_move`]
+/// disagree. Models customise costing through `join_cost` alone.
+pub trait OrderCost {
+    /// Total cost of processing `order` (a walk over one component).
+    fn order_cost(&self, query: &Query, order: &[RelId]) -> f64;
+
+    /// As [`OrderCost::order_cost`] but reusing a caller-provided walker
+    /// (the evaluator's hot path).
+    fn order_cost_with(&self, query: &Query, order: &[RelId], walker: &mut SizeWalker) -> f64;
+}
+
+impl<M: CostModel + ?Sized> OrderCost for M {
+    fn order_cost(&self, query: &Query, order: &[RelId]) -> f64 {
+        let mut walker = SizeWalker::new(query.n_relations());
+        self.order_cost_with(query, order, &mut walker)
+    }
+
+    fn order_cost_with(&self, query: &Query, order: &[RelId], walker: &mut SizeWalker) -> f64 {
+        let mut total = 0.0f64;
+        let mut outer_rels = 1usize;
+        walker.walk(query, order, |s| {
+            total += self.join_cost(&JoinCtx {
+                outer_card: s.outer_card,
+                inner_card: s.inner_card,
+                output_card: s.output_card,
+                outer_rels,
+                is_cross_product: s.is_cross_product,
+            });
+            outer_rels += 1;
+        });
+        total.min(f64::MAX)
     }
 }
 

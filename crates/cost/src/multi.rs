@@ -164,6 +164,7 @@ impl CostModel for MultiMethodCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::OrderCost;
     use ljqo_catalog::QueryBuilder;
 
     fn ctx(outer: f64, inner: f64, output: f64) -> JoinCtx {

@@ -272,7 +272,7 @@ fn non_nan_min(current: f64, merged: f64) -> f64 {
 }
 
 /// Total cost of `order` under `model` using the *propagated* estimator
-/// (counterpart of [`CostModel::order_cost`], which uses the static
+/// (counterpart of [`crate::OrderCost::order_cost`], which uses the static
 /// one). This is the full-walk reference that
 /// [`crate::incremental::IncrementalEvaluator`] in propagated mode must
 /// agree with bit-for-bit.

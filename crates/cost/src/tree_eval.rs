@@ -23,7 +23,7 @@
 //!   `outer_rels = output width − 1`.
 //!
 //! On an outer-linear (left-deep) tree this reproduces
-//! [`CostModel::order_cost`] **bit for bit**: the crossing-edge fold
+//! [`OrderCost::order_cost`](crate::OrderCost::order_cost) **bit for bit**: the crossing-edge fold
 //! restricted to an inner leaf enumerates exactly the placed incident
 //! edges in the same (ascending edge id) order as
 //! [`estimate::selectivity_into`](crate::estimate::selectivity_into) and
@@ -371,7 +371,7 @@ impl<'a> TreeEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskCostModel, MemoryCostModel};
+    use crate::{DiskCostModel, MemoryCostModel, OrderCost};
     use ljqo_catalog::{Query, QueryBuilder, RelId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

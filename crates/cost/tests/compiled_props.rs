@@ -125,53 +125,38 @@ fn windowed_validity_matches_full_scan_after_moves() {
         let q = arb_catalog(&mut rng);
         let cq = CompiledQuery::new(&q);
         let mut checker = BitsetChecker::new(q.n_relations());
-        let mut gen = MoveGenerator::new(q.n_relations(), all_kinds());
+        let moves = all_kinds();
         for comp in q.graph().components() {
             let mut order = random_valid_order(q.graph(), &comp, &mut rng);
-            for _ in 0..32 {
-                // Sample a raw (unfiltered) move by proposing through the
-                // legacy generator and undoing its filtering: propose
-                // returns the applied, already-valid move, so to also hit
-                // invalid windows we additionally scramble two positions.
-                if let Some((mv, _)) = gen.propose_counted(q.graph(), &mut order, &mut rng) {
-                    let got = checker.window_valid(
-                        &cq,
-                        order.rels(),
-                        mv.first_touched(),
-                        mv.last_touched(),
-                    );
-                    assert_eq!(
-                        got,
-                        is_valid(q.graph(), order.rels()),
-                        "case {case}: window verdict diverged for {mv:?}"
-                    );
-                    if !got {
-                        mv.undo(&mut order);
-                    }
-                }
-                if order.len() >= 2 {
-                    // A raw swap, not validity-filtered: exercise rejection.
+            if order.len() < 2 {
+                continue;
+            }
+            for step in 0..64 {
+                // Raw moves, not validity-filtered, so the windows the
+                // generator keeps and the ones it rejects are both
+                // checked: draws from the generators' own move
+                // distribution alternate with arbitrary (possibly
+                // degenerate) swaps.
+                let mv = if step % 2 == 0 {
+                    moves.sample_move(order.len(), &mut rng)
+                } else {
                     let i = rng.gen_range(0..order.len());
                     let j = rng.gen_range(0..order.len());
-                    let mv = ljqo_plan::Move::Swap {
+                    ljqo_plan::Move::Swap {
                         i: i.min(j),
                         j: i.max(j),
-                    };
-                    mv.apply(&mut order);
-                    let got = checker.window_valid(
-                        &cq,
-                        order.rels(),
-                        mv.first_touched(),
-                        mv.last_touched(),
-                    );
-                    assert_eq!(
-                        got,
-                        is_valid(q.graph(), order.rels()),
-                        "case {case}: raw-swap window verdict diverged for {mv:?}"
-                    );
-                    if !got {
-                        mv.undo(&mut order);
                     }
+                };
+                mv.apply(&mut order);
+                let got =
+                    checker.window_valid(&cq, order.rels(), mv.first_touched(), mv.last_touched());
+                assert_eq!(
+                    got,
+                    is_valid(q.graph(), order.rels()),
+                    "case {case}: window verdict diverged for {mv:?}"
+                );
+                if !got {
+                    mv.undo(&mut order);
                 }
             }
         }

@@ -16,7 +16,7 @@
 //! * windowed revalidation (`window_valid`, `window_valid_primed`) vs
 //!   a full re-scan after raw (unfiltered) window permutations,
 //! * move filtering: the compiled generator proposes the *same stream*
-//!   as the legacy scalar generator under the same seed,
+//!   as a scalar reference proposer under the same seed,
 //! * costing: the blocked tree walk reproduces `order_cost` bit for
 //!   bit, under every cost model, on 1–4-component catalogs.
 //!
@@ -28,12 +28,13 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ljqo_catalog::{bitset, CompiledQuery, Query, QueryBuilder};
+use ljqo_catalog::{bitset, CompiledQuery, JoinGraph, Query, QueryBuilder};
 use ljqo_cost::{
-    sanitize_cost, CostModel, DiskCostModel, MemoryCostModel, MultiMethodCostModel, TreeEvaluator,
+    sanitize_cost, CostModel, DiskCostModel, MemoryCostModel, MultiMethodCostModel, OrderCost,
+    TreeEvaluator,
 };
 use ljqo_plan::validity::{is_valid, BitsetChecker, ValidityChecker};
-use ljqo_plan::{random_valid_order, Move, MoveGenerator, MoveSet, TreePlan};
+use ljqo_plan::{random_valid_order, JoinOrder, Move, MoveGenerator, MoveSet, TreePlan};
 
 /// Sizes straddling every 64-bit word boundary up to three words. All
 /// are ≤ 256, so they exercise the single-word and single-block tiers.
@@ -58,6 +59,29 @@ fn all_kinds() -> MoveSet {
         three_cycle: 0.2,
         reinsert: 0.2,
     }
+}
+
+/// Scalar reference for `MoveGenerator::propose_counted`: the same raw
+/// draws ([`MoveSet::sample_move`]) and retry limit, each filtered by a
+/// full adjacency-list scan of the perturbed order.
+fn scalar_propose(
+    checker: &mut ValidityChecker,
+    graph: &JoinGraph,
+    order: &mut JoinOrder,
+    rng: &mut SmallRng,
+) -> Option<(Move, u32)> {
+    if order.len() < 2 {
+        return None;
+    }
+    for attempt in 1..=64.max(4 * graph.n_relations()) {
+        let mv = all_kinds().sample_move(order.len(), rng);
+        mv.apply(order);
+        if checker.is_valid(graph, order.rels()) {
+            return Some((mv, attempt as u32));
+        }
+        mv.undo(order);
+    }
+    None
 }
 
 /// A catalog of exactly `n_total` relations split across `n_components`
@@ -221,11 +245,11 @@ fn windowed_revalidation_matches_full_scan_at_word_boundaries() {
 }
 
 /// The compiled (multi-word, prefix-cached) move generator and the
-/// legacy scalar generator propose the *same move stream* from the same
-/// seed — filtering decisions are bit-identical, so distributions are
-/// too.
+/// scalar reference proposer propose the *same move stream* from the
+/// same seed — filtering decisions are bit-identical, so distributions
+/// are too.
 #[test]
-fn move_filtering_matches_legacy_generator_at_word_boundaries() {
+fn move_filtering_matches_scalar_reference_at_word_boundaries() {
     for (n, comps, mut rng) in boundary_cases(0x1a6e_0003) {
         let q = boundary_catalog(&mut rng, n, comps);
         let cq = Arc::new(CompiledQuery::new(&q));
@@ -239,10 +263,10 @@ fn move_filtering_matches_legacy_generator_at_word_boundaries() {
             let mut rng_b = SmallRng::seed_from_u64(seed);
             let mut order_a = order.clone();
             let mut order_b = order;
-            let mut legacy = MoveGenerator::new(q.n_relations(), all_kinds());
+            let mut scalar = ValidityChecker::new(q.n_relations());
             let mut compiled = MoveGenerator::with_compiled(Arc::clone(&cq), all_kinds());
             for step in 0..300 {
-                let a = legacy.propose_counted(q.graph(), &mut order_a, &mut rng_a);
+                let a = scalar_propose(&mut scalar, q.graph(), &mut order_a, &mut rng_a);
                 let b = compiled.propose_counted(q.graph(), &mut order_b, &mut rng_b);
                 assert_eq!(a, b, "N={n}/{comps} step {step}: proposal streams diverged");
                 assert_eq!(
@@ -291,8 +315,8 @@ fn tree_walk_matches_linear_walk_bit_for_bit_at_word_boundaries() {
 
 /// Past the 256-relation block capacity the general (heap-strided) tier
 /// takes over for validity, windowed checks, and move filtering; it
-/// must agree with the reference scan and the legacy generator exactly
-/// like the block tier does.
+/// must agree with the reference scan and the scalar reference proposer
+/// exactly like the block tier does.
 #[test]
 fn general_tier_matches_reference_past_block_capacity() {
     for &n in &GENERAL_NS {
@@ -336,10 +360,10 @@ fn general_tier_matches_reference_past_block_capacity() {
             let mut rng_b = SmallRng::seed_from_u64(seed);
             let mut order_a = order.clone();
             let mut order_b = order;
-            let mut legacy = MoveGenerator::new(q.n_relations(), all_kinds());
+            let mut scalar = ValidityChecker::new(q.n_relations());
             let mut compiled = MoveGenerator::with_compiled(Arc::clone(&cq), all_kinds());
             for step in 0..200 {
-                let a = legacy.propose_counted(q.graph(), &mut order_a, &mut rng_a);
+                let a = scalar_propose(&mut scalar, q.graph(), &mut order_a, &mut rng_a);
                 let b = compiled.propose_counted(q.graph(), &mut order_b, &mut rng_b);
                 assert_eq!(a, b, "N={n} step {step}: proposal streams diverged");
                 assert_eq!(order_a, order_b, "N={n} step {step}: orders diverged");

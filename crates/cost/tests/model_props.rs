@@ -10,7 +10,7 @@ use ljqo_catalog::{Query, QueryBuilder, RelId};
 use ljqo_cost::propagate::order_cost_propagated;
 use ljqo_cost::{
     costs_agree, CostModel, DiskCostModel, Estimator, IncrementalEvaluator, JoinCtx,
-    MemoryCostModel, MultiMethodCostModel,
+    MemoryCostModel, MultiMethodCostModel, OrderCost,
 };
 use ljqo_plan::Move;
 

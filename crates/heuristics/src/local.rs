@@ -175,7 +175,7 @@ fn permutations(items: &[RelId]) -> Vec<Vec<RelId>> {
 mod tests {
     use super::*;
     use ljqo_catalog::{Query, QueryBuilder};
-    use ljqo_cost::{CostModel, MemoryCostModel};
+    use ljqo_cost::{MemoryCostModel, OrderCost};
     use ljqo_plan::validity::is_valid;
 
     fn chain_query() -> Query {

@@ -15,7 +15,9 @@ use rand::Rng;
 use ljqo_catalog::{CompiledQuery, JoinGraph, RelId};
 
 use crate::order::JoinOrder;
-use crate::validity::{BitsetChecker, ValidityChecker};
+use crate::validity::BitsetChecker;
+#[cfg(debug_assertions)]
+use crate::validity::ValidityChecker;
 
 /// The kinds of perturbation in the move set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -250,87 +252,13 @@ impl MoveSet {
         }
         MoveKind::Reinsert
     }
-}
 
-/// Generates random *valid* moves: proposes perturbations and filters out
-/// those that would introduce a cross product.
-///
-/// Two filtering backends exist. The default ([`MoveGenerator::new`]) runs
-/// the full [`ValidityChecker`] scan over the perturbed order. The compiled
-/// backend ([`MoveGenerator::with_compiled`]) uses a [`BitsetChecker`] and
-/// revalidates only the move's touched window `[first_touched(),
-/// last_touched()]` — exact because the generator only ever perturbs orders
-/// it has itself kept valid (see [`BitsetChecker::window_valid`]) — and is
-/// allocation-free per proposal.
-#[derive(Debug)]
-pub struct MoveGenerator {
-    move_set: MoveSet,
-    checker: ValidityChecker,
-    /// Compiled snapshot + bitset checker for windowed validity filtering;
-    /// when set, `propose_counted` ignores its graph argument.
-    compiled: Option<(Arc<CompiledQuery>, BitsetChecker)>,
-    /// Acceptance probe for the prefix-mask cache: position and pre-move
-    /// relation at `first_touched()` of the last returned proposal. At the
-    /// next call, `order[pos] != rel` means the caller kept the move (the
-    /// cache is truncated at `pos`); equality means it was undone (every
-    /// move changes the relation at its first touched position, so the
-    /// probe distinguishes the two exactly).
-    probe: Option<(usize, RelId)>,
-    /// Give up after this many invalid proposals (the state is then treated
-    /// as having no available move — practically unreachable for connected
-    /// graphs with more than two relations).
-    max_retries: usize,
-}
-
-impl MoveGenerator {
-    /// Create a generator for orders over up to `n_relations` relations.
-    pub fn new(n_relations: usize, move_set: MoveSet) -> Self {
-        MoveGenerator {
-            move_set,
-            checker: ValidityChecker::new(n_relations),
-            compiled: None,
-            probe: None,
-            max_retries: 64.max(4 * n_relations),
-        }
-    }
-
-    /// Create a generator that filters proposals with windowed bitset
-    /// checks against `compiled` instead of full validity scans.
-    ///
-    /// The caller must only hand `propose`/`propose_counted` orders that
-    /// are already valid (both start from a valid order and preserve
-    /// validity on every accepted move, so this holds inductively for the
-    /// II/SA loops).
-    pub fn with_compiled(compiled: Arc<CompiledQuery>, move_set: MoveSet) -> Self {
-        let n_relations = compiled.n_relations();
-        MoveGenerator {
-            move_set,
-            checker: ValidityChecker::new(n_relations),
-            compiled: Some((compiled, BitsetChecker::new(n_relations))),
-            probe: None,
-            max_retries: 64.max(4 * n_relations),
-        }
-    }
-
-    /// Notify the generator that the base order changed in a way it could
-    /// not observe — a restart from a different order, a rollback to an
-    /// earlier state, or switching to another component. Invalidates the
-    /// windowed checker's prefix-mask cache.
-    ///
-    /// Not needed for the regular propose → accept/undo loop: the
-    /// generator detects both outcomes of its own proposals.
-    pub fn reset(&mut self) {
-        self.probe = None;
-        if let Some((_, bitset)) = &mut self.compiled {
-            bitset.reset_prefix();
-        }
-    }
-
-    /// Sample a random move of the configured distribution, ignoring
-    /// validity.
-    fn sample_move<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Move {
+    /// Sample a random move over an order of length `len >= 2` from this
+    /// distribution, ignoring validity. [`MoveGenerator`] filters these
+    /// draws; tests replay the same draws against reference filters.
+    pub fn sample_move<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Move {
         debug_assert!(len >= 2);
-        match self.move_set.sample_kind(rng) {
+        match self.sample_kind(rng) {
             MoveKind::AdjacentSwap => {
                 let i = rng.gen_range(0..len - 1);
                 Move::Swap { i, j: i + 1 }
@@ -374,6 +302,70 @@ impl MoveGenerator {
             }
         }
     }
+}
+
+/// Generates random *valid* moves: proposes perturbations and filters out
+/// those that would introduce a cross product.
+///
+/// Filtering runs a [`BitsetChecker`] over a [`CompiledQuery`] and
+/// revalidates only the move's touched window `[first_touched(),
+/// last_touched()]` — exact because the generator only ever perturbs orders
+/// it has itself kept valid (see [`BitsetChecker::window_valid`]) — and is
+/// allocation-free per proposal.
+#[derive(Debug)]
+pub struct MoveGenerator {
+    move_set: MoveSet,
+    compiled: Arc<CompiledQuery>,
+    bitset: BitsetChecker,
+    /// Scalar reference scan that debug builds run on every kept
+    /// proposal; it never filters.
+    #[cfg(debug_assertions)]
+    scalar: ValidityChecker,
+    /// Acceptance probe for the prefix-mask cache: position and pre-move
+    /// relation at `first_touched()` of the last returned proposal. At the
+    /// next call, `order[pos] != rel` means the caller kept the move (the
+    /// cache is truncated at `pos`); equality means it was undone (every
+    /// move changes the relation at its first touched position, so the
+    /// probe distinguishes the two exactly).
+    probe: Option<(usize, RelId)>,
+    /// Give up after this many invalid proposals (the state is then treated
+    /// as having no available move — practically unreachable for connected
+    /// graphs with more than two relations).
+    max_retries: usize,
+}
+
+impl MoveGenerator {
+    /// Create a generator that filters proposals with windowed bitset
+    /// checks against `compiled`.
+    ///
+    /// The caller must only hand `propose`/`propose_counted` orders that
+    /// are already valid (both start from a valid order and preserve
+    /// validity on every accepted move, so this holds inductively for the
+    /// II/SA loops).
+    pub fn with_compiled(compiled: Arc<CompiledQuery>, move_set: MoveSet) -> Self {
+        let n_relations = compiled.n_relations();
+        MoveGenerator {
+            move_set,
+            compiled,
+            bitset: BitsetChecker::new(n_relations),
+            #[cfg(debug_assertions)]
+            scalar: ValidityChecker::new(n_relations),
+            probe: None,
+            max_retries: 64.max(4 * n_relations),
+        }
+    }
+
+    /// Notify the generator that the base order changed in a way it could
+    /// not observe — a restart from a different order, a rollback to an
+    /// earlier state, or switching to another component. Invalidates the
+    /// windowed checker's prefix-mask cache.
+    ///
+    /// Not needed for the regular propose → accept/undo loop: the
+    /// generator detects both outcomes of its own proposals.
+    pub fn reset(&mut self) {
+        self.probe = None;
+        self.bitset.reset_prefix();
+    }
 
     /// Propose a random valid neighbor of `order`.
     ///
@@ -399,9 +391,13 @@ impl MoveGenerator {
     /// optimizers charge `attempts − 1` extra units so that searching
     /// heavily constrained spaces (e.g. star join graphs, where most swaps
     /// are invalid) is costlier, as it was on the paper's hardware.
+    ///
+    /// Filtering reads only the compiled snapshot; `graph` (the graph it
+    /// was compiled from) feeds the scalar reference check that debug
+    /// builds run on every kept proposal.
     pub fn propose_counted<R: Rng + ?Sized>(
         &mut self,
-        graph: &JoinGraph,
+        #[cfg_attr(not(debug_assertions), allow(unused_variables))] graph: &JoinGraph,
         order: &mut JoinOrder,
         rng: &mut R,
     ) -> Option<(Move, u32)> {
@@ -414,35 +410,29 @@ impl MoveGenerator {
         // cache past that position is stale.
         if let Some((pos, rel)) = self.probe.take() {
             if pos < len && order.at(pos) != rel {
-                if let Some((_, bitset)) = &mut self.compiled {
-                    bitset.truncate_prefix(pos);
-                }
+                self.bitset.truncate_prefix(pos);
             }
         }
         for attempt in 1..=self.max_retries {
-            let mv = self.sample_move(len, rng);
-            let lo = mv.first_touched();
+            let mv = self.move_set.sample_move(len, rng);
+            let (lo, hi) = (mv.first_touched(), mv.last_touched());
             let pre = order.at(lo);
             mv.apply(order);
-            let valid = match &mut self.compiled {
-                Some((cq, bitset)) => {
-                    let ok = bitset.window_valid_primed(cq, order.rels(), lo, mv.last_touched());
-                    debug_assert_eq!(
-                        ok,
-                        bitset.window_valid(cq, order.rels(), lo, mv.last_touched()),
-                        "primed windowed validity must agree with the uncached check \
-                         (was the generator told about a base-order change?)"
-                    );
-                    debug_assert_eq!(
-                        ok,
-                        bitset.is_valid(cq, order.rels()),
-                        "windowed validity must agree with the full check \
-                         (was the input order valid?)"
-                    );
-                    ok
-                }
-                None => self.checker.is_valid(graph, order.rels()),
-            };
+            let cq = &*self.compiled;
+            let valid = self.bitset.window_valid_primed(cq, order.rels(), lo, hi);
+            debug_assert_eq!(
+                valid,
+                self.bitset.window_valid(cq, order.rels(), lo, hi),
+                "primed windowed validity must agree with the uncached check \
+                 (was the generator told about a base-order change?)"
+            );
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                valid,
+                self.scalar.is_valid(graph, order.rels()),
+                "windowed validity must agree with the scalar full scan \
+                 (was the input order valid, and compiled from this graph?)"
+            );
             if valid {
                 self.probe = Some((lo, pre));
                 return Some((mv, attempt as u32));
@@ -472,6 +462,34 @@ mod tests {
                 .map(|i| JoinEdge::from_distincts(i - 1, i, 10.0, 10.0))
                 .collect(),
         )
+    }
+
+    fn generator(g: &JoinGraph, move_set: MoveSet) -> MoveGenerator {
+        let cq = CompiledQuery::from_graph(g, vec![10.0; g.n_relations()]);
+        MoveGenerator::with_compiled(Arc::new(cq), move_set)
+    }
+
+    /// Scalar reference for `propose_counted`: the same raw draws and
+    /// retry limit, filtered by a full `is_valid` scan of the perturbed
+    /// order.
+    fn scalar_propose(
+        move_set: &MoveSet,
+        g: &JoinGraph,
+        order: &mut JoinOrder,
+        rng: &mut SmallRng,
+    ) -> Option<(Move, u32)> {
+        if order.len() < 2 {
+            return None;
+        }
+        for attempt in 1..=64.max(4 * g.n_relations()) {
+            let mv = move_set.sample_move(order.len(), rng);
+            mv.apply(order);
+            if is_valid(g, order.rels()) {
+                return Some((mv, attempt as u32));
+            }
+            mv.undo(order);
+        }
+        None
     }
 
     #[test]
@@ -509,7 +527,7 @@ mod tests {
     #[test]
     fn proposals_stay_valid() {
         let g = chain_graph(8);
-        let mut gen = MoveGenerator::new(8, MoveSet::default());
+        let mut gen = generator(&g, MoveSet::default());
         let mut order = JoinOrder::new(ids(&[0, 1, 2, 3, 4, 5, 6, 7]));
         let mut rng = SmallRng::seed_from_u64(42);
         let mut changed = 0;
@@ -527,7 +545,7 @@ mod tests {
     #[test]
     fn propose_on_tiny_order_is_none() {
         let g = chain_graph(2);
-        let mut gen = MoveGenerator::new(2, MoveSet::default());
+        let mut gen = generator(&g, MoveSet::default());
         let mut order = JoinOrder::new(ids(&[0]));
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(gen.propose(&g, &mut order, &mut rng).is_none());
@@ -536,7 +554,7 @@ mod tests {
     #[test]
     fn two_relation_order_swaps() {
         let g = chain_graph(2);
-        let mut gen = MoveGenerator::new(2, MoveSet::default());
+        let mut gen = generator(&g, MoveSet::default());
         let mut order = JoinOrder::new(ids(&[0, 1]));
         let mut rng = SmallRng::seed_from_u64(1);
         let mv = gen.propose(&g, &mut order, &mut rng).unwrap();
@@ -584,10 +602,9 @@ mod tests {
             three_cycle: 1.0,
             reinsert: 1.0,
         };
-        let gen = MoveGenerator::new(9, moves);
         let before = JoinOrder::new(ids(&[0, 1, 2, 3, 4, 5, 6, 7, 8]));
         for _ in 0..500 {
-            let mv = gen.sample_move(9, &mut rng);
+            let mv = moves.sample_move(9, &mut rng);
             let mut after = before.clone();
             mv.apply(&mut after);
             let (lo, hi) = (mv.first_touched(), mv.last_touched());
@@ -619,25 +636,23 @@ mod tests {
 
     #[test]
     fn compiled_proposals_stay_valid_and_match_distribution() {
-        // Same seed through the legacy and compiled generators must yield
-        // the same accepted move sequence: the windowed filter is exact, so
-        // it consumes randomness identically.
+        // Same seed through the scalar reference and the compiled
+        // generator must yield the same accepted move sequence: the
+        // windowed filter is exact, so it consumes randomness identically.
         let g = chain_graph(8);
-        let cq = Arc::new(CompiledQuery::from_graph(&g, vec![10.0; 8]));
         let moves = MoveSet {
             adjacent_swap: 0.25,
             swap: 0.35,
             three_cycle: 0.2,
             reinsert: 0.2,
         };
-        let mut legacy = MoveGenerator::new(8, moves);
-        let mut compiled = MoveGenerator::with_compiled(cq, moves);
+        let mut compiled = generator(&g, moves);
         let mut order_a = JoinOrder::new(ids(&[0, 1, 2, 3, 4, 5, 6, 7]));
         let mut order_b = order_a.clone();
         let mut rng_a = SmallRng::seed_from_u64(0xbeef);
         let mut rng_b = SmallRng::seed_from_u64(0xbeef);
         for _ in 0..500 {
-            let a = legacy.propose_counted(&g, &mut order_a, &mut rng_a);
+            let a = scalar_propose(&moves, &g, &mut order_a, &mut rng_a);
             let b = compiled.propose_counted(&g, &mut order_b, &mut rng_b);
             assert_eq!(a, b);
             assert_eq!(order_a, order_b);
@@ -655,7 +670,7 @@ mod tests {
                 .map(|i| JoinEdge::from_distincts(0u32, i as u32, 10.0, 10.0))
                 .collect(),
         );
-        let mut gen = MoveGenerator::new(6, MoveSet::default());
+        let mut gen = generator(&g, MoveSet::default());
         let mut order = JoinOrder::new(ids(&[0, 1, 2, 3, 4, 5]));
         let mut rng = SmallRng::seed_from_u64(11);
         for _ in 0..300 {

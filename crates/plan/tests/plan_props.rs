@@ -3,10 +3,12 @@
 //! Implemented as seeded-RNG loops: the build is offline, so no
 //! proptest — every case is reproducible from its printed seed.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ljqo_catalog::{JoinEdge, JoinGraph, RelId};
+use ljqo_catalog::{CompiledQuery, JoinEdge, JoinGraph, RelId};
 use ljqo_plan::validity::{first_invalid_position, is_valid};
 use ljqo_plan::{random_valid_order, JoinOrder, JoinTree, Move, MoveGenerator, MoveSet};
 
@@ -83,7 +85,8 @@ fn move_sequences_undo_in_reverse() {
         let comp = component_of(&g);
         let mut order = random_valid_order(&g, &comp, &mut rng);
         let original = order.clone();
-        let mut gen = MoveGenerator::new(g.n_relations(), MoveSet::default());
+        let cq = CompiledQuery::from_graph(&g, vec![1.0; g.n_relations()]);
+        let mut gen = MoveGenerator::with_compiled(Arc::new(cq), MoveSet::default());
         let mut applied: Vec<Move> = Vec::new();
         for _ in 0..12 {
             if let Some(mv) = gen.propose(&g, &mut order, &mut rng) {

@@ -3,8 +3,11 @@
 //! loops: the build is offline, so no proptest — every case is
 //! reproducible from its printed seed.
 
+use std::sync::Arc;
+
 use ljqo::plan::validity::is_valid;
 use ljqo::prelude::*;
+use ljqo_catalog::CompiledQuery;
 use ljqo_workload::{generate_query, Benchmark};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +64,8 @@ fn move_invariants() {
         let query = generate_query(&Benchmark::Default.spec(), n, seed);
         let comp: Vec<RelId> = query.rel_ids().collect();
         let mut order = ljqo::plan::random_valid_order(query.graph(), &comp, &mut rng);
-        let mut gen = MoveGenerator::new(query.n_relations(), MoveSet::default());
+        let compiled = Arc::new(CompiledQuery::new(&query));
+        let mut gen = MoveGenerator::with_compiled(compiled, MoveSet::default());
         for _ in 0..20 {
             let before = order.clone();
             if let Some(mv) = gen.propose(query.graph(), &mut order, &mut rng) {

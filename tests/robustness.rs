@@ -8,10 +8,12 @@
 //! exercise every rung of that ladder with deterministic faults.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ljqo::parallel::run_parallel;
 use ljqo::prelude::*;
+use ljqo_catalog::CompiledQuery;
 use ljqo_cost::{FaultMode, FaultyCostModel};
 use ljqo_plan::validity::is_valid;
 use rand::rngs::SmallRng;
@@ -44,8 +46,8 @@ fn parallel_run_survives_all_but_one_worker_panicking() {
     let comp: Vec<RelId> = q.rel_ids().collect();
     let runner = MethodRunner::default();
     let workers = 4;
-    // Every worker thread except the first one to evaluate panics on
-    // every evaluation: 3 of 4 workers die.
+    // Every worker thread except the first one to price a join step
+    // panics on every step: 3 of 4 workers die.
     let model = FaultyCostModel::new(
         MemoryCostModel::default(),
         FaultMode::PanicOnAllButFirstThread,
@@ -56,6 +58,7 @@ fn parallel_run_survives_all_but_one_worker_panicking() {
     assert!(is_valid(q.graph(), r.order.rels()));
     assert!(r.cost.is_finite());
     assert!(r.n_evals > 0);
+    assert!(model.evals() >= workers as u64, "the faults never fired");
 }
 
 #[test]
@@ -63,7 +66,7 @@ fn parallel_run_with_every_worker_dead_returns_none() {
     let q = chain_query();
     let comp: Vec<RelId> = q.rel_ids().collect();
     let runner = MethodRunner::default();
-    // The very first evaluation panics, and with a share of 1 unit each
+    // The very first join step panics, and with a share of 1 unit each
     // every other worker's first evaluation is also its last chance.
     let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::PanicOnKth(1));
     let r = run_parallel(&q, &model, &runner, Method::Ii, &comp, 4_000, 4, 9);
@@ -72,6 +75,7 @@ fn parallel_run_with_every_worker_dead_returns_none() {
     let r = r.expect("three healthy workers remain");
     assert_eq!(r.workers_failed, 1);
     assert!(is_valid(q.graph(), r.order.rels()));
+    assert!(model.evals() >= 1, "the fault never fired");
 }
 
 // ---------------------------------------------------------------------
@@ -81,8 +85,8 @@ fn parallel_run_with_every_worker_dead_returns_none() {
 #[test]
 fn method_panic_degrades_to_heuristic_plan() {
     let q = chain_query();
-    // The method's first evaluation panics; the augmentation fallback
-    // (evaluation #2) succeeds.
+    // The method's first join step panics; the augmentation fallback
+    // prices its plan afterwards and succeeds.
     let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::PanicOnKth(1));
     let r = try_optimize(&q, &model, &OptimizerConfig::new(Method::Iai).with_seed(3))
         .expect("fallback ladder must rescue the plan");
@@ -91,6 +95,7 @@ fn method_panic_degrades_to_heuristic_plan() {
     assert_eq!(r.plan.n_relations(), q.n_relations());
     assert!(is_valid(q.graph(), r.plan.segments[0].rels()));
     assert!(r.cost.is_finite());
+    assert!(model.evals() >= 1, "the fault never fired");
 }
 
 #[test]
@@ -109,22 +114,40 @@ fn panic_at_any_evaluation_still_yields_a_valid_plan() {
             "invalid plan with fault at evaluation {k}"
         );
         assert!(r.cost.is_finite(), "fault at evaluation {k}");
+        assert!(model.evals() >= k, "the fault at join step {k} never fired");
     }
 }
 
 #[test]
 fn nan_costs_never_poison_the_result() {
     let q = chain_query();
-    for k in [1, 2, 5, 20] {
-        let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(k));
-        let r = try_optimize(&q, &model, &OptimizerConfig::new(Method::Ii).with_seed(7))
-            .expect("NaN is saturated, not fatal");
-        // The NaN evaluation saturates to f64::MAX and loses to every
-        // healthy evaluation, so the method completes undegraded.
-        assert_eq!(r.degradation, Degradation::None);
-        assert!(r.cost.is_finite());
-        assert!(r.cost < f64::MAX, "NaN evaluation must not be selected");
-        assert!(is_valid(q.graph(), r.plan.segments[0].rels()));
+    // SA's calibration walk accepts every move, so it is where a
+    // saturated candidate gets committed into the incremental
+    // evaluator's memoized prefix sums; II only ever commits
+    // improvements. The k values land the NaN in the first walk, in
+    // early moves, and deep into the search.
+    for method in [Method::Ii, Method::Sa] {
+        for k in [1, 2, 3, 5, 8, 13, 20, 50, 200, 500] {
+            let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(k));
+            let r = try_optimize(&q, &model, &OptimizerConfig::new(method).with_seed(7))
+                .expect("NaN is saturated, not fatal");
+            // The NaN evaluation saturates to f64::MAX and loses to every
+            // healthy evaluation, so the method completes undegraded.
+            assert_eq!(r.degradation, Degradation::None, "{method} k={k}");
+            assert!(r.cost.is_finite(), "{method} k={k}");
+            assert!(
+                r.cost < f64::MAX,
+                "{method} k={k}: NaN evaluation must not be selected"
+            );
+            assert!(
+                is_valid(q.graph(), r.plan.segments[0].rels()),
+                "{method} k={k}"
+            );
+            assert!(
+                model.evals() >= k,
+                "{method}: the NaN at step {k} never fired"
+            );
+        }
     }
 }
 
@@ -310,7 +333,8 @@ fn random_moves_preserve_validity_on_surviving_catalogs() {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let mut order = ljqo_plan::random_valid_order(q.graph(), &comp, &mut rng);
         assert!(is_valid(q.graph(), order.rels()), "case {case} start");
-        let mut gen = MoveGenerator::new(q.n_relations(), MoveSet::default());
+        let compiled = Arc::new(CompiledQuery::new(&q));
+        let mut gen = MoveGenerator::with_compiled(compiled, MoveSet::default());
         for step in 0..50 {
             // `propose` applies the move before returning it.
             if gen.propose(q.graph(), &mut order, &mut rng).is_some() {
