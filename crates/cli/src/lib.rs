@@ -29,7 +29,7 @@ use ljqo_catalog::{CatalogError, JoinEdge, Query, QueryBuilder};
 use ljqo_json::Value;
 
 /// A relation in the input file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationSpec {
     /// Relation name; joins refer to it.
     pub name: String,
@@ -40,7 +40,7 @@ pub struct RelationSpec {
 }
 
 /// A join predicate in the input file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     /// Name of one side.
     pub left: String,
@@ -55,7 +55,7 @@ pub struct JoinSpec {
 }
 
 /// The top-level query file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryFile {
     /// Relations, in id order.
     pub relations: Vec<RelationSpec>,
@@ -98,27 +98,35 @@ fn bad(msg: impl Into<String>) -> FileError {
 
 /// A number field, accepted only if it is a JSON number (not a string or
 /// null) — malformed statistics must fail parsing, not turn into NaN.
-fn number_field(v: &Value, key: &str, context: &str) -> Result<Option<f64>, FileError> {
+/// `item #i` names the array element in the error, formatted only when
+/// one is reported.
+fn number_field(v: &Value, key: &str, item: &str, i: usize) -> Result<Option<f64>, FileError> {
     match v.get(key) {
         None => Ok(None),
         Some(n) => n
             .as_f64()
             .map(Some)
-            .ok_or_else(|| bad(format!("{context}: field {key:?} must be a number"))),
+            .ok_or_else(|| bad(format!("{item} #{i}: field {key:?} must be a number"))),
     }
 }
 
-fn string_field(v: &Value, key: &str, context: &str) -> Result<String, FileError> {
+fn string_field(v: &Value, key: &str, item: &str, i: usize) -> Result<String, FileError> {
     v.get(key)
         .and_then(Value::as_str)
         .map(str::to_string)
-        .ok_or_else(|| bad(format!("{context}: missing string field {key:?}")))
+        .ok_or_else(|| bad(format!("{item} #{i}: missing string field {key:?}")))
 }
 
 impl QueryFile {
     /// Parse from JSON text.
     pub fn from_json(text: &str) -> Result<Self, FileError> {
         let root = ljqo_json::parse(text).map_err(|e| bad(e.to_string()))?;
+        Self::from_value(&root)
+    }
+
+    /// Read from an already parsed JSON document (the server decodes the
+    /// `query` member of a request this way, without re-parsing it).
+    pub fn from_value(root: &Value) -> Result<Self, FileError> {
         let relations = root
             .get("relations")
             .and_then(Value::as_array)
@@ -132,25 +140,26 @@ impl QueryFile {
             .iter()
             .enumerate()
             .map(|(i, rel)| {
-                let context = format!("relation #{i}");
-                let name = string_field(rel, "name", &context)?;
+                let name = string_field(rel, "name", "relation", i)?;
                 let cardinality =
                     rel.get("cardinality")
                         .and_then(Value::as_u64)
                         .ok_or_else(|| {
                             bad(format!(
-                                "{context}: \"cardinality\" must be a non-negative integer"
+                                "relation #{i}: \"cardinality\" must be a non-negative integer"
                             ))
                         })?;
                 let selections = match rel.get("selections") {
                     None => Vec::new(),
                     Some(s) => s
                         .as_array()
-                        .ok_or_else(|| bad(format!("{context}: \"selections\" must be an array")))?
+                        .ok_or_else(|| {
+                            bad(format!("relation #{i}: \"selections\" must be an array"))
+                        })?
                         .iter()
                         .map(|sel| {
                             sel.as_f64().ok_or_else(|| {
-                                bad(format!("{context}: selections must be numbers"))
+                                bad(format!("relation #{i}: selections must be numbers"))
                             })
                         })
                         .collect::<Result<Vec<f64>, FileError>>()?,
@@ -167,13 +176,12 @@ impl QueryFile {
             .iter()
             .enumerate()
             .map(|(i, join)| {
-                let context = format!("join #{i}");
                 Ok(JoinSpec {
-                    left: string_field(join, "left", &context)?,
-                    right: string_field(join, "right", &context)?,
-                    selectivity: number_field(join, "selectivity", &context)?,
-                    distinct_left: number_field(join, "distinct_left", &context)?,
-                    distinct_right: number_field(join, "distinct_right", &context)?,
+                    left: string_field(join, "left", "join", i)?,
+                    right: string_field(join, "right", "join", i)?,
+                    selectivity: number_field(join, "selectivity", "join", i)?,
+                    distinct_left: number_field(join, "distinct_left", "join", i)?,
+                    distinct_right: number_field(join, "distinct_right", "join", i)?,
                 })
             })
             .collect::<Result<Vec<_>, FileError>>()?;
@@ -365,6 +373,31 @@ mod tests {
                 let text = QueryFile::from_query(&q).to_json().to_string_compact();
                 let back = QueryFile::from_json(&text).unwrap().into_query().unwrap();
                 assert_eq!(back, q, "{shape:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_value_decodes_like_from_json() {
+        use ljqo_workload::{generate_job_query, JobShape, JobSpec};
+        for shape in JobShape::ALL {
+            for seed in 0..6 {
+                let q = generate_job_query(&JobSpec::new(shape), 20, seed);
+                let text = QueryFile::from_query(&q).to_json().to_string_compact();
+                let doc = ljqo_json::parse(&text).unwrap();
+                let via_value = QueryFile::from_value(&doc).unwrap();
+                let via_text = QueryFile::from_json(&text).unwrap();
+                // Reading a parsed member in place must agree with
+                // re-serializing it and parsing the text again.
+                let via_reparse = QueryFile::from_json(&doc.to_string_compact()).unwrap();
+                assert_eq!(via_value, via_text, "{shape:?} seed {seed}");
+                assert_eq!(via_value, via_reparse, "{shape:?} seed {seed}");
+                let a = via_value.into_query().unwrap();
+                let b = via_text.into_query().unwrap();
+                // `{:?}` prints each f64 in its shortest round-trip form,
+                // so equal renderings mean bit-identical statistics.
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{shape:?} seed {seed}");
+                assert_eq!(format!("{a:?}"), format!("{q:?}"), "{shape:?} seed {seed}");
             }
         }
     }

@@ -95,8 +95,12 @@ impl SimulatedAnnealing {
             };
             ev.charge(u64::from(attempts) - 1);
             let c = ev.cost_move(&mut inc, &mv);
+            // A saturated cost (a NaN or overflow priced as `f64::MAX`)
+            // on either side of a step says nothing about the uphill
+            // steps of the healthy landscape: counting one would set
+            // T₀ near 1e307 and turn the whole run into a random walk.
             let delta = c - current;
-            if delta > 0.0 && delta.is_finite() {
+            if delta > 0.0 && c < f64::MAX && current < f64::MAX {
                 uphill_sum += delta;
                 uphill_n += 1;
             }
@@ -285,6 +289,37 @@ mod tests {
         // The evaluator comes back parked on the start state, ready to
         // anneal.
         assert_eq!(inc.order(), &start);
+    }
+
+    #[test]
+    fn nan_during_calibration_does_not_inflate_initial_temperature() {
+        // Regression: a NaN step during the calibration walk saturates to
+        // `f64::MAX`, and its Δ used to count as an uphill sample, which
+        // set T₀ ≈ 2e307 for most k below.
+        use ljqo_cost::{CostModel, FaultMode, FaultyCostModel};
+        let q = chain_query();
+        let comp: Vec<RelId> = q.rel_ids().collect();
+        let sa = SimulatedAnnealing::default();
+        let t0_under = |model: &dyn CostModel| {
+            let mut ev = Evaluator::new(&q, model);
+            let mut rng = SmallRng::seed_from_u64(11);
+            let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), sa.move_set);
+            let start = random_valid_order(q.graph(), &comp, &mut rng);
+            sa.initial_temperature(&mut ev, &mut gen, start, &mut rng).0
+        };
+        let healthy = t0_under(&MemoryCostModel::default());
+        // The start state prices the first 5 join steps and the 20-move
+        // walk the rest, so every k here lands inside the walk.
+        for k in 6..=40 {
+            let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(k));
+            let t0 = t0_under(&model);
+            assert!(model.evals() >= k, "the NaN at step {k} never fired");
+            let ratio = t0 / healthy;
+            assert!(
+                (0.5..=2.0).contains(&ratio),
+                "k={k}: T₀ {t0:e} vs {healthy:e}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,6 +172,7 @@ macro_rules! json {
     ($other:expr) => { $crate::Value::from($other) };
 }
 
+// `fmt::Write` into a `String` cannot fail, so its results are ignored.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -182,7 +183,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -195,13 +196,13 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Infinity; emit null rather than invalid output.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else if n.abs() >= 1e16 || n.abs() < 1e-5 {
         // Rust's `{}` never uses scientific notation; huge magnitudes
         // would print hundreds of digits.
-        out.push_str(&format!("{n:e}"));
+        let _ = write!(out, "{n:e}");
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -282,6 +283,7 @@ impl std::error::Error for ParseError {}
 /// Parse a JSON document. Trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -295,6 +297,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -403,13 +406,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go.
+            // Runs start and end next to ASCII bytes, so on char
+            // boundaries, and the input is already valid UTF-8.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: decode one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -439,15 +453,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.error("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -552,6 +557,117 @@ mod tests {
         assert_eq!(err.offset, 7);
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("[1] x").is_err());
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_decode_exactly() {
+        let text = r#""héllo\n日本\u00e9語\"𝄞\\é\t""#;
+        assert_eq!(
+            parse(text).unwrap(),
+            Value::String("héllo\n日本é語\"𝄞\\é\t".to_string())
+        );
+        // Escapes at both ends and back to back, and runs of one char.
+        assert_eq!(
+            parse(r#""\u65e5a\u00e9\/ü""#).unwrap(),
+            Value::String("日aé/ü".to_string())
+        );
+        assert_eq!(parse(r#""""#).unwrap(), Value::String(String::new()));
+        // Keys go through the same scanner.
+        let v = parse(r#"{"ключ\u0021": "значение"}"#).unwrap();
+        assert_eq!(v.get("ключ!").unwrap().as_str(), Some("значение"));
+        // Control characters round-trip through the \u00XX writer.
+        let v = json!("a\u{1}日\u{1f}");
+        assert_eq!(v.to_string_compact(), r#""a\u0001日\u001f""#);
+        assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn string_errors_carry_offsets() {
+        let err = |text: &str| {
+            let e = parse(text).unwrap_err();
+            (e.message, e.offset)
+        };
+        // Unterminated: reported at the end of the input.
+        assert_eq!(err(r#""abc"#), ("unterminated string".to_string(), 4));
+        assert_eq!(err(r#""日本"#), ("unterminated string".to_string(), 7));
+        assert_eq!(
+            err(r#"["ok", "é\n"#),
+            ("unterminated string".to_string(), 12)
+        );
+        // Bad escapes: reported at the byte after the backslash.
+        assert_eq!(err(r#""a\x""#), ("invalid escape".to_string(), 3));
+        assert_eq!(err(r#""日\q""#), ("invalid escape".to_string(), 5));
+        assert_eq!(err(r#""ab\"#), ("invalid escape".to_string(), 4));
+        assert_eq!(err(r#""\u12""#), ("truncated \\u escape".to_string(), 2));
+        assert_eq!(err(r#""é\uzzzz""#), ("invalid \\u escape".to_string(), 4));
+        assert_eq!(
+            err(r#""\ud800""#),
+            ("invalid \\u code point".to_string(), 2)
+        );
+        assert_eq!(err(r#"{"k\z": 1}"#), ("invalid escape".to_string(), 4));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // The server's frame cap (`DEFAULT_MAX_FRAME_BYTES` in
+        // ljqo-server): the largest request payload it ever decodes.
+        const FRAME_CAP: usize = 4 << 20;
+        let chunk = "relation_日本_é_".repeat(1 << 12);
+        let mut text = String::from("[");
+        while text.len() + chunk.len() + 16 < FRAME_CAP {
+            text.push('"');
+            text.push_str(&chunk);
+            text.push_str("\\n\",");
+        }
+        text.push_str("\"end\"]");
+        let started = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str().unwrap().len(), chunk.len() + 1);
+        assert_eq!(items.last().unwrap().as_str(), Some("end"));
+        // A linear scan takes milliseconds even unoptimized; re-checking
+        // the remaining input per character would take hours.
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{} bytes took {elapsed:?}",
+            text.len()
+        );
+    }
+
+    #[test]
+    fn write_number_matches_literal_strings() {
+        let cases: &[(f64, &str)] = &[
+            (0.0, "0"),
+            (-0.0, "0"),
+            (42.0, "42"),
+            (-7.0, "-7"),
+            (1e15, "1000000000000000"),
+            (9_007_199_254_740_991.0, "9007199254740991"),
+            (9_007_199_254_740_992.0, "9007199254740992"),
+            (9_999_999_999_999_998.0, "9999999999999998"),
+            (1e16, "1e16"),
+            (-1.5e16, "-1.5e16"),
+            (1e300, "1e300"),
+            (f64::MAX, "1.7976931348623157e308"),
+            (3.25, "3.25"),
+            (-0.5, "-0.5"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (123_456.789, "123456.789"),
+            (1e-5, "0.00001"),
+            (9.99e-6, "9.99e-6"),
+            (-2.5e-7, "-2.5e-7"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (5e-324, "5e-324"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ];
+        for &(n, expected) in cases {
+            let mut out = String::from("x");
+            write_number(&mut out, n);
+            assert_eq!(&out[1..], expected, "{n:?}");
+        }
     }
 
     #[test]

@@ -563,8 +563,7 @@ fn handle_optimize(inner: &Arc<Inner>, conn: &Arc<ConnShared>, payload: &[u8]) {
         );
         return;
     };
-    let query =
-        QueryFile::from_json(&query_value.to_string_compact()).and_then(QueryFile::into_query);
+    let query = QueryFile::from_value(query_value).and_then(QueryFile::into_query);
     let query = match query {
         Ok(q) => q,
         Err(e) => {
@@ -690,9 +689,13 @@ fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
                 reject_body(pending.id.clone(), code, &e.to_string())
             }
         };
-        send_payload(inner, &pending.conn, FrameType::Response, body);
+        // Settle the counters before the reply goes out, so a client
+        // that reads `/stats` right after its reply sees the request
+        // done. Drain still answers it: `run` joins this worker before
+        // it closes any socket.
         inner.stats.latency.record(latency_us);
         inner.stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+        send_payload(inner, &pending.conn, FrameType::Response, body);
     }
 }
 

@@ -218,6 +218,47 @@ fn malformed_and_invalid_requests_get_typed_errors() {
 }
 
 #[test]
+fn malformed_query_members_keep_their_error_text() {
+    let (addr, handle, join) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let cases: [(&[u8], &str); 3] = [
+        (
+            br#"{"id": 1, "query": {"joins": []}}"#,
+            r#"invalid query JSON: top level needs a "relations" array"#,
+        ),
+        (
+            br#"{"id": 2, "query": {
+                "relations": [{"name": "a", "cardinality": 10}, {"name": "b", "cardinality": 5}],
+                "joins": [{"left": "b", "right": "ghost", "selectivity": 0.1}]
+            }}"#,
+            r#"unknown relation "ghost""#,
+        ),
+        (
+            br#"{"id": 3, "query": {
+                "relations": [{"name": "a", "cardinality": 10}, {"name": "b", "cardinality": 2.5}],
+                "joins": []
+            }}"#,
+            r#"invalid query JSON: relation #1: "cardinality" must be a non-negative integer"#,
+        ),
+    ];
+    for (i, (payload, error)) in cases.iter().enumerate() {
+        client.send_raw_optimize(payload).unwrap();
+        let (_, reply) = client.recv().unwrap();
+        assert_eq!(get(&reply, &["id"]).as_u64(), Some(i as u64 + 1));
+        assert_eq!(get(&reply, &["ok"]).as_bool(), Some(false));
+        assert_eq!(get(&reply, &["code"]).as_str(), Some("invalid_query"));
+        assert_eq!(get(&reply, &["error"]).as_str(), Some(*error));
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        get(&stats, &["requests", "rejected_invalid"]).as_u64(),
+        Some(3)
+    );
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn unsupported_version_gets_an_error_frame() {
     let (addr, handle, join) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(addr).unwrap();

@@ -127,10 +127,13 @@ fn nan_costs_never_poison_the_result() {
     // improvements. The k values land the NaN in the first walk, in
     // early moves, and deep into the search.
     for method in [Method::Ii, Method::Sa] {
+        let config = OptimizerConfig::new(method).with_seed(7);
+        let healthy = try_optimize(&q, &MemoryCostModel::default(), &config)
+            .unwrap()
+            .cost;
         for k in [1, 2, 3, 5, 8, 13, 20, 50, 200, 500] {
             let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(k));
-            let r = try_optimize(&q, &model, &OptimizerConfig::new(method).with_seed(7))
-                .expect("NaN is saturated, not fatal");
+            let r = try_optimize(&q, &model, &config).expect("NaN is saturated, not fatal");
             // The NaN evaluation saturates to f64::MAX and loses to every
             // healthy evaluation, so the method completes undegraded.
             assert_eq!(r.degradation, Degradation::None, "{method} k={k}");
@@ -146,6 +149,15 @@ fn nan_costs_never_poison_the_result() {
             assert!(
                 model.evals() >= k,
                 "{method}: the NaN at step {k} never fired"
+            );
+            // Quality, not just validity. One lost evaluation sends the
+            // seeded search down another trajectory (SA lands 1.42x
+            // off at k = 200), but it must not reduce the search to a
+            // random walk.
+            assert!(
+                r.cost <= 1.5 * healthy,
+                "{method} k={k}: cost {} vs fault-free {healthy}",
+                r.cost
             );
         }
     }
