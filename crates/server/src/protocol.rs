@@ -58,6 +58,7 @@
 //!     .is_none());
 //! ```
 
+use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Magic bytes a binary client sends first; anything else is treated as
@@ -176,12 +177,49 @@ pub fn write_frame(w: &mut impl Write, kind: FrameType, payload: &[u8]) -> io::R
     w.write_all(payload)
 }
 
+/// The cause [`read_frame`] attaches to the `InvalidData` error for a
+/// frame whose declared payload exceeds the cap, so callers can tell it
+/// from other framing errors by type instead of by message text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLarge {
+    /// Declared payload length, in bytes.
+    pub len: usize,
+    /// The cap it exceeded, in bytes.
+    pub cap: usize,
+}
+
+impl fmt::Display for FrameTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "frame payload of {} bytes exceeds cap of {}",
+            self.len, self.cap
+        )
+    }
+}
+
+impl std::error::Error for FrameTooLarge {}
+
+/// The error-frame code for a [`read_frame`] failure:
+/// [`codes::FRAME_TOO_LARGE`] when the error carries a [`FrameTooLarge`]
+/// cause, [`codes::PROTOCOL_ERROR`] otherwise.
+pub fn read_error_code(e: &io::Error) -> &'static str {
+    match e
+        .get_ref()
+        .and_then(|cause| cause.downcast_ref::<FrameTooLarge>())
+    {
+        Some(_) => codes::FRAME_TOO_LARGE,
+        None => codes::PROTOCOL_ERROR,
+    }
+}
+
 /// Decode one frame from `r`.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream *before* the first header
 /// byte (the peer closed between frames — the normal way a session
 /// ends). A stream that ends mid-frame, declares a payload longer than
-/// `max_payload`, or carries an unknown type byte is an
+/// `max_payload` (an `InvalidData` error whose cause is a
+/// [`FrameTooLarge`]), or carries an unknown type byte is an
 /// `InvalidData`/`UnexpectedEof` error.
 pub fn read_frame(r: &mut impl Read, max_payload: usize) -> io::Result<Option<Frame>> {
     // First byte by hand so a clean close is distinguishable from a
@@ -207,7 +245,10 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> io::Result<Option<Fr
     if len > max_payload {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame payload of {len} bytes exceeds cap of {max_payload}"),
+            FrameTooLarge {
+                len,
+                cap: max_payload,
+            },
         ));
     }
     let mut payload = vec![0u8; len];
@@ -265,10 +306,34 @@ mod tests {
     }
 
     #[test]
+    fn oversized_frame_maps_to_frame_too_large_by_type() {
+        let mut wire = Vec::new();
+        wire.push(FrameType::Stats.byte());
+        wire.extend_from_slice(&2048u32.to_be_bytes());
+        let err = read_frame(&mut wire.as_slice(), 1024).unwrap_err();
+        assert_eq!(read_error_code(&err), codes::FRAME_TOO_LARGE);
+        let cause = err
+            .get_ref()
+            .and_then(|c| c.downcast_ref::<FrameTooLarge>());
+        assert_eq!(
+            cause,
+            Some(&FrameTooLarge {
+                len: 2048,
+                cap: 1024
+            })
+        );
+        // The code follows the cause, not the message: the same words
+        // without the typed cause are a plain protocol error.
+        let lookalike = io::Error::new(io::ErrorKind::InvalidData, err.to_string());
+        assert_eq!(read_error_code(&lookalike), codes::PROTOCOL_ERROR);
+    }
+
+    #[test]
     fn unknown_type_byte_is_invalid_data() {
         let wire = [0xEEu8, 0, 0, 0, 0];
         let err = read_frame(&mut wire.as_slice(), 16).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(read_error_code(&err), codes::PROTOCOL_ERROR);
     }
 
     #[test]

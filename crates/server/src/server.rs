@@ -51,7 +51,7 @@ use ljqo_cli::QueryFile;
 use ljqo_cost::{CostModel, DiskCostModel, MemoryCostModel, MultiMethodCostModel};
 use ljqo_json::Value;
 
-use crate::protocol::{codes, read_frame, write_frame, FrameType, MAGIC, VERSION};
+use crate::protocol::{codes, read_error_code, read_frame, write_frame, FrameType, MAGIC, VERSION};
 use crate::stats::ServerStats;
 
 /// Everything the daemon needs to start. `Default` gives a local,
@@ -497,16 +497,11 @@ fn serve_binary(
             Ok(None) => return Ok(()), // clean close between frames
             Err(e) => {
                 inner.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let code = if e.to_string().contains("exceeds cap") {
-                    codes::FRAME_TOO_LARGE
-                } else {
-                    codes::PROTOCOL_ERROR
-                };
                 send_payload(
                     inner,
                     conn,
                     FrameType::Error,
-                    error_body(code, &e.to_string()),
+                    error_body(read_error_code(&e), &e.to_string()),
                 );
                 return Ok(());
             }
