@@ -62,6 +62,17 @@ pub fn test_bit(mask: &[u64], i: usize) -> bool {
     mask[i / 64] & (1u64 << (i % 64)) != 0
 }
 
+/// Copy `src` into the equal-length mask `dst`. The one-word tier is a
+/// plain register move; wider masks go through `copy_from_slice` (a
+/// `memcpy` call, which would dominate a one-word copy).
+#[inline]
+pub fn copy_mask(dst: &mut [u64], src: &[u64]) {
+    match (dst, src) {
+        ([d], [s]) => *d = *s,
+        (dst, src) => dst.copy_from_slice(src),
+    }
+}
+
 /// Whether two equal-stride masks share any set bit, specialized by
 /// stride tier: single word, single block (branch-free OR-reduce over a
 /// `[u64; 4]`), or the general chunked loop with per-block early exit.
