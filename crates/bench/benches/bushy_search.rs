@@ -116,14 +116,15 @@ fn main() {
                         let query =
                             shape.generate(n_joins, 0xb0_5c0 ^ ((n_joins as u64) << 24) ^ seed);
                         let n = query.n_relations();
-                        let linear = try_optimize(
-                            &query,
+                        let linear = Optimizer::new(
                             &model,
                             &OptimizerConfig::new(linear_method)
                                 .with_time_limit(tau)
                                 .with_seed(seed),
                         )
-                        .expect("linear driver plans every instance");
+                        .solve(&query)
+                        .expect("linear driver plans every instance")
+                        .0;
                         let bushy = try_optimize_bushy(
                             &query,
                             &model,

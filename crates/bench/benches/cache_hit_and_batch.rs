@@ -3,14 +3,15 @@
 //! Two experiments on the paper's default workload:
 //!
 //! * **warm vs cold** — a single N-relation query optimized cold
-//!   ([`try_optimize`]) vs served warm from a populated [`PlanCache`]
-//!   ([`optimize_cached`] hitting). Asserts the acceptance bar: a warm
-//!   hit is at least 10× faster than the cold solve.
+//!   ([`Optimizer::solve`]) vs served warm from a populated [`PlanCache`]
+//!   (the same solve with the cache attached, hitting). Asserts the
+//!   acceptance bar: a warm hit is at least 10× faster than the cold
+//!   solve.
 //! * **batch dedup** — a batch of `Q` queries drawn from `F` distinct
-//!   fingerprint classes run through [`optimize_batch_cached`]. Asserts
-//!   the counter contract (at most `F` cold solves; every other query a
-//!   hit or dedup reuse) and records the wall-clock win over the plain
-//!   [`optimize_batch`].
+//!   fingerprint classes run through a cached
+//!   [`Optimizer::solve_batch`]. Asserts the counter contract (at most
+//!   `F` cold solves; every other query a hit or dedup reuse) and
+//!   records the wall-clock win over the uncached batch.
 //!
 //! Writes `BENCH_cache.json` at the workspace root (override with
 //! `BENCH_CACHE_OUT`; set `CACHE_BENCH_SMOKE=1` for a seconds-long
@@ -45,18 +46,22 @@ fn main() {
 
     let mut cold_cost = f64::NAN;
     let cold_ns = bench_ns(&format!("cold/N{n}"), || {
-        let r = try_optimize(&query, &model, &config).expect("cold solve");
+        let r = Optimizer::new(&model, &config)
+            .solve(&query)
+            .expect("cold solve")
+            .0;
         cold_cost = r.cost;
         black_box(r.cost)
     });
 
     let cache = PlanCache::new(PlanCacheConfig::default());
-    let (first, outcome) = optimize_cached(&query, &model, &config, &cache, &fp_cfg).unwrap();
-    assert_eq!(outcome, CacheOutcome::Miss);
+    let cached = Optimizer::new(&model, &config).with_cache(&cache, fp_cfg);
+    let (first, via) = cached.solve(&query).unwrap();
+    assert_eq!(via.outcome, CacheOutcome::Miss);
     let mut warm_cost = f64::NAN;
     let warm_ns = bench_ns(&format!("warm/N{n}"), || {
-        let (r, o) = optimize_cached(&query, &model, &config, &cache, &fp_cfg).unwrap();
-        assert_eq!(o, CacheOutcome::Hit);
+        let (r, via) = cached.solve(&query).unwrap();
+        assert_eq!(via.outcome, CacheOutcome::Hit);
         warm_cost = r.cost;
         black_box(r.cost)
     });
@@ -89,13 +94,18 @@ fn main() {
     };
 
     let started = Instant::now();
-    let plain = optimize_batch(&queries, &model, &cfg, &opts);
+    let plain = Optimizer::new(&model, &cfg)
+        .with_batch(opts)
+        .solve_batch(&queries);
     let plain_ms = started.elapsed().as_secs_f64() * 1e3;
     assert_eq!(plain.n_failed, 0);
 
     let cache = PlanCache::new(PlanCacheConfig::default());
     let started = Instant::now();
-    let deduped = optimize_batch_cached(&queries, &model, &cfg, &opts, &cache, &fp_cfg);
+    let batch = Optimizer::new(&model, &cfg)
+        .with_cache(&cache, fp_cfg)
+        .with_batch(opts);
+    let deduped = batch.solve_batch(&queries);
     let dedup_ms = started.elapsed().as_secs_f64() * 1e3;
     assert_eq!(deduped.n_failed, 0);
     assert!(
@@ -118,7 +128,7 @@ fn main() {
 
     // A fully warm second pass over the same batch.
     let started = Instant::now();
-    let second = optimize_batch_cached(&queries, &model, &cfg, &opts, &cache, &fp_cfg);
+    let second = batch.solve_batch(&queries);
     let warm_batch_ms = started.elapsed().as_secs_f64() * 1e3;
     assert_eq!(second.n_cold_solves, 0, "second pass must be fully warm");
 

@@ -33,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 
 use ljqo::bound::{bound_report, BoundReport};
-use ljqo::{try_optimize, Method, OptimizerConfig};
+use ljqo::{Method, Optimizer, OptimizerConfig};
 use ljqo_catalog::{CompiledQuery, Query, RelId};
 use ljqo_cost::{BudgetSchedule, CostModel, MemoryCostModel};
 use ljqo_plan::{random_valid_order, BitsetChecker, Move};
@@ -59,7 +59,10 @@ fn run_cell(
         .with_schedule(schedule)
         .with_seed(17);
     let start = Instant::now();
-    let result = try_optimize(query, model, &config).expect("optimizer must produce a plan");
+    let result = Optimizer::new(model, &config)
+        .solve(query)
+        .expect("optimizer must produce a plan")
+        .0;
     let elapsed = start.elapsed().as_secs_f64();
     let bound = bound_report(query, model);
     let ratio = BoundReport::ratio(bound.linear, result.cost).unwrap_or(0.0);

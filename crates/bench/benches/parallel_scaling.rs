@@ -3,7 +3,7 @@
 //!
 //! Three experiments, per worker count w ∈ {1, 2, 4, 8}:
 //!
-//! * **isolated scaling** — `run_parallel` at a fixed *total* budget.
+//! * **isolated scaling** — `run_portfolio` at a fixed *total* budget.
 //!   Sharding keeps total work constant, so wall-clock gains here come
 //!   purely from hardware threads; the snapshot records
 //!   `hardware_threads` so a single-core run (flat wall times) is
@@ -15,7 +15,7 @@
 //!   down. The saved units are a wall-clock win on *any* core count —
 //!   this is the end-to-end speedup the snapshot's `speedup` column
 //!   reports at 4 and 8 workers.
-//! * **batch throughput** — [`optimize_batch`] over many smaller queries
+//! * **batch throughput** — [`Optimizer::solve_batch`] over many smaller queries
 //!   at 1 vs 4 pool threads.
 //!
 //! The run also asserts the quality-monotonicity contract on the grid:
@@ -62,8 +62,16 @@ fn main() {
         let mut cost = f64::NAN;
         let mut units = 0u64;
         let ns = bench_ns(&format!("isolated/N{n}/workers{w}"), || {
-            let r = run_parallel(&query, &model, &runner, Method::Ii, &comp, budget, w, 9)
-                .expect("budgeted run yields a state");
+            let r = run_portfolio(
+                &query,
+                &model,
+                &runner,
+                &[Method::Ii],
+                &comp,
+                &ParallelOptions::new(budget, w, 9),
+                None,
+            )
+            .expect("budgeted run yields a state");
             cost = r.cost;
             units = r.units_used;
             black_box(r.cost)
@@ -80,7 +88,8 @@ fn main() {
     let mut quality_rows: Vec<ljqo_json::Value> = Vec::new();
     for &w in &WORKER_GRID {
         let base = ParallelOptions::new(budget, w, 9);
-        let iso = run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
+        let iso =
+            run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
         let coop = run_portfolio(
             &query,
             &model,
@@ -88,6 +97,7 @@ fn main() {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
+            None,
         )
         .unwrap();
         assert!(
@@ -108,15 +118,14 @@ fn main() {
     // 5% of the budget, with 10% slack. The full-budget searches reach it
     // comfortably, but from an unlucky random start only after a while —
     // exactly the case where the first finisher's publish saves the rest.
-    let pilot = run_parallel(
+    let pilot = run_portfolio(
         &query,
         &model,
         &runner,
-        Method::Ii,
+        &[Method::Ii],
         &comp,
-        (budget / 20).max(200),
-        1,
-        7,
+        &ParallelOptions::new((budget / 20).max(200), 1, 7),
+        None,
     )
     .unwrap();
     let threshold = pilot.cost * 1.1;
@@ -131,8 +140,8 @@ fn main() {
             let started = Instant::now();
             let reps = if smoke { 3 } else { 10 };
             for _ in 0..reps {
-                let r =
-                    run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &opts).unwrap();
+                let r = run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &opts, None)
+                    .unwrap();
                 cost = r.cost;
                 units = r.units_used;
                 black_box(r.cost);
@@ -173,7 +182,9 @@ fn main() {
         let ns = bench_ns(
             &format!("batch/{batch_size}xN{batch_n}/threads{threads}"),
             || {
-                let report = optimize_batch(&queries, &model, &cfg, &opts);
+                let report = Optimizer::new(&model, &cfg)
+                    .with_batch(opts)
+                    .solve_batch(&queries);
                 failed = report.n_failed;
                 black_box(report.units_used)
             },

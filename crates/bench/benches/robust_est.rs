@@ -28,7 +28,6 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use ljqo::prelude::*;
-use ljqo::robust::{regret_under, regret_under_parallel};
 use ljqo_workload::{generate_job_query, JobShape, JobSpec, PerturbMode, Perturbation};
 
 const METHODS: [Method; 5] = [
@@ -74,7 +73,7 @@ fn main() {
                         let observed =
                             Perturbation::new(q, PerturbMode::Correlated, seed).observed(&truth);
                         let config = OptimizerConfig::new(method).with_seed(seed);
-                        let s = regret_under(&truth, &observed, &model, &config)
+                        let s = regret_under(&truth, &observed, &Optimizer::new(&model, &config))
                             .expect("regret study plans every instance");
                         if q <= 1.0 {
                             assert_eq!(
@@ -132,20 +131,17 @@ fn main() {
                     let observed =
                         Perturbation::new(q, PerturbMode::Correlated, seed).observed(&truth);
                     let config = OptimizerConfig::new(Method::Ii).with_seed(seed);
-                    let plain = regret_under_parallel(
+                    let optimizer = Optimizer::new(&model, &config);
+                    let plain = regret_under(
                         &truth,
                         &observed,
-                        &model,
-                        &config,
-                        &Parallelism::portfolio(4),
+                        &optimizer.with_parallelism(&Parallelism::portfolio(4)),
                     )
                     .expect("uniform portfolio plans every instance");
-                    let robust = regret_under_parallel(
+                    let robust = regret_under(
                         &truth,
                         &observed,
-                        &model,
-                        &config,
-                        &Parallelism::robust_portfolio(4),
+                        &optimizer.with_parallelism(&Parallelism::robust_portfolio(4)),
                     )
                     .expect("robust portfolio plans every instance");
                     // The acceptance contract: with material estimation

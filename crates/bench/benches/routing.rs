@@ -135,7 +135,9 @@ fn main() {
         let routed_par = Parallelism::portfolio(PORTFOLIO.len()).with_router(Arc::clone(&router));
         for t in 0..TRAIN_PER_CLASS {
             let q = spec.generate(cell ^ (0xa000 + t));
-            try_optimize_parallel(&q, &model, &config(t, FULL_TAU), &routed_par)
+            Optimizer::new(&model, &config(t, FULL_TAU))
+                .with_parallelism(&routed_par)
+                .solve(&q)
                 .expect("training solve");
         }
         let class_label = classify(&spec.generate(cell)).label();
@@ -146,17 +148,18 @@ fn main() {
         let mut routed_at: Vec<Vec<f64>> = vec![Vec::new(); TAU_SWEEP.len()];
         for e in 0..EVALS {
             let q = spec.generate(cell ^ (0xe000 + e));
-            let uniform = try_optimize_parallel(
-                &q,
-                &model,
-                &config(e, FULL_TAU),
-                &Parallelism::portfolio(PORTFOLIO.len()),
-            )
-            .expect("uniform solve");
+            let uniform = Optimizer::new(&model, &config(e, FULL_TAU))
+                .with_parallelism(&Parallelism::portfolio(PORTFOLIO.len()))
+                .solve(&q)
+                .expect("uniform solve")
+                .0;
             uniform_costs.push(uniform.cost);
             for (i, &tau) in TAU_SWEEP.iter().enumerate() {
-                let routed = try_optimize_parallel(&q, &model, &config(e, tau), &routed_par)
-                    .expect("routed solve");
+                let routed = Optimizer::new(&model, &config(e, tau))
+                    .with_parallelism(&routed_par)
+                    .solve(&q)
+                    .expect("routed solve")
+                    .0;
                 routed_at[i].push(routed.cost);
             }
         }

@@ -45,7 +45,11 @@ fn main() {
                 // Reference: a strong IAI run.
                 let reference = {
                     let cfg = ljqo::OptimizerConfig::new(ljqo::Method::Iai).with_seed(seed);
-                    ljqo::optimize(&query, &model, &cfg).cost
+                    ljqo::Optimizer::new(&model, &cfg)
+                        .solve(&query)
+                        .unwrap()
+                        .0
+                        .cost
                 };
 
                 let mut order = random_valid_order(query.graph(), &comp, &mut rng);

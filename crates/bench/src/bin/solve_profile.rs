@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use ljqo::{try_optimize, OptimizerConfig};
+use ljqo::{Optimizer, OptimizerConfig};
 use ljqo_cost::MemoryCostModel;
 use ljqo_server::ServerConfig;
 use ljqo_workload::{generate_job_query, JobShape, JobSpec};
@@ -43,8 +43,10 @@ fn main() {
     let (mut total, mut fastest) = (0.0f64, f64::INFINITY);
     for i in 0..solves {
         let start = Instant::now();
-        let r = try_optimize(&queries[i % queries.len()], &model, &config)
-            .expect("a connected JOB query always yields a plan");
+        let r = Optimizer::new(&model, &config)
+            .solve(&queries[i % queries.len()])
+            .expect("a connected JOB query always yields a plan")
+            .0;
         let secs = start.elapsed().as_secs_f64();
         total += secs;
         fastest = fastest.min(secs);

@@ -22,7 +22,7 @@ pub enum ModelKind {
 
 impl ModelKind {
     /// Instantiate the model with default parameters.
-    pub fn model(self) -> Box<dyn CostModel + Send + Sync> {
+    pub fn model(self) -> Box<dyn CostModel + Send> {
         match self {
             ModelKind::Memory => Box::new(MemoryCostModel::default()),
             ModelKind::Disk => Box::new(DiskCostModel::default()),

@@ -194,8 +194,8 @@ impl Query {
     ///
     /// `Query::new` already validates, so this only fails if statistics
     /// were mutated afterwards (e.g. through a deserialized or hand-built
-    /// catalog). The optimizer driver runs it once per `optimize` call as
-    /// a cheap precondition check.
+    /// catalog). The optimizer runs it once per solve as a cheap
+    /// precondition check.
     pub fn validate(&self) -> Result<(), CatalogError> {
         validate_parts(&self.relations, self.graph.edges())
     }

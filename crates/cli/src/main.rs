@@ -105,7 +105,7 @@ use std::time::Duration;
 use ljqo::cache::{classify, BanditRouter, RouterConfig};
 use ljqo::parallel::PORTFOLIO;
 use ljqo::prelude::*;
-use ljqo::robust::{regret_under, regret_under_parallel, RegretSample};
+use ljqo::robust::{regret_under, RegretSample};
 use ljqo_cli::QueryFile;
 use ljqo_cost::MultiMethodCostModel;
 use ljqo_workload::{generate_job_query, JobShape, JobSpec, PerturbMode, Perturbation};
@@ -335,7 +335,7 @@ fn parse_args() -> Options {
     }
     if opts.space == "bushy" {
         // Everything downstream of these flags — the plan cache, the
-        // parallel drivers, the regret replay, the nine-method table —
+        // parallel search, the regret replay, the nine-method table —
         // is wired to the linear `Plan` type. Refuse loudly rather
         // than silently fall back to a linear solve.
         let conflict = [
@@ -357,7 +357,7 @@ fn parse_args() -> Options {
     opts
 }
 
-fn model_for(name: &str) -> Box<dyn CostModel + Sync> {
+fn model_for(name: &str) -> Box<dyn CostModel> {
     match name {
         "memory" => Box::new(MemoryCostModel::default()),
         "disk" => Box::new(DiskCostModel::default()),
@@ -372,15 +372,11 @@ fn model_for(name: &str) -> Box<dyn CostModel + Sync> {
 /// The always-present `"cache"` object of `--json` output. When caching
 /// is off every stat is zero and `outcome` is `"off"`, so the schema is
 /// identical either way and scripts can key on `enabled`.
-fn cache_json(
-    cache: Option<&PlanCache>,
-    outcome: Option<CacheOutcome>,
-    opts: &Options,
-) -> ljqo_json::Value {
-    let stats = cache.map(|c| c.stats()).unwrap_or_default();
+fn cache_json(cache: Option<(&PlanCache, CacheOutcome)>, opts: &Options) -> ljqo_json::Value {
+    let stats = cache.map(|(c, _)| c.stats()).unwrap_or_default();
     ljqo_json::json!({
         "enabled": cache.is_some(),
-        "outcome": outcome.map(|o| o.name()).unwrap_or("off"),
+        "outcome": cache.map_or("off", |(_, o)| o.name()),
         "entries": opts.cache_entries as u64,
         "shards": opts.cache_shards as u64,
         "fp_buckets": opts.fp_buckets as u64,
@@ -532,7 +528,7 @@ fn run_bushy(
             "workers_failed": 0u64,
             "largen": largen_json(query, config),
             "bound": bound_json(query, model, result.cost, false),
-            "cache": cache_json(None, None, opts),
+            "cache": cache_json(None, opts),
             "robustness": robustness_json(None, opts),
             "router": router_json(None, query, opts),
         });
@@ -639,8 +635,8 @@ fn main() -> ExitCode {
             "method", "cost", "evals", "units", "degradation"
         );
         for method in Method::ALL {
-            match try_optimize(&query, model.as_ref(), &config_for(method)) {
-                Ok(r) => println!(
+            match Optimizer::new(model.as_ref(), &config_for(method)).solve(&query) {
+                Ok((r, _)) => println!(
                     "{:>6} {:>16.6e} {:>12} {:>10} {:>12}",
                     method.name(),
                     r.cost,
@@ -695,27 +691,21 @@ fn main() -> ExitCode {
         parallelism
     });
     let config = config_for(opts.method);
-    let attempt: Result<(Optimized, Option<CacheOutcome>), OptError> = match (&cache, &parallelism)
-    {
-        (Some(cache), Some(par)) => {
-            optimize_cached_parallel(&query, model.as_ref(), &config, par, cache, &fp_config)
-                .map(|(r, o)| (r, Some(o)))
-        }
-        (Some(cache), None) => optimize_cached(&query, model.as_ref(), &config, cache, &fp_config)
-            .map(|(r, o)| (r, Some(o))),
-        (None, Some(par)) => {
-            try_optimize_parallel(&query, model.as_ref(), &config, par).map(|r| (r, None))
-        }
-        (None, None) => try_optimize(&query, model.as_ref(), &config).map(|r| (r, None)),
-    };
-    let (result, cache_outcome) = match attempt {
+    let mut optimizer = Optimizer::new(model.as_ref(), &config);
+    if let Some(par) = &parallelism {
+        optimizer = optimizer.with_parallelism(par);
+    }
+    if let Some(cache) = &cache {
+        optimizer = optimizer.with_cache(cache, fp_config);
+    }
+    let (result, via) = match optimizer.solve(&query) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return exit_for(&e);
         }
     };
-    // The routed driver has recorded this solve's outcome in the bandit;
+    // The routed solve has recorded its outcome in the bandit;
     // persist the updated state so the next invocation keeps learning.
     if let (Some(router), Some(path)) = (&router, &opts.router_state) {
         if let Err(e) = router.save(std::path::Path::new(path)) {
@@ -725,11 +715,7 @@ fn main() -> ExitCode {
     // The robustness measurement: optimize against the observed catalog,
     // replay against the truth, compare with perfect information.
     let sample: Option<RegretSample> = if perturbation.is_some() {
-        let measured = match &parallelism {
-            Some(par) => regret_under_parallel(&truth, &query, model.as_ref(), &config, par),
-            None => regret_under(&truth, &query, model.as_ref(), &config),
-        };
-        match measured {
+        match regret_under(&truth, &query, &optimizer) {
             Ok(s) => Some(s),
             Err(e) => {
                 eprintln!("error: robustness study failed: {e}");
@@ -740,7 +726,7 @@ fn main() -> ExitCode {
         None
     };
     if opts.json {
-        let cache_stats_json = cache_json(cache.as_ref(), cache_outcome, &opts);
+        let cache_stats_json = cache_json(cache.as_ref().map(|c| (c, via.outcome)), &opts);
         let robustness = robustness_json(sample.as_ref(), &opts);
         let order: Vec<Vec<String>> = result
             .plan
@@ -834,11 +820,11 @@ fn main() -> ExitCode {
                 router.resets()
             );
         }
-        if let (Some(cache), Some(outcome)) = (&cache, cache_outcome) {
+        if let Some(cache) = &cache {
             let s = cache.stats();
             println!(
                 "plan cache: {} ({} entries / {} shards, {} hits / {} misses)",
-                outcome.name(),
+                via.outcome.name(),
                 s.entries,
                 cache.n_shards(),
                 s.hits,

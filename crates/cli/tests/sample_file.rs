@@ -25,11 +25,10 @@ fn sample_query_file_optimizes_under_all_models() {
         &disk as &dyn CostModel,
         &multi as &dyn CostModel,
     ] {
-        let r = optimize(
-            &query,
-            model,
-            &OptimizerConfig::new(Method::Iai).with_seed(1),
-        );
+        let r = Optimizer::new(model, &OptimizerConfig::new(Method::Iai).with_seed(1))
+            .solve(&query)
+            .unwrap()
+            .0;
         assert_eq!(r.plan.n_relations(), 6);
         assert!(r.cost.is_finite() && r.cost > 0.0, "{}", model.name());
     }
@@ -41,17 +40,18 @@ fn sample_methods_agree_on_ranking_direction() {
     let query = QueryFile::from_json(&text).unwrap().into_query().unwrap();
     let model = MemoryCostModel::default();
     // IAI at 9N² must not lose to a 0.3N² run of itself.
-    let long = optimize(
-        &query,
-        &model,
-        &OptimizerConfig::new(Method::Iai).with_seed(2),
-    );
-    let short = optimize(
-        &query,
+    let long = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(2))
+        .solve(&query)
+        .unwrap()
+        .0;
+    let short = Optimizer::new(
         &model,
         &OptimizerConfig::new(Method::Iai)
             .with_seed(2)
             .with_time_limit(0.3),
-    );
+    )
+    .solve(&query)
+    .unwrap()
+    .0;
     assert!(long.cost <= short.cost);
 }

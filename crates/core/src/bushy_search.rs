@@ -23,11 +23,11 @@
 //! against the model lower bound is therefore a linear-only feature.
 //!
 //! [`try_optimize_bushy`] is the end-to-end driver, mirroring
-//! [`crate::try_optimize`]: same per-component budget split, same
-//! panic isolation, and on any rung-1 failure the same linear fallback
-//! ladder — a rescued linear order enters the bushy result as its
-//! left-deep embedding (costs agree bit-for-bit between the two walks,
-//! so no re-pricing is needed).
+//! [`Optimizer::solve`](crate::Optimizer::solve): same per-component
+//! budget split, same panic isolation, and on any rung-1 failure the
+//! same linear fallback ladder — a rescued linear order enters the bushy
+//! result as its left-deep embedding (costs agree bit-for-bit between
+//! the two walks, so no re-pricing is needed).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -40,7 +40,7 @@ use ljqo_cost::{sanitize_cost, CostModel, Evaluator, JoinCtx, TreeEvaluator};
 use ljqo_plan::{random_valid_order, TreeMoveSet, TreePlan};
 
 use crate::bushy::{optimal_bushy_dp, BushyTree};
-use crate::driver::{component_fallback, ComponentOutcome, OptimizerConfig};
+use crate::driver::{component_budgets, component_fallback, ComponentOutcome, OptimizerConfig};
 use crate::error::{Degradation, OptError};
 use crate::methods::{Method, MethodRunner};
 
@@ -425,10 +425,10 @@ impl BushyOptimized {
 }
 
 /// Optimize `query` over the **bushy** tree space — the counterpart of
-/// [`crate::try_optimize`] with identical budget semantics: the same
-/// `τ·N²·κ` total, split across components by squared size with the same
-/// floor, so bushy and linear runs at one configuration are directly
-/// comparable.
+/// [`Optimizer::solve`](crate::Optimizer::solve) with identical budget
+/// semantics: the same `τ·N²·κ` total, split across components by
+/// squared size with the same floor, so bushy and linear runs at one
+/// configuration are directly comparable.
 ///
 /// Per component: the configured method runs in the bushy space (see
 /// [`MethodRunner::run_bushy`]), panic-isolated, under the unit budget
@@ -436,9 +436,10 @@ impl BushyOptimized {
 /// arena's [`BlockMask`](ljqo_catalog::BlockMask) and are planned in the *linear* space
 /// (their result embedded left-deep, not flagged as degradation — it is
 /// the paper's own restriction, honestly applied). Any rung-1 failure
-/// walks the linear fallback ladder of [`crate::try_optimize`] and
-/// embeds the rescue left-deep; the embedding's cost is the order's cost
-/// (the two walks agree bit-for-bit).
+/// walks the linear fallback ladder of
+/// [`Optimizer::solve`](crate::Optimizer::solve) and embeds the rescue
+/// left-deep; the embedding's cost is the order's cost (the two walks
+/// agree bit-for-bit).
 pub fn try_optimize_bushy(
     query: &Query,
     model: &dyn CostModel,
@@ -446,13 +447,7 @@ pub fn try_optimize_bushy(
 ) -> Result<BushyOptimized, OptError> {
     query.validate()?;
     let components = query.graph().components();
-    let n = query.n_joins().max(1);
-    let total_budget = config.budget_units(n);
-    let weight_sum: u64 = components
-        .iter()
-        .map(|c| (c.len() * c.len()) as u64)
-        .sum::<u64>()
-        .max(1);
+    let budgets = component_budgets(config.budget_units(query.n_joins().max(1)), &components);
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let linear_only = query.n_relations() > ljqo_catalog::BlockMask::CAPACITY;
 
@@ -461,17 +456,8 @@ pub fn try_optimize_bushy(
     let mut n_evals = 0;
     let mut degradation = Degradation::None;
     let mut deadline_expired = false;
-    for (idx, comp) in components.iter().enumerate() {
-        let share = total_budget.saturating_mul((comp.len() * comp.len()) as u64) / weight_sum;
-        let budget = share.max(4 * comp.len() as u64);
-
-        let mut outcome = ComponentOutcome {
-            best: None,
-            units_used: 0,
-            n_evals: 0,
-            deadline_expired: false,
-            degradation: Degradation::None,
-        };
+    for (idx, (comp, budget)) in components.iter().zip(budgets).enumerate() {
+        let mut outcome = ComponentOutcome::default();
         let mut tree: Option<(BushyTree, f64)> = None;
 
         // Rung 1, bushy edition. Same `AssertUnwindSafe` justification as

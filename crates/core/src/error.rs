@@ -3,12 +3,10 @@
 //! The driver treats every stage of optimization as fallible: the catalog
 //! may carry nonsense statistics, a cost model may panic or emit `NaN`,
 //! and a wall-clock deadline may expire before the configured method has
-//! evaluated a single state. Instead of panicking, [`try_optimize`]
-//! (see [`crate::optimize`]) walks a fallback ladder and reports how far
-//! down it had to go; only when *every* rung fails does it return an
-//! [`OptError`].
-//!
-//! [`try_optimize`]: crate::try_optimize
+//! evaluated a single state. Instead of panicking,
+//! [`Optimizer::solve`](crate::Optimizer::solve) walks a fallback ladder
+//! and reports how far down it had to go; only when *every* rung fails
+//! does it return an [`OptError`].
 
 use ljqo_catalog::CatalogError;
 
@@ -93,9 +91,10 @@ impl From<CatalogError> for OptError {
 
 /// How far down the fallback ladder the driver had to go for the worst
 /// component. Ordered: a later variant is a deeper degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Degradation {
     /// The configured method produced the plan normally.
+    #[default]
     None,
     /// The method panicked, ran out of wall-clock before evaluating any
     /// state, or produced no state; the augmentation heuristic supplied

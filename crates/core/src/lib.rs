@@ -19,14 +19,17 @@
 //!   headline result: **IAI** (augmentation-seeded iterative improvement)
 //!   wins at generous time limits, **AGI** (augmentation first, then
 //!   iterative improvement) wins below ≈ `1.8N²`.
-//! * [`optimize`] — the end-to-end driver: splits the query into join-graph
-//!   components, budgets and optimizes each, and assembles a
-//!   [`Plan`](ljqo_plan::Plan) with
-//!   late cross products.
+//! * [`Optimizer`] — the one entry point: splits the query into
+//!   join-graph components, budgets and optimizes each, and assembles a
+//!   [`Plan`](ljqo_plan::Plan) with late cross products. Optional
+//!   [`Parallelism`] searches each component with a worker pool, an
+//!   optional [`PlanCache`](ljqo_cache::PlanCache) serves repeated
+//!   queries, and [`Optimizer::solve_batch`] spreads many queries over a
+//!   thread pool.
 //! * [`parallel`] — multicore extensions: isolated fan-out, cooperative
-//!   shared-best pruning ([`Cooperation`]), heterogeneous method
-//!   portfolios ([`parallel::PORTFOLIO`]), and the batched throughput
-//!   driver [`optimize_batch`].
+//!   shared-best pruning ([`Cooperation`]), and heterogeneous method
+//!   portfolios ([`parallel::PORTFOLIO`]) with an optional learned budget
+//!   split and a structural challenger.
 //! * [`dp`] — exact System-R-style dynamic programming over valid
 //!   left-deep trees, feasible only for small `N`; used as a test oracle
 //!   and a baseline.
@@ -53,7 +56,7 @@
 //!
 //! let model = MemoryCostModel::default();
 //! let config = OptimizerConfig::new(Method::Iai).with_seed(7);
-//! let result = optimize(&query, &model, &config);
+//! let (result, _) = Optimizer::new(&model, &config).solve(&query).unwrap();
 //! assert!(result.cost.is_finite());
 //! println!("{}", result.plan.to_tree().explain(&query));
 //! ```
@@ -72,6 +75,7 @@ mod error;
 pub mod eval;
 mod ii;
 mod methods;
+mod optimizer;
 pub mod parallel;
 pub mod prelude;
 pub mod robust;
@@ -84,19 +88,16 @@ pub use bushy_search::{
     bushy_gap_vs_dp, bushy_tree_cost, try_optimize_bushy, BushyIterativeImprovement,
     BushyOptimized, BushySimulatedAnnealing,
 };
-pub use cached::{
-    optimize_batch_cached, optimize_batch_cached_routed, optimize_cached, optimize_cached_parallel,
-    CacheOutcome,
-};
-pub use driver::{
-    optimize, optimize_batch, try_optimize, try_optimize_parallel, BatchOptions, BatchReport,
-    Optimized, OptimizerConfig, ServedVia,
-};
+pub use cached::CacheOutcome;
+pub use driver::{Optimized, OptimizerConfig};
 pub use error::{Degradation, OptError};
 pub use ii::IterativeImprovement;
 pub use methods::{Method, MethodRunner};
+pub use optimizer::{
+    optimize_cached, try_optimize, BatchOptions, BatchReport, Optimizer, ServedVia,
+};
 pub use parallel::{Cooperation, Parallelism};
-pub use robust::{recost_plan, regret_under, regret_under_parallel, RegretSample};
+pub use robust::{recost_plan, regret_under, RegretSample};
 pub use sa::SimulatedAnnealing;
 pub use sampling::RandomSampling;
 pub use serving::{win_labels, win_slot, ServingCounters, ServingSnapshot};

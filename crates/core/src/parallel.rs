@@ -27,10 +27,13 @@
 //!   AGI, and KBZ-seeded II) instead of clones of one method, and the
 //!   best survivor wins. Complementary heuristics hedge each other:
 //!   augmentation-seeded workers dominate at small budgets, II/SA at
-//!   large ones.
-//! * **Batching**: [`crate::optimize_batch`] shards many *queries*
-//!   across a thread pool with per-query deadlines — throughput-oriented
-//!   parallelism one level above this module's latency-oriented kind.
+//!   large ones. Optional method weights (a learned router's shares)
+//!   skew the budget split, and an optional cardinality-free challenger
+//!   backstops the winner.
+//! * **Batching**: [`Optimizer::solve_batch`](crate::Optimizer::solve_batch)
+//!   shards many *queries* across a thread pool with per-query
+//!   deadlines — throughput-oriented parallelism one level above this
+//!   module's latency-oriented kind.
 //!
 //! # Determinism
 //!
@@ -76,21 +79,7 @@ pub enum Cooperation {
 /// KBZ-seeded II.
 pub const PORTFOLIO: [Method; 4] = [Method::Ii, Method::Sa, Method::Agi, Method::Kbi];
 
-/// The robustness portfolio: the uniform [`PORTFOLIO`] with the
-/// cardinality-free structural method registered on top. The listed
-/// methods are what rotates across workers — identical to the uniform
-/// portfolio, so the worker searches are bit-for-bit the same — and
-/// [`Method::Cardfree`] enters as a *challenger*: its single structural
-/// order is evaluated against the portfolio winner after the workers
-/// finish (see [`run_portfolio_robust`]). Keeping the rotation unchanged
-/// is what makes the `SharedBest`-style contract provable: the robust
-/// run can only replace the winner with something cheaper, never perturb
-/// the searches themselves, so at equal budget it is never worse than
-/// the uniform portfolio.
-pub const ROBUST_PORTFOLIO: [Method; 4] = PORTFOLIO;
-
-/// Options for [`run_portfolio`] (and, via the compatibility wrapper,
-/// [`run_parallel`]).
+/// Options for [`run_portfolio`].
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelOptions {
     /// Total budget units allotted across all workers.
@@ -106,6 +95,9 @@ pub struct ParallelOptions {
     pub stop_threshold: Option<f64>,
     /// Wall-clock deadline installed in every worker's evaluator.
     pub deadline: Option<Deadline>,
+    /// Whether the cardinality-free structural order challenges the
+    /// winner once the workers finish (see [`run_portfolio`]).
+    pub challenger: bool,
 }
 
 impl ParallelOptions {
@@ -118,6 +110,7 @@ impl ParallelOptions {
             cooperation: Cooperation::Isolated,
             stop_threshold: None,
             deadline: None,
+            challenger: false,
         }
     }
 
@@ -139,6 +132,13 @@ impl ParallelOptions {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = Some(deadline);
+        self
+    }
+
+    /// Let the cardinality-free structural order challenge the winner.
+    #[must_use]
+    pub fn with_challenger(mut self) -> Self {
+        self.challenger = true;
         self
     }
 }
@@ -257,41 +257,6 @@ pub fn shard_budget_weighted(budget: u64, weights: &[f64]) -> Vec<u64> {
     shares
 }
 
-/// Run `method` with `workers` independent deterministic searches over
-/// `component`, splitting `budget` exactly (see [`shard_budget`]), and
-/// return the best result. Compatibility wrapper over [`run_portfolio`]
-/// with a homogeneous method list and [`Cooperation::Isolated`].
-///
-/// Deterministic in `(seed, workers)`: worker `i` uses seed
-/// `seed ⊕ splitmix(i+1)`, so results do not depend on scheduling.
-///
-/// Workers are panic-isolated: a worker that panics (a buggy cost model,
-/// poisoned statistics) is counted in
-/// [`ParallelResult::workers_failed`] and the best state among the
-/// survivors is returned. Returns `None` only if no worker produced a
-/// state — every worker panicked, or the budget is smaller than one
-/// evaluation per worker.
-#[allow(clippy::too_many_arguments)] // mirrors the sequential run signature plus (budget, workers)
-pub fn run_parallel(
-    query: &Query,
-    model: &(dyn CostModel + Sync),
-    runner: &MethodRunner,
-    method: Method,
-    component: &[RelId],
-    budget: u64,
-    workers: usize,
-    seed: u64,
-) -> Option<ParallelResult> {
-    run_portfolio(
-        query,
-        model,
-        runner,
-        &[method],
-        component,
-        &ParallelOptions::new(budget, workers, seed),
-    )
-}
-
 /// What one spawned worker reports back.
 type WorkerOutcome = (Option<(JoinOrder, f64)>, u64, u64, u64, bool);
 
@@ -306,72 +271,90 @@ enum Slot {
 }
 
 /// Run a *portfolio* of methods over `component`: worker `i` runs
-/// `methods[i mod methods.len()]` under its budget share (see
-/// [`shard_budget`]), and the best state across workers wins. With a
-/// single-element `methods` this is plain homogeneous fan-out
-/// ([`run_parallel`]).
+/// `methods[i mod methods.len()]` under its budget share, and the best
+/// state across workers wins. With a single-element `methods` this is
+/// plain homogeneous fan-out.
+///
+/// Without `method_weights`, or with equal ones, the budget is split by
+/// [`shard_budget`]. Otherwise method `m`'s total share is
+/// `method_weights[m] / Σ method_weights`, divided evenly among the
+/// workers rotating that method, and the exact split comes from
+/// [`shard_budget_weighted`] (total conserved to the unit). Worker `i`'s
+/// seed `seed ⊕ splitmix(i+1)` does not depend on the weights, so
+/// changing shares only truncates or extends each worker's anytime
+/// search.
 ///
 /// Cooperation, early stopping, and deadlines are configured via
-/// [`ParallelOptions`]; panic isolation and the `None` contract match
-/// [`run_parallel`]. Ties between workers are broken toward the lowest
-/// worker index, which keeps [`Cooperation::Isolated`] runs
-/// bit-deterministic in `(seed, workers)`.
+/// [`ParallelOptions`]. Workers are panic-isolated: a worker that panics
+/// (a buggy cost model, poisoned statistics) is counted in
+/// [`ParallelResult::workers_failed`] and the best state among the
+/// survivors is returned. Ties between workers are broken toward the
+/// lowest worker index, which keeps [`Cooperation::Isolated`] runs
+/// bit-deterministic in `(seed, workers)`. Returns `None` only if no
+/// worker produced a state — every worker panicked, or the budget is
+/// smaller than one evaluation per worker — and the challenger (below)
+/// could not rescue the run.
+///
+/// # The structural challenger
+///
+/// With [`ParallelOptions::challenger`] set, the cardinality-free
+/// structural order ([`CardFreeHeuristic`]) challenges the winner after
+/// the workers finish: it is generated (it reads no statistics, so a
+/// poisoned catalog cannot defeat it), priced best-effort under panic
+/// isolation, and replaces the winner only when strictly cheaper. The
+/// worker searches never see it, so the result is never worse than the
+/// same run without the challenger. Its spend, `component.len() + 1`
+/// units and one evaluation, is accounted on top and reported as one
+/// extra [`WorkerReport`]. When the workers produce nothing, a
+/// challenger that prices to a finite cost rescues the run alone.
 pub fn run_portfolio(
     query: &Query,
-    model: &(dyn CostModel + Sync),
+    model: &dyn CostModel,
     runner: &MethodRunner,
     methods: &[Method],
     component: &[RelId],
     opts: &ParallelOptions,
+    method_weights: Option<&[f64]>,
 ) -> Option<ParallelResult> {
     assert!(!methods.is_empty(), "portfolio needs at least one method");
-    let shares = shard_budget(opts.budget, opts.workers.max(1));
-    run_portfolio_shares(query, model, runner, methods, component, opts, shares)
+    let workers = opts.workers.max(1);
+    let shares = match method_weights {
+        Some(weights) => {
+            assert_eq!(
+                weights.len(),
+                methods.len(),
+                "one weight per portfolio method"
+            );
+            weighted_shares(opts.budget, workers, weights)
+        }
+        None => shard_budget(opts.budget, workers),
+    };
+    let base = run_portfolio_shares(query, model, runner, methods, component, opts, shares);
+    if opts.challenger {
+        challenge_with_cardfree(query, model, component, base)
+    } else {
+        base
+    }
 }
 
-/// Run the portfolio with a *weighted* budget split: method `m`'s total
-/// share of the budget is `method_weights[m] / Σ method_weights`,
-/// divided evenly among the workers rotating that method, and the exact
-/// split comes from [`shard_budget_weighted`] (total conserved to the
-/// unit). Everything else — worker seeds, rotation, tie-breaks,
-/// cooperation, panic isolation — is identical to [`run_portfolio`];
-/// in particular worker `i`'s seed does not depend on the weights, so
-/// changing shares only truncates or extends each worker's anytime
-/// search. With equal weights this *is* [`run_portfolio`], bit for bit.
-pub fn run_portfolio_weighted(
-    query: &Query,
-    model: &(dyn CostModel + Sync),
-    runner: &MethodRunner,
-    methods: &[Method],
-    component: &[RelId],
-    opts: &ParallelOptions,
-    method_weights: &[f64],
-) -> Option<ParallelResult> {
-    assert!(!methods.is_empty(), "portfolio needs at least one method");
-    assert_eq!(
-        method_weights.len(),
-        methods.len(),
-        "one weight per portfolio method"
-    );
-    // Uniform (or degenerate) weights delegate to the plain uniform
-    // path so existing baselines stay bit-identical.
-    let finite_positive = method_weights.iter().any(|w| w.is_finite() && *w > 0.0);
-    let uniform = method_weights
-        .iter()
-        .all(|w| *w == method_weights[0] && w.is_finite());
+/// Per-worker shares for method-level `weights`. Uniform or degenerate
+/// weights take the plain [`shard_budget`] split: with uneven worker
+/// counts per method, a per-worker weighting would shift the shares.
+fn weighted_shares(budget: u64, workers: usize, weights: &[f64]) -> Vec<u64> {
+    let finite_positive = weights.iter().any(|w| w.is_finite() && *w > 0.0);
+    let uniform = weights.iter().all(|w| *w == weights[0] && w.is_finite());
     if !finite_positive || uniform {
-        return run_portfolio(query, model, runner, methods, component, opts);
+        return shard_budget(budget, workers);
     }
-    let workers = opts.workers.max(1);
     // Workers per method under the `w mod K` rotation.
-    let mut counts = vec![0u64; methods.len()];
+    let mut counts = vec![0u64; weights.len()];
     for w in 0..workers {
-        counts[w % methods.len()] += 1;
+        counts[w % weights.len()] += 1;
     }
     let per_worker: Vec<f64> = (0..workers)
         .map(|w| {
-            let m = w % methods.len();
-            let weight = method_weights[m];
+            let m = w % weights.len();
+            let weight = weights[m];
             if weight.is_finite() && weight > 0.0 && counts[m] > 0 {
                 weight / counts[m] as f64
             } else {
@@ -379,15 +362,14 @@ pub fn run_portfolio_weighted(
             }
         })
         .collect();
-    let shares = shard_budget_weighted(opts.budget, &per_worker);
-    run_portfolio_shares(query, model, runner, methods, component, opts, shares)
+    shard_budget_weighted(budget, &per_worker)
 }
 
 /// The common portfolio body: spawn one worker per share, rotate
 /// methods, aggregate. `shares` must have one entry per worker.
 fn run_portfolio_shares(
     query: &Query,
-    model: &(dyn CostModel + Sync),
+    model: &dyn CostModel,
     runner: &MethodRunner,
     methods: &[Method],
     component: &[RelId],
@@ -520,70 +502,10 @@ fn run_portfolio_shares(
     })
 }
 
-/// Run the portfolio exactly as [`run_portfolio`] would, then let the
-/// cardinality-free structural order ([`CardFreeHeuristic`]) *challenge*
-/// the winner: the component's structural order is generated (it reads
-/// no statistics, so this cannot be defeated by a poisoned catalog),
-/// priced best-effort under panic isolation, and replaces the portfolio
-/// winner only when strictly cheaper.
-///
-/// # Never-worse contract
-///
-/// The worker searches are bit-for-bit identical to the plain portfolio
-/// at the same [`ParallelOptions`] — the challenger runs *after* they
-/// finish and never feeds back into them — so
-/// `run_portfolio_robust(...).cost ≤ run_portfolio(...).cost` holds by
-/// construction whenever both return a result. The challenger's spend is
-/// accounted on top: `component.len() + 1` budget units (one structural
-/// generation plus one evaluation), the same indivisible-step overrun
-/// slack every method already carries.
-///
-/// When the portfolio itself produces nothing (every worker panicked or
-/// the budget was zero), the challenger alone can still rescue the run:
-/// if its order prices to a finite cost, a challenger-only result is
-/// returned; otherwise `None`, exactly like [`run_portfolio`].
-pub fn run_portfolio_robust(
-    query: &Query,
-    model: &(dyn CostModel + Sync),
-    runner: &MethodRunner,
-    methods: &[Method],
-    component: &[RelId],
-    opts: &ParallelOptions,
-) -> Option<ParallelResult> {
-    let base = run_portfolio(query, model, runner, methods, component, opts);
-    challenge_with_cardfree(query, model, component, base)
-}
-
-/// [`run_portfolio_robust`] over the *weighted* budget split of
-/// [`run_portfolio_weighted`]: the workers run under the learned
-/// shares, then the cardinality-free challenger gets its strict-`<`
-/// shot at the winner. The never-worse contract of the challenger is
-/// unchanged — it runs after the workers and never feeds back.
-pub fn run_portfolio_robust_weighted(
-    query: &Query,
-    model: &(dyn CostModel + Sync),
-    runner: &MethodRunner,
-    methods: &[Method],
-    component: &[RelId],
-    opts: &ParallelOptions,
-    method_weights: &[f64],
-) -> Option<ParallelResult> {
-    let base = run_portfolio_weighted(
-        query,
-        model,
-        runner,
-        methods,
-        component,
-        opts,
-        method_weights,
-    );
-    challenge_with_cardfree(query, model, component, base)
-}
-
-/// The shared challenger step of the robust portfolio variants.
+/// The challenger step of [`run_portfolio`].
 fn challenge_with_cardfree(
     query: &Query,
-    model: &(dyn CostModel + Sync),
+    model: &dyn CostModel,
     component: &[RelId],
     base: Option<ParallelResult>,
 ) -> Option<ParallelResult> {
@@ -651,8 +573,7 @@ fn challenge_with_cardfree(
     }
 }
 
-/// Parallel-search configuration for the driver-level entry point
-/// [`crate::try_optimize_parallel`].
+/// Parallel-search configuration for an [`Optimizer`](crate::Optimizer).
 #[derive(Debug, Clone)]
 pub struct Parallelism {
     /// Worker threads per component (clamped to at least 1).
@@ -663,18 +584,17 @@ pub struct Parallelism {
     /// method on every worker" (homogeneous fan-out). Use
     /// [`Parallelism::portfolio`] for the [`PORTFOLIO`] default.
     pub methods: Vec<Method>,
-    /// When set, every component's run goes through
-    /// [`run_portfolio_robust`]: the cardinality-free structural order
-    /// challenges the portfolio winner, so the result is never worse
-    /// than the same configuration without the backstop at equal budget.
-    /// Use [`Parallelism::robust_portfolio`] for the default.
+    /// When set, the cardinality-free structural order challenges every
+    /// component's portfolio winner (see [`run_portfolio`]), so the
+    /// result is never worse than the same configuration without the
+    /// backstop at equal budget. Use [`Parallelism::robust_portfolio`]
+    /// for the default.
     pub structural_backstop: bool,
     /// Learned budget routing: when set (and the portfolio rotates more
     /// than one method), each query's [`ljqo_cache::QueryClass`] is
     /// looked up in the shared [`ljqo_cache::BanditRouter`], the
-    /// emitted share
-    /// vector drives [`run_portfolio_weighted`], and the outcome is fed
-    /// back into the router online. `None` (the default) keeps the
+    /// emitted share vector weights [`run_portfolio`]'s budget split,
+    /// and the outcome is fed back into the router online. `None` (the default) keeps the
     /// uniform split.
     pub router: Option<std::sync::Arc<ljqo_cache::BanditRouter>>,
 }
@@ -708,24 +628,19 @@ impl Parallelism {
     /// The default heterogeneous portfolio over `workers` threads.
     pub fn portfolio(workers: usize) -> Self {
         Parallelism {
-            workers,
-            cooperation: Cooperation::Isolated,
             methods: PORTFOLIO.to_vec(),
-            structural_backstop: false,
-            router: None,
+            ..Self::workers(workers)
         }
     }
 
-    /// The robustness portfolio over `workers` threads: the
-    /// [`ROBUST_PORTFOLIO`] rotation with the cardinality-free
-    /// structural challenger enabled (see [`run_portfolio_robust`]).
+    /// The robustness portfolio over `workers` threads: the [`PORTFOLIO`]
+    /// rotation with the cardinality-free structural challenger enabled
+    /// (see [`run_portfolio`]). The rotation is unchanged, so the worker
+    /// searches are bit-for-bit those of the plain portfolio.
     pub fn robust_portfolio(workers: usize) -> Self {
         Parallelism {
-            workers,
-            cooperation: Cooperation::Isolated,
-            methods: ROBUST_PORTFOLIO.to_vec(),
             structural_backstop: true,
-            router: None,
+            ..Self::portfolio(workers)
         }
     }
 
@@ -784,8 +699,26 @@ mod tests {
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
-        let a = run_parallel(&q, &model, &runner, Method::Ii, &comp, 4_000, 4, 9).unwrap();
-        let b = run_parallel(&q, &model, &runner, Method::Ii, &comp, 4_000, 4, 9).unwrap();
+        let a = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[Method::Ii],
+            &comp,
+            &ParallelOptions::new(4_000, 4, 9),
+            None,
+        )
+        .unwrap();
+        let b = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[Method::Ii],
+            &comp,
+            &ParallelOptions::new(4_000, 4, 9),
+            None,
+        )
+        .unwrap();
         assert_eq!(a.order, b.order);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.units_used, b.units_used);
@@ -822,7 +755,16 @@ mod tests {
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
-        let r = run_parallel(&q, &model, &runner, Method::Ii, &comp, 3, 8, 5).unwrap();
+        let r = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[Method::Ii],
+            &comp,
+            &ParallelOptions::new(3, 8, 5),
+            None,
+        )
+        .unwrap();
         assert!(
             r.units_used <= 3,
             "budget 3 oversubscribed: {} units spent",
@@ -842,7 +784,16 @@ mod tests {
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
-        let r = run_parallel(&q, &model, &runner, Method::Ii, &comp, 100, 8, 5).unwrap();
+        let r = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[Method::Ii],
+            &comp,
+            &ParallelOptions::new(100, 8, 5),
+            None,
+        )
+        .unwrap();
         assert!(
             r.units_used >= 100,
             "remainder dropped: only {} of 100 units consumed",
@@ -858,8 +809,26 @@ mod tests {
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
-        let solo = run_parallel(&q, &model, &runner, Method::Iai, &comp, 6_000, 1, 5).unwrap();
-        let quad = run_parallel(&q, &model, &runner, Method::Iai, &comp, 6_000, 4, 5).unwrap();
+        let solo = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[Method::Iai],
+            &comp,
+            &ParallelOptions::new(6_000, 1, 5),
+            None,
+        )
+        .unwrap();
+        let quad = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[Method::Iai],
+            &comp,
+            &ParallelOptions::new(6_000, 4, 5),
+            None,
+        )
+        .unwrap();
         // Both must find reasonable plans; neither dominates in general,
         // but both should be within 2x of each other on this small query.
         let ratio = (solo.cost / quad.cost).max(quad.cost / solo.cost);
@@ -872,7 +841,16 @@ mod tests {
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
-        let r = run_parallel(&q, &model, &runner, Method::Agi, &comp, 1_000, 0, 1).unwrap();
+        let r = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[Method::Agi],
+            &comp,
+            &ParallelOptions::new(1_000, 0, 1),
+            None,
+        )
+        .unwrap();
         assert!(r.cost.is_finite());
     }
 
@@ -883,7 +861,7 @@ mod tests {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
         let base = ParallelOptions::new(4_000, 4, 9);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
+        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
         let coop = run_portfolio(
             &q,
             &model,
@@ -891,6 +869,7 @@ mod tests {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
+            None,
         )
         .unwrap();
         // With no stop threshold, cooperation only observes — every
@@ -923,7 +902,7 @@ mod tests {
         let pilot_order = runner.augmentation.generate(&q, &comp, firsts[0]);
         let threshold = pilot.cost(&pilot_order) * 4.0;
         let base = ParallelOptions::new(400_000, 4, 9).with_stop_threshold(threshold);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
+        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
         let coop = run_portfolio(
             &q,
             &model,
@@ -931,6 +910,7 @@ mod tests {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
+            None,
         )
         .unwrap();
         // Both runs reach the quality bar...
@@ -960,6 +940,7 @@ mod tests {
             &PORTFOLIO,
             &comp,
             &ParallelOptions::new(8_000, 6, 3),
+            None,
         )
         .unwrap();
         assert!(is_valid(q.graph(), r.order.rels()));
@@ -986,9 +967,17 @@ mod tests {
         let runner = MethodRunner::default();
         for (budget, workers, seed) in [(200u64, 2usize, 1u64), (2_000, 4, 7), (8_000, 6, 42)] {
             let opts = ParallelOptions::new(budget, workers, seed);
-            let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts).unwrap();
-            let robust =
-                run_portfolio_robust(&q, &model, &runner, &ROBUST_PORTFOLIO, &comp, &opts).unwrap();
+            let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts, None).unwrap();
+            let robust = run_portfolio(
+                &q,
+                &model,
+                &runner,
+                &PORTFOLIO,
+                &comp,
+                &opts.with_challenger(),
+                None,
+            )
+            .unwrap();
             assert!(
                 robust.cost <= plain.cost,
                 "robust {} worse than plain {} at budget {budget}",
@@ -1017,8 +1006,17 @@ mod tests {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(0, 3, 11);
-        assert!(run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts).is_none());
-        let r = run_portfolio_robust(&q, &model, &runner, &ROBUST_PORTFOLIO, &comp, &opts).unwrap();
+        assert!(run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts, None).is_none());
+        let r = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &PORTFOLIO,
+            &comp,
+            &opts.with_challenger(),
+            None,
+        )
+        .unwrap();
         assert_eq!(r.method, Method::Cardfree);
         assert!(r.cost.is_finite());
         assert!(is_valid(q.graph(), r.order.rels()));
@@ -1041,21 +1039,27 @@ mod tests {
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(1_000, 3, 11);
         // Plain portfolio: every worker dies, no result at all.
-        assert!(run_portfolio(&q, &AlwaysPanic, &runner, &PORTFOLIO, &comp, &opts).is_none());
+        assert!(run_portfolio(&q, &AlwaysPanic, &runner, &PORTFOLIO, &comp, &opts, None).is_none());
         // Robust: the challenger's pricing also panics, so its cost is
         // f64::MAX — not finite enough to claim a rescue either. The
         // degradation ladder in the driver handles this case instead.
-        assert!(
-            run_portfolio_robust(&q, &AlwaysPanic, &runner, &ROBUST_PORTFOLIO, &comp, &opts)
-                .is_none()
-        );
+        assert!(run_portfolio(
+            &q,
+            &AlwaysPanic,
+            &runner,
+            &PORTFOLIO,
+            &comp,
+            &opts.with_challenger(),
+            None
+        )
+        .is_none());
     }
 
     #[test]
     fn robust_constructor_sets_the_backstop() {
         let p = Parallelism::robust_portfolio(4);
         assert!(p.structural_backstop);
-        assert_eq!(p.methods, ROBUST_PORTFOLIO.to_vec());
+        assert_eq!(p.methods, PORTFOLIO.to_vec());
         assert!(!Parallelism::portfolio(4).structural_backstop);
         assert!(!Parallelism::workers(4).structural_backstop);
         assert!(p.router.is_none());
@@ -1153,15 +1157,15 @@ mod tests {
         // worker groups are uneven — the uniform fast path must still
         // delegate to the plain per-worker split.
         let opts = ParallelOptions::new(6_000, 6, 17);
-        let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts).unwrap();
-        let weighted = run_portfolio_weighted(
+        let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts, None).unwrap();
+        let weighted = run_portfolio(
             &q,
             &model,
             &runner,
             &PORTFOLIO,
             &comp,
             &opts,
-            &[0.25, 0.25, 0.25, 0.25],
+            Some(&[0.25, 0.25, 0.25, 0.25]),
         )
         .unwrap();
         assert_eq!(plain.order, weighted.order);
@@ -1179,14 +1183,14 @@ mod tests {
         // 8 workers over 4 methods, II boosted to 5/8 of the budget with
         // an ε floor of 1/8 for the rest.
         let opts = ParallelOptions::new(8_000, 8, 23);
-        let r = run_portfolio_weighted(
+        let r = run_portfolio(
             &q,
             &model,
             &runner,
             &PORTFOLIO,
             &comp,
             &opts,
-            &[0.625, 0.125, 0.125, 0.125],
+            Some(&[0.625, 0.125, 0.125, 0.125]),
         )
         .unwrap();
         assert!(is_valid(q.graph(), r.order.rels()));
@@ -1213,11 +1217,26 @@ mod tests {
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(4_000, 4, 31);
         let weights = [0.625, 0.125, 0.125, 0.125];
-        let plain = run_portfolio_weighted(&q, &model, &runner, &PORTFOLIO, &comp, &opts, &weights)
-            .unwrap();
-        let robust =
-            run_portfolio_robust_weighted(&q, &model, &runner, &PORTFOLIO, &comp, &opts, &weights)
-                .unwrap();
+        let plain = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &PORTFOLIO,
+            &comp,
+            &opts,
+            Some(&weights),
+        )
+        .unwrap();
+        let robust = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &PORTFOLIO,
+            &comp,
+            &opts.with_challenger(),
+            Some(&weights),
+        )
+        .unwrap();
         assert!(robust.cost <= plain.cost);
         assert_eq!(robust.units_used, plain.units_used + comp.len() as u64 + 1);
         assert_eq!(robust.per_worker.last().unwrap().method, Method::Cardfree);

@@ -13,15 +13,14 @@ pub use crate::bushy_search::{
 pub use crate::dp::{optimal_order_dp, optimal_order_exhaustive};
 pub use crate::eval::{mean_scaled_cost, per_query_best, scaled_cost, OUTLIER_CAP};
 pub use crate::parallel::{
-    run_parallel, run_portfolio, run_portfolio_robust, shard_budget, Cooperation, ParallelOptions,
-    ParallelResult, Parallelism, WorkerReport, PORTFOLIO, ROBUST_PORTFOLIO,
+    run_portfolio, shard_budget, Cooperation, ParallelOptions, ParallelResult, Parallelism,
+    WorkerReport, PORTFOLIO,
 };
-pub use crate::robust::{recost_plan, regret_under, regret_under_parallel, RegretSample};
+pub use crate::robust::{recost_plan, regret_under, RegretSample};
 pub use crate::trace::{trace_run, trace_run_scheduled, Trace, TracePoint};
 pub use crate::{
-    optimize, optimize_batch, optimize_batch_cached, optimize_cached, optimize_cached_parallel,
-    try_optimize, try_optimize_parallel, BatchOptions, BatchReport, CacheOutcome, Degradation,
-    OptError, Optimized, OptimizerConfig, ServedVia, ServingCounters, ServingSnapshot,
+    BatchOptions, BatchReport, CacheOutcome, Degradation, OptError, Optimized, Optimizer,
+    OptimizerConfig, ServedVia, ServingCounters, ServingSnapshot,
 };
 pub use crate::{IterativeImprovement, Method, MethodRunner, RandomSampling, SimulatedAnnealing};
 

@@ -35,10 +35,10 @@ use ljqo_catalog::Query;
 use ljqo_cost::{sanitize_cost, CostModel, OrderCost};
 use ljqo_plan::Plan;
 
-use crate::cached::{optimize_cached, optimize_cached_parallel, CacheOutcome};
-use crate::driver::{assemble_plan, Optimized, OptimizerConfig};
+use crate::cached::CacheOutcome;
+use crate::driver::assemble_plan;
 use crate::error::{Degradation, OptError};
-use crate::parallel::Parallelism;
+use crate::optimizer::Optimizer;
 
 /// One observed-vs-true measurement (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -110,18 +110,33 @@ fn regret_of(true_cost: f64, reference_cost: f64) -> f64 {
     (true_cost / reference_cost - 1.0).max(0.0)
 }
 
-/// Shared core of [`regret_under`] / [`regret_under_parallel`]:
-/// `observed` is the observed-side solve result; `serve` replays a cache
-/// entry holding its plan against the true catalog, and `solve` is the
-/// perfect-information reference search.
-fn regret_impl(
+/// Optimize `observed_query`, replay the plan against `true_query`, and
+/// measure the regret (see the module docs for the full protocol). The
+/// two queries must be structurally identical — same relations in the
+/// same order, same join edges — differing only in statistics; this is
+/// exactly what a `Perturbation` produces.
+///
+/// Both solves run under `optimizer`'s model, configuration and
+/// parallelism — pass [`Parallelism::robust_portfolio`] to measure how
+/// much the cardinality-free structural backstop buys under estimation
+/// error. The study brings its own plan cache for the replay; the
+/// optimizer's cache, if any, is neither read nor written.
+///
+/// Errors propagate from either solve (an invalid catalog on either
+/// side, or a query no rung of the fallback ladder could plan).
+///
+/// [`Parallelism::robust_portfolio`]: crate::Parallelism::robust_portfolio
+pub fn regret_under(
     true_query: &Query,
-    observed: &Optimized,
-    config: &OptimizerConfig,
-    serve: impl FnOnce(&PlanCache, &FingerprintConfig) -> Result<(Optimized, CacheOutcome), OptError>,
-    solve: impl FnOnce() -> Result<Optimized, OptError>,
-    model: &dyn CostModel,
+    observed_query: &Query,
+    optimizer: &Optimizer,
 ) -> Result<RegretSample, OptError> {
+    let solver = Optimizer {
+        cache: None,
+        ..*optimizer
+    };
+    let (observed, _) = solver.solve(observed_query)?;
+
     // Plant the observed plan as a cache entry under the TRUE query's
     // fingerprint, then ask the serving path to answer the true query.
     // A hit re-validates and re-prices the observed plan under the true
@@ -141,21 +156,24 @@ fn regret_impl(
             })
             .collect(),
         total_cost: observed.cost,
-        producer: config.method.name(),
+        producer: solver.config.method.name(),
     };
     let cache = PlanCache::new(PlanCacheConfig::with_entries(2));
     cache.insert(fp.fingerprint().clone(), entry);
 
-    let (served, replay) = serve(&cache, &fp_config)?;
-    let (true_cost, reference_cost) = if replay.is_hit() {
+    let (served, via) = solver.with_cache(&cache, fp_config).solve(true_query)?;
+    let (true_cost, reference_cost) = if via.outcome.is_hit() {
         // The served result *is* the observed plan priced under truth;
         // the reference still needs its own perfect-information solve.
-        (served.cost, solve()?.cost)
+        (served.cost, solver.solve(true_query)?.0.cost)
     } else {
         // The entry failed revalidation (unpriceable under truth), so
         // the serving path solved the true query cold — that cold solve
         // is the reference, and the observed plan is priced directly.
-        (recost_plan(true_query, model, &observed.plan), served.cost)
+        (
+            recost_plan(true_query, solver.model, &observed.plan),
+            served.cost,
+        )
     };
 
     Ok(RegretSample {
@@ -164,61 +182,16 @@ fn regret_impl(
         reference_cost,
         regret: regret_of(true_cost, reference_cost),
         degradation: observed.degradation,
-        replay,
+        replay: via.outcome,
     })
-}
-
-/// Optimize `observed_query`, replay the plan against `true_query`, and
-/// measure the regret (see the module docs for the full protocol). The
-/// two queries must be structurally identical — same relations in the
-/// same order, same join edges — differing only in statistics; this is
-/// exactly what a `Perturbation` produces.
-///
-/// Errors propagate from either solve (an invalid catalog on either
-/// side, or a query no rung of the fallback ladder could plan).
-pub fn regret_under(
-    true_query: &Query,
-    observed_query: &Query,
-    model: &dyn CostModel,
-    config: &OptimizerConfig,
-) -> Result<RegretSample, OptError> {
-    let observed = crate::try_optimize(observed_query, model, config)?;
-    regret_impl(
-        true_query,
-        &observed,
-        config,
-        |cache, fpc| optimize_cached(true_query, model, config, cache, fpc),
-        || crate::try_optimize(true_query, model, config),
-        model,
-    )
-}
-
-/// [`regret_under`] with both the observed-side and the reference solve
-/// running under `parallelism` — pass
-/// [`Parallelism::robust_portfolio`] to measure how much the
-/// cardinality-free structural backstop buys under estimation error.
-pub fn regret_under_parallel(
-    true_query: &Query,
-    observed_query: &Query,
-    model: &(dyn CostModel + Sync),
-    config: &OptimizerConfig,
-    parallelism: &Parallelism,
-) -> Result<RegretSample, OptError> {
-    let observed = crate::try_optimize_parallel(observed_query, model, config, parallelism)?;
-    regret_impl(
-        true_query,
-        &observed,
-        config,
-        |cache, fpc| optimize_cached_parallel(true_query, model, config, parallelism, cache, fpc),
-        || crate::try_optimize_parallel(true_query, model, config, parallelism),
-        model,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::OptimizerConfig;
     use crate::methods::Method;
+    use crate::parallel::Parallelism;
     use ljqo_catalog::QueryBuilder;
     use ljqo_cost::MemoryCostModel;
 
@@ -240,7 +213,7 @@ mod tests {
         let truth = chain([0.01, 0.002, 0.05]);
         let model = MemoryCostModel::default();
         let config = OptimizerConfig::new(Method::Ii).with_seed(3);
-        let s = regret_under(&truth, &truth.clone(), &model, &config).unwrap();
+        let s = regret_under(&truth, &truth.clone(), &Optimizer::new(&model, &config)).unwrap();
         assert_eq!(s.regret, 0.0);
         assert_eq!(s.observed_cost, s.true_cost);
         assert_eq!(s.true_cost, s.reference_cost);
@@ -258,7 +231,7 @@ mod tests {
         let observed = chain([0.9, 0.9, 0.0001]);
         let model = MemoryCostModel::default();
         let config = OptimizerConfig::new(Method::Ii).with_seed(3);
-        let s = regret_under(&truth, &observed, &model, &config).unwrap();
+        let s = regret_under(&truth, &observed, &Optimizer::new(&model, &config)).unwrap();
         // Structure is reusable, prices are not: the serving path must
         // take the HitRecosted branch.
         assert_eq!(s.replay, CacheOutcome::HitRecosted);
@@ -273,12 +246,10 @@ mod tests {
         let truth = chain([0.01, 0.002, 0.05]);
         let model = MemoryCostModel::default();
         let config = OptimizerConfig::new(Method::Ii).with_seed(9);
-        let s = regret_under_parallel(
+        let s = regret_under(
             &truth,
             &truth.clone(),
-            &model,
-            &config,
-            &Parallelism::robust_portfolio(3),
+            &Optimizer::new(&model, &config).with_parallelism(&Parallelism::robust_portfolio(3)),
         )
         .unwrap();
         assert_eq!(s.regret, 0.0);
@@ -290,7 +261,7 @@ mod tests {
         let truth = chain([0.01, 0.002, 0.05]);
         let model = MemoryCostModel::default();
         let config = OptimizerConfig::new(Method::Agi).with_seed(1);
-        let r = crate::try_optimize(&truth, &model, &config).unwrap();
+        let (r, _) = Optimizer::new(&model, &config).solve(&truth).unwrap();
         let repriced = recost_plan(&truth, &model, &r.plan);
         assert_eq!(repriced, r.cost);
     }

@@ -20,9 +20,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::driver::BatchReport;
 use crate::error::Degradation;
 use crate::methods::Method;
+use crate::optimizer::BatchReport;
 
 /// Labels of the degradation rungs, in ladder order. Index with
 /// [`rung_index`].
@@ -190,8 +190,9 @@ impl ServingCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{optimize_batch, BatchOptions, OptimizerConfig};
+    use crate::driver::OptimizerConfig;
     use crate::methods::Method;
+    use crate::optimizer::Optimizer;
     use ljqo_catalog::{Query, QueryBuilder};
     use ljqo_cost::MemoryCostModel;
 
@@ -215,7 +216,7 @@ mod tests {
         let qs = queries(4);
         let model = MemoryCostModel::default();
         let cfg = OptimizerConfig::new(Method::Iai).with_seed(3);
-        let report = optimize_batch(&qs, &model, &cfg, &BatchOptions::default());
+        let report = Optimizer::new(&model, &cfg).solve_batch(&qs);
         assert_eq!(report.outcomes.len(), report.results.len());
 
         let counters = ServingCounters::new();
@@ -247,7 +248,7 @@ mod tests {
         let qs = queries(3);
         let model = MemoryCostModel::default();
         let cfg = OptimizerConfig::new(Method::Ii).with_seed(9);
-        let report = optimize_batch(&qs, &model, &cfg, &BatchOptions::default());
+        let report = Optimizer::new(&model, &cfg).solve_batch(&qs);
         let counters = ServingCounters::new();
         let threads = 8;
         let absorbs_per_thread = 50;

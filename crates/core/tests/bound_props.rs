@@ -52,7 +52,7 @@ fn random_query(rng: &mut SmallRng, n: usize) -> Query {
     b.build().unwrap()
 }
 
-fn models() -> Vec<(&'static str, Box<dyn CostModel + Sync>)> {
+fn models() -> Vec<(&'static str, Box<dyn CostModel>)> {
     vec![
         ("memory", Box::new(MemoryCostModel::default())),
         ("disk", Box::new(DiskCostModel::default())),
@@ -150,12 +150,10 @@ fn bound_is_admissible_on_multi_component_catalogs() {
         // The whole-query report must also stay below any end-to-end
         // plan the driver produces (cross products only add cost).
         let whole = bound_report(&q, &model);
-        let opt = try_optimize(
-            &q,
-            &model,
-            &OptimizerConfig::new(Method::Ii).with_seed(case),
-        )
-        .expect("driver must produce a plan");
+        let opt = Optimizer::new(&model, &OptimizerConfig::new(Method::Ii).with_seed(case))
+            .solve(&q)
+            .expect("driver must produce a plan")
+            .0;
         assert!(
             whole.linear <= opt.cost * (1.0 + 1e-12) + 1e-9,
             "multi/case{case}: whole-query bound {} exceeds driver cost {}",

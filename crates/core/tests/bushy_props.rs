@@ -75,7 +75,7 @@ fn connected_query(rng: &mut SmallRng, n: usize) -> Query {
     b.build().unwrap()
 }
 
-fn models() -> Vec<(&'static str, Box<dyn CostModel + Sync>)> {
+fn models() -> Vec<(&'static str, Box<dyn CostModel>)> {
     vec![
         ("memory", Box::new(MemoryCostModel::default())),
         ("disk", Box::new(DiskCostModel::default())),

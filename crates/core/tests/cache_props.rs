@@ -46,7 +46,7 @@ fn component_query(rng: &mut SmallRng, n_components: usize) -> Query {
     b.build().unwrap()
 }
 
-fn models() -> Vec<(&'static str, Box<dyn CostModel + Sync>)> {
+fn models() -> Vec<(&'static str, Box<dyn CostModel>)> {
     vec![
         ("memory", Box::new(MemoryCostModel::default())),
         ("disk", Box::new(DiskCostModel::default())),
@@ -86,18 +86,24 @@ fn warm_hit_is_bit_identical_to_the_cold_solve() {
             .with_time_limit(2.0);
         for (name, model) in models() {
             let tag = format!("case {case} model {name} components {n_components}");
-            let cold = try_optimize(&q, model.as_ref(), &config).unwrap();
+            let cold = Optimizer::new(model.as_ref(), &config).solve(&q).unwrap().0;
 
             let cache = PlanCache::new(PlanCacheConfig::default());
             let fp_cfg = FingerprintConfig::default();
-            let (first, o1) =
-                optimize_cached(&q, model.as_ref(), &config, &cache, &fp_cfg).unwrap();
+            let (first, o1) = Optimizer::new(model.as_ref(), &config)
+                .with_cache(&cache, fp_cfg)
+                .solve(&q)
+                .map(|(r, via)| (r, via.outcome))
+                .unwrap();
             assert_eq!(o1, CacheOutcome::Miss, "{tag}: empty cache must miss");
             // The miss path IS the cold path: same config, same seed.
             assert_bit_identical(&format!("{tag} (miss vs cold)"), &first, &cold);
 
-            let (second, o2) =
-                optimize_cached(&q, model.as_ref(), &config, &cache, &fp_cfg).unwrap();
+            let (second, o2) = Optimizer::new(model.as_ref(), &config)
+                .with_cache(&cache, fp_cfg)
+                .solve(&q)
+                .map(|(r, via)| (r, via.outcome))
+                .unwrap();
             assert_eq!(o2, CacheOutcome::Hit, "{tag}: resident entry must hit");
             assert_bit_identical(&format!("{tag} (hit vs cold)"), &second, &cold);
             assert!(
@@ -170,9 +176,17 @@ fn warm_hit_serves_relabeled_queries_at_the_same_cost() {
         let cache = PlanCache::new(PlanCacheConfig::default());
         let fp_cfg = FingerprintConfig::default();
 
-        let (original, o1) = optimize_cached(&q, &model, &config, &cache, &fp_cfg).unwrap();
+        let (original, o1) = Optimizer::new(&model, &config)
+            .with_cache(&cache, fp_cfg)
+            .solve(&q)
+            .map(|(r, via)| (r, via.outcome))
+            .unwrap();
         assert_eq!(o1, CacheOutcome::Miss);
-        let (served, o2) = optimize_cached(&relabeled, &model, &config, &cache, &fp_cfg).unwrap();
+        let (served, o2) = Optimizer::new(&model, &config)
+            .with_cache(&cache, fp_cfg)
+            .solve(&relabeled)
+            .map(|(r, via)| (r, via.outcome))
+            .unwrap();
         assert!(o2.is_hit(), "case {case}: relabeled query must hit");
         assert_eq!(
             served.cost.to_bits(),
@@ -202,11 +216,19 @@ fn cached_parallel_driver_hits_bit_identically_too() {
         let par = Parallelism::workers(4);
         let cache = PlanCache::new(PlanCacheConfig::default());
         let fp_cfg = FingerprintConfig::default();
-        let (cold, o1) =
-            optimize_cached_parallel(&q, &model, &config, &par, &cache, &fp_cfg).unwrap();
+        let (cold, o1) = Optimizer::new(&model, &config)
+            .with_parallelism(&par)
+            .with_cache(&cache, fp_cfg)
+            .solve(&q)
+            .map(|(r, via)| (r, via.outcome))
+            .unwrap();
         assert_eq!(o1, CacheOutcome::Miss);
-        let (warm, o2) =
-            optimize_cached_parallel(&q, &model, &config, &par, &cache, &fp_cfg).unwrap();
+        let (warm, o2) = Optimizer::new(&model, &config)
+            .with_parallelism(&par)
+            .with_cache(&cache, fp_cfg)
+            .solve(&q)
+            .map(|(r, via)| (r, via.outcome))
+            .unwrap();
         assert_eq!(o2, CacheOutcome::Hit);
         assert_bit_identical(&format!("case {case}"), &warm, &cold);
     }
@@ -233,7 +255,10 @@ fn batch_dedup_solves_each_fingerprint_class_once() {
     let cache = PlanCache::new(PlanCacheConfig::default());
     let fp_cfg = FingerprintConfig::default();
 
-    let report = optimize_batch_cached(&queries, &model, &config, &options, &cache, &fp_cfg);
+    let report = Optimizer::new(&model, &config)
+        .with_cache(&cache, fp_cfg)
+        .with_batch(options)
+        .solve_batch(&queries);
     assert_eq!(report.results.len(), queries.len());
     assert_eq!(report.n_failed, 0);
     assert!(
@@ -250,7 +275,9 @@ fn batch_dedup_solves_each_fingerprint_class_once() {
 
     // Representatives (first occurrence of each class) are bit-identical
     // to the plain uncached batch: same per-index seed derivation.
-    let plain = optimize_batch(&queries, &model, &config, &options);
+    let plain = Optimizer::new(&model, &config)
+        .with_batch(options)
+        .solve_batch(&queries);
     for i in 0..5 {
         let a = report.results[i].as_ref().unwrap();
         let b = plain.results[i].as_ref().unwrap();
@@ -269,7 +296,10 @@ fn batch_dedup_solves_each_fingerprint_class_once() {
     }
 
     // A second batch over the same queries is all warm hits.
-    let second = optimize_batch_cached(&queries, &model, &config, &options, &cache, &fp_cfg);
+    let second = Optimizer::new(&model, &config)
+        .with_cache(&cache, fp_cfg)
+        .with_batch(options)
+        .solve_batch(&queries);
     assert_eq!(second.n_cold_solves, 0, "second pass must be fully warm");
     assert_eq!(second.n_cache_hits, queries.len());
     assert_eq!(second.n_dedup_reuses, 0);
@@ -286,7 +316,7 @@ fn plain_batch_reports_every_query_as_a_cold_solve() {
     let queries: Vec<Query> = (0..6).map(|_| component_query(&mut rng, 1)).collect();
     let model = MemoryCostModel::default();
     let config = OptimizerConfig::new(Method::Ii).with_time_limit(1.0);
-    let report = optimize_batch(&queries, &model, &config, &BatchOptions::default());
+    let report = Optimizer::new(&model, &config).solve_batch(&queries);
     assert_eq!(report.n_cold_solves, queries.len());
     assert_eq!(report.n_cache_hits, 0);
     assert_eq!(report.n_dedup_reuses, 0);

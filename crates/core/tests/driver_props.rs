@@ -57,12 +57,13 @@ fn clean_model_never_degrades() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xd41e_0001 ^ case);
         let q = query(&mut rng);
-        let r = try_optimize(
-            &q,
+        let r = Optimizer::new(
             &MemoryCostModel::default(),
             &OptimizerConfig::new(Method::Iai).with_seed(case),
         )
-        .unwrap();
+        .solve(&q)
+        .unwrap()
+        .0;
         assert_eq!(r.degradation, Degradation::None, "case {case}");
         assert!(!r.deadline_expired);
         assert!(r.cost.is_finite());
@@ -77,12 +78,10 @@ fn first_eval_panic_degrades_to_the_heuristic() {
         // The method's very first join step panics; the heuristic's own
         // evaluation (the next one) passes.
         let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::PanicOnKth(1));
-        let r = try_optimize(
-            &q,
-            &model,
-            &OptimizerConfig::new(Method::Ii).with_seed(case),
-        )
-        .unwrap();
+        let r = Optimizer::new(&model, &OptimizerConfig::new(Method::Ii).with_seed(case))
+            .solve(&q)
+            .unwrap()
+            .0;
         assert_eq!(r.degradation, Degradation::Heuristic, "case {case}");
         assert!(
             ljqo::plan::validity::is_valid(q.graph(), r.plan.segments[0].rels()),
@@ -98,12 +97,13 @@ fn total_model_failure_degrades_to_a_structural_order() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xd41e_0003 ^ case);
         let q = query(&mut rng);
-        let r = try_optimize(
-            &q,
+        let r = Optimizer::new(
             &AlwaysPanic,
             &OptimizerConfig::new(Method::Iai).with_seed(case),
         )
-        .unwrap();
+        .solve(&q)
+        .unwrap()
+        .0;
         // The method and the augmentation heuristic both die inside the
         // panicking model, but the cardinality-free rung generates its
         // order without touching the model at all — only the (failed)
@@ -126,12 +126,10 @@ fn nan_costs_are_saturated_not_propagated() {
         let q = query(&mut rng);
         let k = rng.gen_range(1u64..20);
         let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(k));
-        let r = try_optimize(
-            &q,
-            &model,
-            &OptimizerConfig::new(Method::Ii).with_seed(case),
-        )
-        .unwrap();
+        let r = Optimizer::new(&model, &OptimizerConfig::new(Method::Ii).with_seed(case))
+            .solve(&q)
+            .unwrap()
+            .0;
         assert!(!r.cost.is_nan(), "case {case}: NaN escaped the evaluator");
         assert!(
             ljqo::plan::validity::is_valid(q.graph(), r.plan.segments[0].rels()),
@@ -152,7 +150,10 @@ fn expired_deadline_still_returns_a_plan() {
         let config = OptimizerConfig::new(Method::Sa)
             .with_seed(case)
             .with_deadline(Duration::ZERO);
-        let r = try_optimize(&q, &MemoryCostModel::default(), &config).unwrap();
+        let r = Optimizer::new(&MemoryCostModel::default(), &config)
+            .solve(&q)
+            .unwrap()
+            .0;
         assert!(r.deadline_expired, "case {case}");
         assert!(
             ljqo::plan::validity::is_valid(q.graph(), r.plan.segments[0].rels()),
@@ -189,8 +190,12 @@ fn stale_entry_falls_through_to_a_bit_identical_cold_solve() {
         let cache = PlanCache::new(PlanCacheConfig::default());
         poison(&cache, &q, &fp_cfg);
 
-        let cold = try_optimize(&q, &model, &config).unwrap();
-        let (served, outcome) = optimize_cached(&q, &model, &config, &cache, &fp_cfg).unwrap();
+        let cold = Optimizer::new(&model, &config).solve(&q).unwrap().0;
+        let (served, outcome) = Optimizer::new(&model, &config)
+            .with_cache(&cache, fp_cfg)
+            .solve(&q)
+            .map(|(r, via)| (r, via.outcome))
+            .unwrap();
         assert_eq!(outcome, CacheOutcome::Stale, "case {case}");
         assert_eq!(served.plan, cold.plan, "case {case}");
         assert_eq!(served.cost.to_bits(), cold.cost.to_bits(), "case {case}");
@@ -198,7 +203,11 @@ fn stale_entry_falls_through_to_a_bit_identical_cold_solve() {
 
         // The poisoned entry was invalidated and replaced by the cold
         // result: the next lookup is a clean, bit-identical hit.
-        let (warm, again) = optimize_cached(&q, &model, &config, &cache, &fp_cfg).unwrap();
+        let (warm, again) = Optimizer::new(&model, &config)
+            .with_cache(&cache, fp_cfg)
+            .solve(&q)
+            .map(|(r, via)| (r, via.outcome))
+            .unwrap();
         assert_eq!(again, CacheOutcome::Hit, "case {case}");
         assert_eq!(warm.cost.to_bits(), cold.cost.to_bits(), "case {case}");
     }
@@ -219,7 +228,11 @@ fn stale_entry_plus_faulty_model_degrades_cleanly() {
         poison(&cache, &q, &fp_cfg);
 
         let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::PanicOnKth(1));
-        let (served, outcome) = optimize_cached(&q, &model, &config, &cache, &fp_cfg).unwrap();
+        let (served, outcome) = Optimizer::new(&model, &config)
+            .with_cache(&cache, fp_cfg)
+            .solve(&q)
+            .map(|(r, via)| (r, via.outcome))
+            .unwrap();
         assert_eq!(outcome, CacheOutcome::Stale, "case {case}");
         assert_eq!(served.degradation, Degradation::Heuristic, "case {case}");
         assert!(
@@ -239,7 +252,11 @@ fn degraded_cold_results_are_never_inserted() {
     let config = OptimizerConfig::new(Method::Ii).with_seed(1);
     let fp_cfg = FingerprintConfig::default();
     let cache = PlanCache::new(PlanCacheConfig::default());
-    let (r, outcome) = optimize_cached(&q, &AlwaysPanic, &config, &cache, &fp_cfg).unwrap();
+    let (r, outcome) = Optimizer::new(&AlwaysPanic, &config)
+        .with_cache(&cache, fp_cfg)
+        .solve(&q)
+        .map(|(r, via)| (r, via.outcome))
+        .unwrap();
     assert_eq!(outcome, CacheOutcome::Miss);
     assert_eq!(r.degradation, Degradation::CardFree);
     assert!(cache.is_empty());

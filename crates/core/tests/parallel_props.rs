@@ -72,7 +72,15 @@ fn total_units_never_exceed_budget_plus_bounded_overrun() {
         let budget = rng.gen_range(0u64..500);
         let workers = rng.gen_range(1usize..12);
         let method = [Method::Ii, Method::Sa, Method::Agi][case as usize % 3];
-        let r = run_parallel(&q, &model, &runner, method, &comp, budget, workers, case);
+        let r = run_portfolio(
+            &q,
+            &model,
+            &runner,
+            &[method],
+            &comp,
+            &ParallelOptions::new(budget, workers, case),
+            None,
+        );
         let Some(r) = r else {
             assert_eq!(budget, 0, "only a zero budget may yield no state");
             continue;
@@ -108,15 +116,14 @@ fn isolated_runs_are_bit_deterministic_in_seed_and_workers() {
         let budget = rng.gen_range(50u64..2_000);
         let workers = rng.gen_range(1usize..9);
         let run = || {
-            run_parallel(
+            run_portfolio(
                 &q,
                 &model,
                 &runner,
-                Method::Ii,
+                &[Method::Ii],
                 &comp,
-                budget,
-                workers,
-                case,
+                &ParallelOptions::new(budget, workers, case),
+                None,
             )
         };
         let (a, b) = (run().unwrap(), run().unwrap());
@@ -138,7 +145,7 @@ fn shared_best_is_never_worse_than_any_workers_isolated_best() {
         let budget = rng.gen_range(100u64..3_000);
         let workers = rng.gen_range(2usize..8);
         let base = ParallelOptions::new(budget, workers, case);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
+        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
         let coop = run_portfolio(
             &q,
             &model,
@@ -146,6 +153,7 @@ fn shared_best_is_never_worse_than_any_workers_isolated_best() {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
+            None,
         )
         .unwrap();
         // Quality monotonicity at equal total budget: with no stop
@@ -186,6 +194,7 @@ fn portfolio_runs_stay_budgeted_and_valid() {
             &PORTFOLIO,
             &comp,
             &ParallelOptions::new(budget, workers, case),
+            None,
         )
         .unwrap();
         assert!(ljqo::plan::validity::is_valid(q.graph(), r.order.rels()));

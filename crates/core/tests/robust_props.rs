@@ -118,12 +118,13 @@ fn cardfree_is_valid_on_random_multi_component_catalogs() {
         }
         // The registered method end to end: a full valid plan, never
         // degraded (the structural order needs no statistics).
-        let r = try_optimize(
-            &q,
+        let r = Optimizer::new(
             &model,
             &OptimizerConfig::new(Method::Cardfree).with_seed(case),
         )
-        .unwrap();
+        .solve(&q)
+        .unwrap()
+        .0;
         assert_eq!(r.degradation, Degradation::None, "case {case}");
         assert!(r.cost.is_finite(), "case {case}");
         for seg in &r.plan.segments {
@@ -141,13 +142,8 @@ fn regret_is_exactly_zero_with_exact_statistics() {
         // q = 1 is the identity: the observed catalog IS the truth.
         assert!(same_catalog(&truth, &observed), "{shape:?}");
         for method in [Method::Ii, Method::Agi, Method::Cardfree] {
-            let s = regret_under(
-                &truth,
-                &observed,
-                &model,
-                &OptimizerConfig::new(method).with_seed(3),
-            )
-            .unwrap();
+            let config = OptimizerConfig::new(method).with_seed(3);
+            let s = regret_under(&truth, &observed, &Optimizer::new(&model, &config)).unwrap();
             assert_eq!(s.regret, 0.0, "{shape:?}/{method:?}");
             assert_eq!(s.true_cost, s.reference_cost, "{shape:?}/{method:?}");
         }
@@ -170,16 +166,16 @@ fn robust_portfolio_is_never_worse_than_uniform_at_equal_budget() {
                 let observed = Perturbation::new(q, PerturbMode::Correlated, seed ^ 0xd15_70c7)
                     .observed(&truth);
                 let config = OptimizerConfig::new(Method::Ii).with_seed(seed);
-                let plain =
-                    try_optimize_parallel(&observed, &model, &config, &Parallelism::portfolio(4))
-                        .unwrap();
-                let robust = try_optimize_parallel(
-                    &observed,
-                    &model,
-                    &config,
-                    &Parallelism::robust_portfolio(4),
-                )
-                .unwrap();
+                let plain = Optimizer::new(&model, &config)
+                    .with_parallelism(&Parallelism::portfolio(4))
+                    .solve(&observed)
+                    .unwrap()
+                    .0;
+                let robust = Optimizer::new(&model, &config)
+                    .with_parallelism(&Parallelism::robust_portfolio(4))
+                    .solve(&observed)
+                    .unwrap()
+                    .0;
                 assert!(
                     robust.cost <= plain.cost,
                     "{shape:?} q={q} seed={seed}: robust {} > uniform {}",

@@ -45,17 +45,22 @@ fn routed_portfolio_is_never_worse_than_uniform_at_equal_budget() {
                 // arm reflects the class, not one noisy instance.
                 for t in 0..15u64 {
                     let train = job_query(shape, n_joins, cell ^ (0xa000 + t));
-                    try_optimize_parallel(&train, &model, &config, &routed_par).unwrap();
+                    Optimizer::new(&model, &config)
+                        .with_parallelism(&routed_par)
+                        .solve(&train)
+                        .unwrap();
                 }
                 let eval = job_query(shape, n_joins, cell);
-                let uniform = try_optimize_parallel(
-                    &eval,
-                    &model,
-                    &config,
-                    &Parallelism::portfolio(PORTFOLIO.len()),
-                )
-                .unwrap();
-                let routed = try_optimize_parallel(&eval, &model, &config, &routed_par).unwrap();
+                let uniform = Optimizer::new(&model, &config)
+                    .with_parallelism(&Parallelism::portfolio(PORTFOLIO.len()))
+                    .solve(&eval)
+                    .unwrap()
+                    .0;
+                let routed = Optimizer::new(&model, &config)
+                    .with_parallelism(&routed_par)
+                    .solve(&eval)
+                    .unwrap()
+                    .0;
                 assert!(
                     routed.cost <= uniform.cost,
                     "{shape:?} n={n_joins} seed={seed}: routed {} > uniform {}",
@@ -82,15 +87,16 @@ fn cold_router_is_bit_identical_to_the_uniform_portfolio() {
             .with_seed(7)
             .with_time_limit(3.0);
         let router = Arc::new(BanditRouter::new(&arms, RouterConfig::default()));
-        let uniform =
-            try_optimize_parallel(&q, &model, &config, &Parallelism::portfolio(4)).unwrap();
-        let routed = try_optimize_parallel(
-            &q,
-            &model,
-            &config,
-            &Parallelism::portfolio(4).with_router(router),
-        )
-        .unwrap();
+        let uniform = Optimizer::new(&model, &config)
+            .with_parallelism(&Parallelism::portfolio(4))
+            .solve(&q)
+            .unwrap()
+            .0;
+        let routed = Optimizer::new(&model, &config)
+            .with_parallelism(&Parallelism::portfolio(4).with_router(router))
+            .solve(&q)
+            .unwrap()
+            .0;
         assert_eq!(routed.cost, uniform.cost, "{shape:?}");
         assert_eq!(
             format!("{:?}", routed.plan),

@@ -42,7 +42,7 @@ pub enum FaultMode {
 ///
 /// Join steps are counted across threads with an atomic counter, so the
 /// k-th step is well-defined (if racy in *which* order triggers it)
-/// even under `run_parallel`. The wrapper is written for tests: it panics
+/// even under a parallel worker pool. The wrapper is written for tests: it panics
 /// or emits `NaN` so the robustness of the surrounding machinery —
 /// saturation in the evaluator, `catch_unwind` isolation in the driver —
 /// can be asserted.

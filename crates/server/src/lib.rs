@@ -5,7 +5,7 @@
 //! that accepts catalogs and queries over a length-prefixed binary
 //! protocol (with minimal HTTP/1.1 on the same port for `curl /stats`),
 //! admission-controls and batches concurrent requests through
-//! [`ljqo::optimize_batch_cached`] — so structurally-equal queries
+//! a cached [`ljqo::Optimizer::solve_batch`] — so structurally-equal queries
 //! arriving together dedup to one cold solve — and shares one
 //! [`PlanCache`](ljqo_cache::PlanCache) across every connection.
 //!

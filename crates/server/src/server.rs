@@ -6,7 +6,7 @@
 //! ```text
 //! accept ── handshake ──> reader thread ── admit ──> queue ── linger ──> batch worker
 //!   │                        │ (parse, validate,        │                    │
-//!   │  "GET /stats" ──> HTTP │  draining/overload       │    optimize_batch_cached
+//!   │  "GET /stats" ──> HTTP │  draining/overload       │    Optimizer::solve_batch
 //!   └──────────────────> reply  checks)                 │    (fingerprint dedup +
 //!                                                      │     shared PlanCache)
 //!                                                      └──<── responses written back
@@ -17,7 +17,7 @@
 //! Batch workers pull from the single shared queue: the first request
 //! starts a batch, then the worker lingers up to `--batch-linger-ms`
 //! (or until `--batch-max` requests are in hand) so concurrent
-//! duplicates land in one [`optimize_batch_cached`] call and dedup to a
+//! duplicates land in one [`Optimizer::solve_batch`] call and dedup to a
 //! single cold solve. All workers share one [`PlanCache`], so a plan
 //! solved for any connection warms every later request in the process.
 //!
@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 use ljqo::parallel::PORTFOLIO;
 use ljqo::serving::DEGRADATION_LABELS;
 use ljqo::{
-    optimize_batch_cached, optimize_batch_cached_routed, win_labels, win_slot, BatchOptions,
-    Method, OptError, Optimized, OptimizerConfig, Parallelism, ServedVia, ServingCounters,
+    win_labels, win_slot, BatchOptions, Method, OptError, Optimized, Optimizer, OptimizerConfig,
+    Parallelism, ServedVia, ServingCounters,
 };
 use ljqo_cache::{
     classify, BanditRouter, FingerprintConfig, PlanCache, PlanCacheConfig, RouterConfig,
@@ -73,7 +73,7 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Optional per-query wall-clock deadline, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Batch worker threads (each runs its own `optimize_batch_cached`).
+    /// Batch worker threads (each runs its own batch solve).
     pub workers: usize,
     /// Largest batch a worker will assemble before dispatching.
     pub batch_max: usize,
@@ -129,7 +129,7 @@ impl Default for ServerConfig {
     }
 }
 
-fn model_for(name: &str) -> Option<Box<dyn CostModel + Send + Sync>> {
+fn model_for(name: &str) -> Option<Box<dyn CostModel + Send>> {
     match name {
         "memory" => Some(Box::new(MemoryCostModel::default())),
         "disk" => Some(Box::new(DiskCostModel::default())),
@@ -221,7 +221,7 @@ impl Queue {
 struct Inner {
     config: ServerConfig,
     opt_config: OptimizerConfig,
-    model: Box<dyn CostModel + Send + Sync>,
+    model: Box<dyn CostModel + Send>,
     cache: PlanCache,
     fp_config: FingerprintConfig,
     serving: ServingCounters,
@@ -623,7 +623,7 @@ fn batch_worker(inner: Arc<Inner>) {
     }
 }
 
-/// One `optimize_batch_cached` dispatch: solve, absorb counters, write
+/// One batch solve: solve, absorb counters, write
 /// every response back.
 fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
     inner.stats.record_batch(batch.len());
@@ -634,26 +634,13 @@ fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
         threads: 1,
         per_query_deadline: inner.config.deadline_ms.map(Duration::from_millis),
     };
-    let model: &(dyn CostModel + Sync) = &*inner.model;
-    let report = match &inner.router {
-        Some((_, parallelism)) => optimize_batch_cached_routed(
-            &queries,
-            model,
-            &inner.opt_config,
-            &options,
-            &inner.cache,
-            &inner.fp_config,
-            parallelism,
-        ),
-        None => optimize_batch_cached(
-            &queries,
-            model,
-            &inner.opt_config,
-            &options,
-            &inner.cache,
-            &inner.fp_config,
-        ),
-    };
+    let mut optimizer = Optimizer::new(&*inner.model, &inner.opt_config)
+        .with_cache(&inner.cache, inner.fp_config)
+        .with_batch(options);
+    if let Some((_, parallelism)) = &inner.router {
+        optimizer = optimizer.with_parallelism(parallelism);
+    }
+    let report = optimizer.solve_batch(&queries);
     inner.serving.absorb(&report);
     // Per-class producer credit, aligned with the global `method_wins`
     // table (only successful answers are credited there too).

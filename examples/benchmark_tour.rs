@@ -30,11 +30,10 @@ fn main() {
             .unwrap();
 
         let model = MemoryCostModel::default();
-        let result = optimize(
-            &query,
-            &model,
-            &OptimizerConfig::new(Method::Iai).with_seed(1),
-        );
+        let result = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(1))
+            .solve(&query)
+            .unwrap()
+            .0;
         println!(
             "{:>2} {:<18} {:>6} {:>9.0} {:>9} {:>8} {:>12.3e}",
             bench.number(),

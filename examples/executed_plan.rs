@@ -28,11 +28,10 @@ fn main() {
         .expect("query is well-formed");
 
     let model = MemoryCostModel::default();
-    let result = optimize(
-        &query,
-        &model,
-        &OptimizerConfig::new(Method::Iai).with_seed(3),
-    );
+    let result = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(3))
+        .solve(&query)
+        .unwrap()
+        .0;
     let good = result.plan.segments[0].clone();
 
     // A worst-ish plan: the most expensive valid order among sampled

@@ -49,7 +49,7 @@ fn main() {
 
     // The paper's recommendation: IAI at a generous time limit.
     let config = OptimizerConfig::new(Method::Iai).with_seed(42);
-    let result = optimize(&query, &model, &config);
+    let result = Optimizer::new(&model, &config).solve(&query).unwrap().0;
 
     println!("IAI plan (cost {:.3e}):", result.cost);
     println!("{}", result.plan.to_tree().explain(&query));

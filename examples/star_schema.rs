@@ -59,16 +59,15 @@ fn main() {
             let config = OptimizerConfig::new(method)
                 .with_time_limit(tau)
                 .with_seed(7);
-            let result = optimize(&query, &model, &config);
+            let result = Optimizer::new(&model, &config).solve(&query).unwrap().0;
             print!(" {:>12.4e}", result.cost);
         }
         println!();
     }
 
-    let best = optimize(
-        &query,
-        &model,
-        &OptimizerConfig::new(Method::Iai).with_seed(7),
-    );
+    let best = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(7))
+        .solve(&query)
+        .unwrap()
+        .0;
     println!("\nbest IAI plan:\n{}", best.plan.to_tree().explain(&query));
 }

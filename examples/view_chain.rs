@@ -58,7 +58,7 @@ fn main() {
                 let config = OptimizerConfig::new(method)
                     .with_time_limit(tau)
                     .with_seed(99);
-                let result = optimize(&query, model, &config);
+                let result = Optimizer::new(model, &config).solve(&query).unwrap().0;
                 print!(" {:>14.6e}", result.cost);
             }
             println!("   ({label})");
@@ -73,11 +73,10 @@ fn main() {
         2f64.powi(query.n_relations() as i32)
     );
 
-    let best = optimize(
-        &query,
-        &memory,
-        &OptimizerConfig::new(Method::Iai).with_seed(99),
-    );
+    let best = Optimizer::new(&memory, &OptimizerConfig::new(Method::Iai).with_seed(99))
+        .solve(&query)
+        .unwrap()
+        .0;
     println!(
         "\nIAI join order (permutation notation):\n{}",
         best.plan.segments[0]

@@ -18,7 +18,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ljqo::cache::{BanditRouter, RouterConfig};
-use ljqo::optimize_batch_cached_routed;
 use ljqo::prelude::*;
 use ljqo_workload::{generate_job_query, JobShape, JobSpec};
 
@@ -126,16 +125,11 @@ fn solve(
     parallelism: Option<&Parallelism>,
 ) -> (Optimized, ServedVia) {
     let model = MemoryCostModel::default();
-    let result = match parallelism {
-        Some(par) => try_optimize_parallel(query, &model, config, par),
-        None => try_optimize(query, &model, config),
+    let mut optimizer = Optimizer::new(&model, config);
+    if let Some(par) = parallelism {
+        optimizer = optimizer.with_parallelism(par);
     }
-    .expect("every grid query plans");
-    let via = ServedVia {
-        outcome: CacheOutcome::Miss,
-        producer: result.winner.map_or(config.method.name(), |m| m.name()),
-    };
-    (result, via)
+    optimizer.solve(query).expect("every grid query plans")
 }
 
 fn fresh_cache() -> PlanCache {
@@ -158,7 +152,11 @@ fn grid() -> String {
             None,
         ),
         ("early_stop", None, Some(5.0)),
-        ("early_stop_workers2", Some(Parallelism::workers(2)), Some(5.0)),
+        (
+            "early_stop_workers2",
+            Some(Parallelism::workers(2)),
+            Some(5.0),
+        ),
     ];
     for (name, parallelism, early_stop) in &single {
         for (i, (label, query)) in queries.iter().enumerate() {
@@ -183,19 +181,15 @@ fn grid() -> String {
     let arms: Vec<&str> = PORTFOLIO.iter().map(|m| m.name()).collect();
     let router = Arc::new(BanditRouter::new(&arms, RouterConfig::default()));
     let routed = Parallelism::portfolio(4).with_router(Arc::clone(&router));
-    let report = optimize_batch_cached_routed(
-        &all,
-        &model,
-        &config(1),
-        &one_thread,
-        &fresh_cache(),
-        &FingerprintConfig::default(),
-        &routed,
-    );
+    let report = Optimizer::new(&model, &config(1))
+        .with_parallelism(&routed)
+        .with_cache(&fresh_cache(), FingerprintConfig::default())
+        .with_batch(one_thread)
+        .solve_batch(&all);
     record_batch(&mut out, "routed_batch", &labels, &report);
 
     // Six queries through the uncached pool.
-    let report = optimize_batch(&all[..6], &model, &config(1), &BatchOptions::default());
+    let report = Optimizer::new(&model, &config(1)).solve_batch(&all[..6]);
     record_batch(&mut out, "batch6", &labels[..6], &report);
 
     // Duplicate fingerprints through the cached pool, twice on one cache:
@@ -205,14 +199,9 @@ fn grid() -> String {
     let dup_labels: Vec<String> = picks.iter().map(|&i| labels[i].clone()).collect();
     let cache = fresh_cache();
     for run in ["cached_batch_first", "cached_batch_second"] {
-        let report = optimize_batch_cached(
-            &dup,
-            &model,
-            &config(1),
-            &BatchOptions::default(),
-            &cache,
-            &FingerprintConfig::default(),
-        );
+        let report = Optimizer::new(&model, &config(1))
+            .with_cache(&cache, FingerprintConfig::default())
+            .solve_batch(&dup);
         record_batch(&mut out, run, &dup_labels, &report);
     }
     out
@@ -229,7 +218,12 @@ fn driver_paths_match_the_golden_file() {
     let want = std::fs::read_to_string(golden_path())
         .expect("golden file exists (run with UPDATE_GOLDEN=1 to create it)");
     for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "driver path line {} drifted from the golden file", i + 1);
+        assert_eq!(
+            g,
+            w,
+            "driver path line {} drifted from the golden file",
+            i + 1
+        );
     }
     assert_eq!(
         got.lines().count(),

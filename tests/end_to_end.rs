@@ -32,7 +32,7 @@ fn every_method_optimizes_generated_queries() {
             let config = OptimizerConfig::new(method)
                 .with_time_limit(1.0)
                 .with_seed(5);
-            let result = optimize(&query, &model, &config);
+            let result = Optimizer::new(&model, &config).solve(&query).unwrap().0;
             assert_plan_covers_query(&query, &result.plan);
             assert!(result.cost.is_finite(), "{method} at N={n}");
         }
@@ -49,7 +49,7 @@ fn both_cost_models_yield_valid_plans_on_every_benchmark() {
             let config = OptimizerConfig::new(Method::Iai)
                 .with_time_limit(2.0)
                 .with_seed(1);
-            let result = optimize(&query, model, &config);
+            let result = Optimizer::new(model, &config).solve(&query).unwrap().0;
             assert_plan_covers_query(&query, &result.plan);
             assert!(
                 result.cost > 0.0 && result.cost.is_finite(),
@@ -72,11 +72,13 @@ fn methods_reach_dp_optimum_on_small_queries() {
         let query = generate_query(&Benchmark::Default.spec(), 10, seed);
         let comp: Vec<RelId> = query.rel_ids().collect();
         let (_, opt) = optimal_order_dp(&query, &comp, &model).unwrap();
-        let result = optimize(
-            &query,
+        let result = Optimizer::new(
             &model,
             &OptimizerConfig::new(Method::Iai).with_seed(seed ^ 0xf),
-        );
+        )
+        .solve(&query)
+        .unwrap()
+        .0;
         assert!(
             result.cost >= opt - opt * 1e-9,
             "cost below proven optimum: optimizer or DP is broken"
@@ -101,7 +103,11 @@ fn more_budget_never_hurts() {
             let config = OptimizerConfig::new(method)
                 .with_time_limit(tau)
                 .with_seed(4);
-            let cost = optimize(&query, &model, &config).cost;
+            let cost = Optimizer::new(&model, &config)
+                .solve(&query)
+                .unwrap()
+                .0
+                .cost;
             assert!(
                 cost <= prev * (1.0 + 1e-9),
                 "{method}: cost rose from {prev} to {cost} at tau={tau}"
@@ -119,8 +125,8 @@ fn optimizer_is_deterministic_across_methods() {
         let config = OptimizerConfig::new(method)
             .with_time_limit(1.0)
             .with_seed(31);
-        let a = optimize(&query, &model, &config);
-        let b = optimize(&query, &model, &config);
+        let a = Optimizer::new(&model, &config).solve(&query).unwrap().0;
+        let b = Optimizer::new(&model, &config).solve(&query).unwrap().0;
         assert_eq!(a.plan, b.plan, "{method}");
         assert_eq!(a.units_used, b.units_used, "{method}");
     }
@@ -140,11 +146,10 @@ fn disconnected_query_costs_include_cross_products() {
         .build()
         .unwrap();
     let model = MemoryCostModel::default();
-    let result = optimize(
-        &query,
-        &model,
-        &OptimizerConfig::new(Method::Ii).with_seed(2),
-    );
+    let result = Optimizer::new(&model, &OptimizerConfig::new(Method::Ii).with_seed(2))
+        .solve(&query)
+        .unwrap()
+        .0;
     assert_eq!(result.plan.segments.len(), 2);
 
     let seg_costs: f64 = result
@@ -160,11 +165,10 @@ fn disconnected_query_costs_include_cross_products() {
 fn plan_display_and_explain_are_consistent() {
     let query = generate_query(&Benchmark::Default.spec(), 12, 5);
     let model = MemoryCostModel::default();
-    let result = optimize(
-        &query,
-        &model,
-        &OptimizerConfig::new(Method::Agi).with_seed(8),
-    );
+    let result = Optimizer::new(&model, &OptimizerConfig::new(Method::Agi).with_seed(8))
+        .solve(&query)
+        .unwrap()
+        .0;
     let tree = result.plan.to_tree();
     assert_eq!(tree.n_leaves(), query.n_relations());
     let explain = tree.explain(&query);

@@ -120,11 +120,10 @@ fn optimized_plan_does_less_work_than_median_random_plan() {
     let comp: Vec<RelId> = query.rel_ids().collect();
     let model = MemoryCostModel::default();
 
-    let best = optimize(
-        &query,
-        &model,
-        &OptimizerConfig::new(Method::Iai).with_seed(5),
-    );
+    let best = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(5))
+        .solve(&query)
+        .unwrap()
+        .0;
     let best_work = execute_order(&query, &data, best.plan.segments[0].rels())
         .expect("optimized plan must execute")
         .total_work();

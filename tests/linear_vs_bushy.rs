@@ -21,11 +21,10 @@ fn bushy_optimum_lower_bounds_linear_methods() {
 
         // Every method's (linear-space) result is bounded below by the
         // bushy optimum too.
-        let r = optimize(
-            &query,
-            &model,
-            &OptimizerConfig::new(Method::Iai).with_seed(seed),
-        );
+        let r = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(seed))
+            .solve(&query)
+            .unwrap()
+            .0;
         assert!(r.cost >= bushy - bushy * 1e-9);
     }
 }

@@ -11,7 +11,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ljqo::parallel::run_parallel;
 use ljqo::prelude::*;
 use ljqo_catalog::CompiledQuery;
 use ljqo_cost::{FaultMode, FaultyCostModel};
@@ -52,8 +51,16 @@ fn parallel_run_survives_all_but_one_worker_panicking() {
         MemoryCostModel::default(),
         FaultMode::PanicOnAllButFirstThread,
     );
-    let r = run_parallel(&q, &model, &runner, Method::Ii, &comp, 4_000, workers, 9)
-        .expect("the surviving worker must still produce a plan");
+    let r = run_portfolio(
+        &q,
+        &model,
+        &runner,
+        &[Method::Ii],
+        &comp,
+        &ParallelOptions::new(4_000, workers, 9),
+        None,
+    )
+    .expect("the surviving worker must still produce a plan");
     assert_eq!(r.workers_failed, workers - 1);
     assert!(is_valid(q.graph(), r.order.rels()));
     assert!(r.cost.is_finite());
@@ -69,7 +76,15 @@ fn parallel_run_with_every_worker_dead_returns_none() {
     // The very first join step panics, and with a share of 1 unit each
     // every other worker's first evaluation is also its last chance.
     let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::PanicOnKth(1));
-    let r = run_parallel(&q, &model, &runner, Method::Ii, &comp, 4_000, 4, 9);
+    let r = run_portfolio(
+        &q,
+        &model,
+        &runner,
+        &[Method::Ii],
+        &comp,
+        &ParallelOptions::new(4_000, 4, 9),
+        None,
+    );
     // Whichever worker drew the fault died; the others survive, so a
     // result still comes back — but the failure must be accounted.
     let r = r.expect("three healthy workers remain");
@@ -88,8 +103,10 @@ fn method_panic_degrades_to_heuristic_plan() {
     // The method's first join step panics; the augmentation fallback
     // prices its plan afterwards and succeeds.
     let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::PanicOnKth(1));
-    let r = try_optimize(&q, &model, &OptimizerConfig::new(Method::Iai).with_seed(3))
-        .expect("fallback ladder must rescue the plan");
+    let r = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(3))
+        .solve(&q)
+        .expect("fallback ladder must rescue the plan")
+        .0;
     assert_eq!(r.degradation, Degradation::Heuristic);
     assert!(r.degradation.is_degraded());
     assert_eq!(r.plan.n_relations(), q.n_relations());
@@ -106,9 +123,11 @@ fn panic_at_any_evaluation_still_yields_a_valid_plan() {
         let config = OptimizerConfig::new(Method::Agi)
             .with_seed(11)
             .with_time_limit(0.5);
-        let r = catch_unwind(AssertUnwindSafe(|| try_optimize(&q, &model, &config)))
-            .unwrap_or_else(|_| panic!("driver panicked with fault at evaluation {k}"))
-            .unwrap_or_else(|e| panic!("no plan with fault at evaluation {k}: {e}"));
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            Optimizer::new(&model, &config).solve(&q).map(|(r, _)| r)
+        }))
+        .unwrap_or_else(|_| panic!("driver panicked with fault at evaluation {k}"))
+        .unwrap_or_else(|e| panic!("no plan with fault at evaluation {k}: {e}"));
         assert!(
             is_valid(q.graph(), r.plan.segments[0].rels()),
             "invalid plan with fault at evaluation {k}"
@@ -133,12 +152,17 @@ fn nan_costs_never_poison_the_result() {
         let config = OptimizerConfig::new(method)
             .with_seed(7)
             .with_time_limit(18.0);
-        let healthy = try_optimize(&q, &MemoryCostModel::default(), &config)
+        let healthy = Optimizer::new(&MemoryCostModel::default(), &config)
+            .solve(&q)
             .unwrap()
+            .0
             .cost;
         for k in [1, 2, 3, 5, 8, 13, 20, 50, 200, 500] {
             let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(k));
-            let r = try_optimize(&q, &model, &config).expect("NaN is saturated, not fatal");
+            let r = Optimizer::new(&model, &config)
+                .solve(&q)
+                .expect("NaN is saturated, not fatal")
+                .0;
             // The NaN evaluation saturates to f64::MAX and loses to every
             // healthy evaluation, so the method completes undegraded.
             assert_eq!(r.degradation, Degradation::None, "{method} k={k}");
@@ -179,7 +203,10 @@ fn immediate_deadline_returns_degraded_fallback() {
     let config = OptimizerConfig::new(Method::Ii)
         .with_seed(1)
         .with_deadline(Duration::ZERO);
-    let r = try_optimize(&q, &model, &config).expect("fallback must produce a plan");
+    let r = Optimizer::new(&model, &config)
+        .solve(&q)
+        .expect("fallback must produce a plan")
+        .0;
     assert!(r.deadline_expired);
     assert!(
         r.degradation.is_degraded(),
@@ -196,12 +223,15 @@ fn generous_deadline_does_not_degrade() {
     let config = OptimizerConfig::new(Method::Iai)
         .with_seed(1)
         .with_deadline(Duration::from_secs(3600));
-    let r = try_optimize(&q, &model, &config).unwrap();
+    let r = Optimizer::new(&model, &config).solve(&q).unwrap().0;
     assert!(!r.deadline_expired);
     assert_eq!(r.degradation, Degradation::None);
     // Matches an undeadlined run exactly: the deadline only reads the
     // clock, it does not perturb the deterministic search.
-    let plain = try_optimize(&q, &model, &OptimizerConfig::new(Method::Iai).with_seed(1)).unwrap();
+    let plain = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(1))
+        .solve(&q)
+        .unwrap()
+        .0;
     assert_eq!(r.plan, plain.plan);
     assert_eq!(r.cost, plain.cost);
 }
@@ -303,7 +333,10 @@ fn random_catalogs_validate_or_optimize_cleanly() {
                     let config = OptimizerConfig::new(Method::Iai)
                         .with_seed(case)
                         .with_time_limit(0.5);
-                    let r = try_optimize(&q, &model, &config).expect("valid catalog must plan");
+                    let r = Optimizer::new(&model, &config)
+                        .solve(&q)
+                        .expect("valid catalog must plan")
+                        .0;
                     assert_eq!(r.plan.n_relations(), q.n_relations(), "case {case}");
                     for seg in &r.plan.segments {
                         assert!(is_valid(q.graph(), seg.rels()), "case {case}");

@@ -37,7 +37,7 @@ fn golden_path() -> PathBuf {
 
 fn record(out: &mut String, label: &str, query: &Query, config: &OptimizerConfig) {
     let model = MemoryCostModel::default();
-    let result = optimize(query, &model, config);
+    let result = Optimizer::new(&model, config).solve(query).unwrap().0;
     let order: Vec<String> = result
         .plan
         .segments
