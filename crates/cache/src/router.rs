@@ -46,6 +46,7 @@
 //! correctness dependency.
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -444,8 +445,9 @@ impl BanditRouter {
     // --- Persistence -----------------------------------------------------
 
     /// Serialize the router state to `path` (versioned text format).
-    /// The write goes through a sibling temp file + rename so a crash
-    /// mid-save leaves the previous state intact.
+    /// The write goes through a sibling temp file, flushed to disk with
+    /// `sync_all` before the rename, so neither a crash mid-save nor a
+    /// power loss after it can leave an empty or partial primary file.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let mut out = String::new();
         out.push_str(&format!("ljqo-router v{ROUTER_STATE_VERSION}\n"));
@@ -474,7 +476,10 @@ impl BanditRouter {
         out.push_str(&format!("end {}\n", buckets.len()));
         drop(buckets);
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, out)?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(out.as_bytes())?;
+        file.sync_all()?;
+        drop(file);
         std::fs::rename(&tmp, path)
     }
 

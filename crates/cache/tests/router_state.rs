@@ -3,7 +3,9 @@
 //! with a counted reset — never an error, never a crash.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 use ljqo_cache::{BanditRouter, QueryClass, RouterConfig, ShapeClass};
 
@@ -180,4 +182,59 @@ fn save_is_atomic_enough_to_never_leave_a_half_written_primary() {
     let reloaded = BanditRouter::load(&path, &ARMS, RouterConfig::default());
     assert_eq!(router.snapshot(), reloaded.snapshot());
     fs::remove_file(&path).ok();
+}
+
+/// Set in the child process of
+/// `a_killed_saver_never_leaves_a_reset_state`: the path to save to.
+const SAVER_ENV: &str = "LJQO_ROUTER_SAVER_PATH";
+
+#[test]
+fn a_killed_saver_never_leaves_a_reset_state() {
+    // Child mode: save the trained state in a loop until killed.
+    if let Some(path) = std::env::var_os(SAVER_ENV) {
+        let router = trained_router();
+        loop {
+            router.save(Path::new(&path)).unwrap();
+        }
+    }
+    let path = scratch("killed_saver");
+    let trained = trained_router();
+    trained.save(&path).unwrap();
+    for (round, delay_ms) in [0u64, 3, 10, 25, 40].into_iter().enumerate() {
+        // Re-run this test binary, filtered to this test, as the saver.
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "a_killed_saver_never_leaves_a_reset_state"])
+            .env(SAVER_ENV, &path)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        // Wait until the saver has replaced the primary at least once,
+        // so the kill lands inside the save loop.
+        let before = fs::metadata(&path).unwrap().modified().unwrap();
+        let started = std::time::Instant::now();
+        while fs::metadata(&path).unwrap().modified().unwrap() == before {
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "round {round}: no save"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(delay_ms));
+        child.kill().unwrap(); // SIGKILL: no destructors, no flush
+        let status = child.wait().unwrap();
+        assert!(
+            !status.success(),
+            "round {round}: the saver exited on its own"
+        );
+        let loaded = BanditRouter::load(&path, &ARMS, RouterConfig::default());
+        assert_eq!(
+            loaded.resets(),
+            0,
+            "round {round}: a killed save reset the router"
+        );
+        assert_eq!(loaded.snapshot(), trained.snapshot(), "round {round}");
+    }
+    fs::remove_file(&path).ok();
+    fs::remove_file(path.with_extension("tmp")).ok();
 }
