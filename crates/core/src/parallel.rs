@@ -693,32 +693,25 @@ mod tests {
             .unwrap()
     }
 
+    /// Homogeneous isolated fan-out of `method` over all of `q`.
+    fn fan_out(
+        q: &Query,
+        method: Method,
+        budget: u64,
+        workers: usize,
+        seed: u64,
+    ) -> Option<ParallelResult> {
+        let (model, runner) = (MemoryCostModel::default(), MethodRunner::default());
+        let comp: Vec<RelId> = q.rel_ids().collect();
+        let opts = ParallelOptions::new(budget, workers, seed);
+        run_portfolio(q, &model, &runner, &[method], &comp, &opts, None)
+    }
+
     #[test]
     fn parallel_run_is_deterministic_and_budgeted() {
         let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        let a = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &ParallelOptions::new(4_000, 4, 9),
-            None,
-        )
-        .unwrap();
-        let b = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &ParallelOptions::new(4_000, 4, 9),
-            None,
-        )
-        .unwrap();
+        let a = fan_out(&q, Method::Ii, 4_000, 4, 9).unwrap();
+        let b = fan_out(&q, Method::Ii, 4_000, 4, 9).unwrap();
         assert_eq!(a.order, b.order);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.units_used, b.units_used);
@@ -752,19 +745,7 @@ mod tests {
         // unit to *each* worker, spending up to 8 units against a budget
         // of 3. Now only the first 3 workers run, one unit each.
         let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        let r = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &ParallelOptions::new(3, 8, 5),
-            None,
-        )
-        .unwrap();
+        let r = fan_out(&q, Method::Ii, 3, 8, 5).unwrap();
         assert!(
             r.units_used <= 3,
             "budget 3 oversubscribed: {} units spent",
@@ -781,19 +762,7 @@ mod tests {
         // 12 × 8 = 96 units. II runs until exhaustion, so the full 100
         // allotted units must now be consumed (up to per-worker overrun).
         let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        let r = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &ParallelOptions::new(100, 8, 5),
-            None,
-        )
-        .unwrap();
+        let r = fan_out(&q, Method::Ii, 100, 8, 5).unwrap();
         assert!(
             r.units_used >= 100,
             "remainder dropped: only {} of 100 units consumed",
@@ -806,29 +775,8 @@ mod tests {
     #[test]
     fn more_workers_do_not_break_quality() {
         let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        let solo = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Iai],
-            &comp,
-            &ParallelOptions::new(6_000, 1, 5),
-            None,
-        )
-        .unwrap();
-        let quad = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Iai],
-            &comp,
-            &ParallelOptions::new(6_000, 4, 5),
-            None,
-        )
-        .unwrap();
+        let solo = fan_out(&q, Method::Iai, 6_000, 1, 5).unwrap();
+        let quad = fan_out(&q, Method::Iai, 6_000, 4, 5).unwrap();
         // Both must find reasonable plans; neither dominates in general,
         // but both should be within 2x of each other on this small query.
         let ratio = (solo.cost / quad.cost).max(quad.cost / solo.cost);
@@ -838,19 +786,7 @@ mod tests {
     #[test]
     fn zero_worker_count_is_clamped() {
         let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        let r = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Agi],
-            &comp,
-            &ParallelOptions::new(1_000, 0, 1),
-            None,
-        )
-        .unwrap();
+        let r = fan_out(&q, Method::Agi, 1_000, 0, 1).unwrap();
         assert!(r.cost.is_finite());
     }
 
