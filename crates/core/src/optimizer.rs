@@ -641,9 +641,8 @@ pub fn optimize_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ljqo_catalog::{QueryBuilder, RelId};
+    use ljqo_catalog::QueryBuilder;
     use ljqo_cost::{DiskCostModel, MemoryCostModel};
-    use ljqo_plan::validity::is_valid;
 
     fn connected_query() -> Query {
         QueryBuilder::new()
