@@ -38,7 +38,7 @@ use rand::SeedableRng;
 use ljqo::IterativeImprovement;
 use ljqo_catalog::CompiledQuery;
 use ljqo_cost::estimate::SizeWalker;
-use ljqo_cost::{Estimator, Evaluator, IncrementalEvaluator, MemoryCostModel, OrderCost};
+use ljqo_cost::{Evaluator, IncrementalEvaluator, MemoryCostModel, OrderCost};
 use ljqo_plan::validity::ValidityChecker;
 use ljqo_plan::{random_valid_order, BitsetChecker, Move, MoveGenerator, MoveSet};
 use ljqo_workload::{generate_job_query, generate_query, Benchmark, JobShape, JobSpec};
@@ -173,7 +173,6 @@ fn main() {
         let mut inc = IncrementalEvaluator::with_compiled(
             &query,
             &model,
-            Estimator::Static,
             order.clone(),
             Arc::clone(&compiled),
         );

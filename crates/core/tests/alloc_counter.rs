@@ -5,7 +5,7 @@
 //! the evaluator and generator are constructed, a propose → evaluate →
 //! commit/rollback cycle performs **no heap allocation at all**. This test
 //! wires a counting `#[global_allocator]` around the real loop and asserts
-//! exactly that, for both the static and the propagated estimator.
+//! exactly that.
 //!
 //! The counter is per-thread (other test threads must not bleed into the
 //! measurement) and counts allocation *events* — `alloc`, `alloc_zeroed`
@@ -20,7 +20,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use ljqo_catalog::{CompiledQuery, Query, QueryBuilder, RelId};
-use ljqo_cost::{Estimator, Evaluator, IncrementalEvaluator, MemoryCostModel, TreeEvaluator};
+use ljqo_cost::{Evaluator, IncrementalEvaluator, MemoryCostModel, TreeEvaluator};
 use ljqo_plan::{random_valid_order, MoveGenerator, MoveSet, TreeMoveSet, TreePlan};
 
 struct CountingAlloc;
@@ -124,7 +124,7 @@ fn all_kinds() -> MoveSet {
 
 /// Allocation events per `ITERS` steady-state iterations of the raw
 /// propose → eval → commit/rollback loop on the compiled path.
-fn steady_state_events_on(q: &Query, estimator: Estimator, seed: u64) -> u64 {
+fn steady_state_events_on(q: &Query, seed: u64) -> u64 {
     const WARMUP: usize = 64;
     const ITERS: usize = 512;
 
@@ -133,8 +133,7 @@ fn steady_state_events_on(q: &Query, estimator: Estimator, seed: u64) -> u64 {
     let comp: Vec<RelId> = q.rel_ids().collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let order = random_valid_order(q.graph(), &comp, &mut rng);
-    let mut inc =
-        IncrementalEvaluator::with_compiled(q, &model, estimator, order, Arc::clone(&compiled));
+    let mut inc = IncrementalEvaluator::with_compiled(q, &model, order, Arc::clone(&compiled));
     let mut gen = MoveGenerator::with_compiled(compiled, all_kinds());
     let mut current = inc.current_cost();
     let graph = q.graph();
@@ -162,47 +161,25 @@ fn steady_state_events_on(q: &Query, estimator: Estimator, seed: u64) -> u64 {
 /// pre-sized scratch buffers).
 #[test]
 fn static_move_loop_is_allocation_free() {
-    let events = steady_state_events_on(&test_query(), Estimator::Static, 0xa110c);
+    let events = steady_state_events_on(&test_query(), 0xa110c);
     assert_eq!(
         events, 0,
         "static steady-state move loop performed {events} heap allocations"
     );
 }
 
-/// The propagated-estimator hot loop is also allocation-free: snapshot
-/// resume (`DistinctState::copy_from`), the sparse present-set shrink and
-/// the post-commit snapshot rebuild all reuse full-capacity buffers.
-#[test]
-fn propagated_move_loop_is_allocation_free() {
-    let events = steady_state_events_on(&test_query(), Estimator::Propagated, 0xa110c);
-    assert_eq!(
-        events, 0,
-        "propagated steady-state move loop performed {events} heap allocations"
-    );
-}
-
 /// At N = 200 every mask is one full 4-word block: the windowed
-/// validity kernel, the prefix-mask cache and both estimators' scratch
+/// validity kernel, the prefix-mask cache and the evaluator's scratch
 /// state must still run allocation-free at steady state — in debug and
 /// release builds alike. This is the load-bearing guarantee of the
 /// large-N regime: proposal cost stays O(window), with no hidden heap
 /// traffic as N grows.
 #[test]
 fn static_move_loop_is_allocation_free_at_n200() {
-    let events = steady_state_events_on(&large_query(), Estimator::Static, 0xa110c + 3);
+    let events = steady_state_events_on(&large_query(), 0xa110c + 3);
     assert_eq!(
         events, 0,
         "static N=200 steady-state move loop performed {events} heap allocations"
-    );
-}
-
-/// Propagated-estimator counterpart of the N = 200 guarantee.
-#[test]
-fn propagated_move_loop_is_allocation_free_at_n200() {
-    let events = steady_state_events_on(&large_query(), Estimator::Propagated, 0xa110c + 4);
-    assert_eq!(
-        events, 0,
-        "propagated N=200 steady-state move loop performed {events} heap allocations"
     );
 }
 

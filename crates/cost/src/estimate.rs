@@ -59,8 +59,12 @@ pub struct JoinStep {
 
 /// Iterator-style walker producing the [`JoinStep`] sequence of an order.
 ///
-/// Reused by the cost evaluator (hot path), the local-improvement
-/// heuristic, and the executor comparison tests.
+/// Its callers are [`crate::OrderCost::order_cost_with`],
+/// [`intermediate_sizes`] and [`crate::MultiMethodCostModel::annotate`].
+/// `order_cost_with` is the walk behind
+/// [`crate::Evaluator::cost`] and [`crate::OrderCost::order_cost`]; the
+/// local-improvement heuristic reaches the walker through those. The
+/// executor comparison reads `intermediate_sizes`.
 #[derive(Debug)]
 pub struct SizeWalker {
     placed: Vec<bool>,

@@ -7,7 +7,7 @@ use ljqo_plan::JoinOrder;
 
 use crate::deadline::Deadline;
 use crate::estimate::SizeWalker;
-use crate::incremental::{Estimator, IncrementalEvaluator};
+use crate::incremental::IncrementalEvaluator;
 use crate::model::{CostModel, OrderCost};
 use crate::sanitize_cost;
 use crate::shared::SharedBest;
@@ -280,7 +280,6 @@ impl<'a> Evaluator<'a> {
         let inc = IncrementalEvaluator::with_compiled(
             self.query,
             self.model,
-            Estimator::Static,
             order,
             Arc::clone(&self.compiled),
         );

@@ -44,7 +44,7 @@ pub use deadline::Deadline;
 pub use disk::DiskCostModel;
 pub use evaluator::{Evaluator, Snapshot};
 pub use fault::{FaultMode, FaultyCostModel};
-pub use incremental::{costs_agree, Estimator, IncrementalEvaluator};
+pub use incremental::{costs_agree, IncrementalEvaluator};
 pub use memory::MemoryCostModel;
 pub use model::{CostModel, JoinCtx, OrderCost};
 pub use multi::{JoinMethod, MultiMethodCostModel};

@@ -7,10 +7,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ljqo_catalog::{Query, QueryBuilder, RelId};
-use ljqo_cost::propagate::order_cost_propagated;
 use ljqo_cost::{
-    costs_agree, CostModel, DiskCostModel, Estimator, IncrementalEvaluator, JoinCtx,
-    MemoryCostModel, MultiMethodCostModel, OrderCost,
+    costs_agree, CostModel, DiskCostModel, IncrementalEvaluator, JoinCtx, MemoryCostModel,
+    MultiMethodCostModel, OrderCost,
 };
 use ljqo_plan::Move;
 
@@ -113,7 +112,7 @@ fn incremental_matches_full_for_all_move_kinds() {
         let comp: Vec<RelId> = q.rel_ids().collect();
         for model in models() {
             let order = ljqo_plan::random_valid_order(q.graph(), &comp, &mut rng);
-            let mut inc = IncrementalEvaluator::new(&q, model.as_ref(), Estimator::Static, order);
+            let mut inc = IncrementalEvaluator::new(&q, model.as_ref(), order);
             for mv in arb_moves(q.n_relations(), &mut rng) {
                 let got = inc.eval_move(&mv);
                 let want = inc.full_eval();
@@ -138,34 +137,6 @@ fn incremental_matches_full_for_all_move_kinds() {
                         "case {case}: {} {mv:?}: rollback corrupted state",
                         model.name()
                     );
-                }
-            }
-        }
-    }
-}
-
-/// With the propagated (distinct-value) estimator the incremental path
-/// re-walks the suffix with the exact reference operation sequence, so
-/// evaluations are bit-identical to [`order_cost_propagated`].
-#[test]
-fn incremental_propagated_matches_reference() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xc057_0006 ^ case);
-        let q = arb_catalog(&mut rng);
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        for model in models() {
-            let order = ljqo_plan::random_valid_order(q.graph(), &comp, &mut rng);
-            let mut inc =
-                IncrementalEvaluator::new(&q, model.as_ref(), Estimator::Propagated, order);
-            for mv in arb_moves(q.n_relations(), &mut rng) {
-                let got = inc.eval_move(&mv);
-                let want = order_cost_propagated(&q, model.as_ref(), inc.order().rels());
-                assert_eq!(got, want, "case {case}: {} {mv:?}", model.name());
-                if rng.gen_bool(0.5) {
-                    inc.commit();
-                    assert_eq!(inc.current_cost(), inc.full_eval(), "case {case}");
-                } else {
-                    inc.rollback();
                 }
             }
         }
