@@ -448,6 +448,8 @@ impl BanditRouter {
     /// The write goes through a sibling temp file, flushed to disk with
     /// `sync_all` before the rename, so neither a crash mid-save nor a
     /// power loss after it can leave an empty or partial primary file.
+    /// The parent directory is synced after the rename, so the new file
+    /// replaces the old one durably.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let mut out = String::new();
         out.push_str(&format!("ljqo-router v{ROUTER_STATE_VERSION}\n"));
@@ -480,7 +482,14 @@ impl BanditRouter {
         file.write_all(out.as_bytes())?;
         file.sync_all()?;
         drop(file);
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        // The new name is an entry of the parent directory: sync the
+        // directory too, or a power loss can undo the rename.
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()
     }
 
     /// Load router state from `path` for the given arm set.
