@@ -5,8 +5,9 @@
 //! that accepts catalogs and queries over a length-prefixed binary
 //! protocol (with minimal HTTP/1.1 on the same port for `curl /stats`),
 //! admission-controls and batches concurrent requests through
-//! a cached [`ljqo::Optimizer::solve_batch`] — so structurally-equal queries
-//! arriving together dedup to one cold solve — and shares one
+//! a cached [`ljqo::Optimizer::solve_batch_with`] — so structurally-equal
+//! queries arriving together dedup to one cold solve, and each reply is
+//! written as soon as its answer is ready — and shares one
 //! [`PlanCache`](ljqo_cache::PlanCache) across every connection.
 //!
 //! * [`protocol`] — the wire format: magic + version handshake, then

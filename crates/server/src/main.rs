@@ -13,8 +13,9 @@
 //! bound (scripts block on it), serves until SIGTERM or SIGINT, then
 //! drains gracefully — stops accepting, answers everything already
 //! admitted — and prints the final stats document to stdout before
-//! exiting 0. See `docs/SERVING.md` for the protocol and the meaning of
-//! every flag.
+//! exiting 0. `--batch-linger-ms` is the longest a request waits in the
+//! queue, counted from its admission, for companions to batch with. See
+//! `docs/SERVING.md` for the protocol and the meaning of every flag.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,7 +68,10 @@ fn usage() -> ! {
          \x20                  [--workers N] [--batch-max N] [--batch-linger-ms F]\n\
          \x20                  [--max-queue N] [--max-frame-bytes N]\n\
          \x20                  [--cache-entries N] [--cache-shards N] [--fp-buckets N]\n\
-         \x20                  [--router uniform|ucb] [--router-state PATH] [--router-epsilon F]"
+         \x20                  [--router uniform|ucb] [--router-state PATH] [--router-epsilon F]\n\n\
+         --batch-linger-ms F is the longest a request waits in the queue for\n\
+         companions to batch with, counted from its admission (default 2).\n\
+         docs/SERVING.md describes every flag."
     );
     std::process::exit(2);
 }

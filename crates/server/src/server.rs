@@ -6,20 +6,27 @@
 //! ```text
 //! accept ── handshake ──> reader thread ── admit ──> queue ── linger ──> batch worker
 //!   │                        │ (parse, validate,        │                    │
-//!   │  "GET /stats" ──> HTTP │  draining/overload       │    Optimizer::solve_batch
+//!   │  "GET /stats" ──> HTTP │  draining/overload       │  Optimizer::solve_batch_with
 //!   └──────────────────> reply  checks)                 │    (fingerprint dedup +
 //!                                                      │     shared PlanCache)
-//!                                                      └──<── responses written back
+//!                                                      └──<── each reply written as
+//!                                                             its answer is ready
 //! ```
 //!
 //! Every connection gets a reader thread that parses frames and either
 //! answers immediately (stats, rejections) or enqueues the request.
 //! Batch workers pull from the single shared queue: the first request
-//! starts a batch, then the worker lingers up to `--batch-linger-ms`
-//! (or until `--batch-max` requests are in hand) so concurrent
-//! duplicates land in one [`Optimizer::solve_batch`] call and dedup to a
-//! single cold solve. All workers share one [`PlanCache`], so a plan
-//! solved for any connection warms every later request in the process.
+//! starts a batch, and the worker takes more until `--batch-max`
+//! requests are in hand or the first has waited `--batch-linger-ms`
+//! since admission. A request that reaches an idle worker therefore
+//! lingers for companions, so concurrent duplicates land in one
+//! [`Optimizer::solve_batch_with`] call and dedup to a single cold
+//! solve; a request that already queued behind a busy worker leaves at
+//! once with whatever else is queued. The worker settles the counters
+//! for each answer and writes its reply as soon as the answer is ready,
+//! not after the whole batch. All workers share one [`PlanCache`], so a
+//! plan solved for any connection warms every later request in the
+//! process.
 //!
 //! # Drain
 //!
@@ -77,7 +84,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest batch a worker will assemble before dispatching.
     pub batch_max: usize,
-    /// How long a worker waits for more requests after the first.
+    /// The longest a batch's first request waits in the queue, counted
+    /// from its admission, for companions to batch with.
     pub batch_linger: Duration,
     /// Admission bound: requests queued beyond this are rejected with
     /// code `"overload"` instead of growing the queue without bound.
@@ -144,23 +152,28 @@ struct ConnShared {
     writer: Mutex<TcpStream>,
 }
 
-/// One admitted request waiting for (or undergoing) optimization.
-struct Pending {
+/// Where and when to answer one admitted request.
+struct ReplyTo {
     conn: Arc<ConnShared>,
     /// The client's `"id"`, echoed verbatim in the response.
     id: Value,
-    query: Query,
     admitted: Instant,
+}
+
+/// One admitted request waiting for (or undergoing) optimization.
+struct Pending {
+    reply: ReplyTo,
+    query: Query,
 }
 
 /// The shared admission queue: a mutex-guarded deque plus a condvar so
 /// idle workers sleep instead of spinning.
-struct Queue {
-    items: Mutex<VecDeque<Pending>>,
+struct Queue<T> {
+    items: Mutex<VecDeque<T>>,
     cond: Condvar,
 }
 
-impl Queue {
+impl<T> Queue<T> {
     fn new() -> Self {
         Queue {
             items: Mutex::new(VecDeque::new()),
@@ -172,14 +185,14 @@ impl Queue {
         self.items.lock().unwrap().len()
     }
 
-    fn push(&self, p: Pending) {
+    fn push(&self, p: T) {
         self.items.lock().unwrap().push_back(p);
         self.cond.notify_one();
     }
 
     /// Block until a request arrives; `None` once `stop` is set and the
     /// queue is empty (so setting `stop` never abandons queued work).
-    fn pop_first(&self, stop: &AtomicBool) -> Option<Pending> {
+    fn pop_first(&self, stop: &AtomicBool) -> Option<T> {
         let mut items = self.items.lock().unwrap();
         loop {
             if let Some(p) = items.pop_front() {
@@ -197,7 +210,7 @@ impl Queue {
     }
 
     /// Pop one more request if any arrives before `deadline`.
-    fn pop_until(&self, deadline: Instant) -> Option<Pending> {
+    fn pop_until(&self, deadline: Instant) -> Option<T> {
         let mut items = self.items.lock().unwrap();
         loop {
             if let Some(p) = items.pop_front() {
@@ -212,8 +225,33 @@ impl Queue {
         }
     }
 
-    fn drain_remaining(&self) -> Vec<Pending> {
+    fn drain_remaining(&self) -> Vec<T> {
         self.items.lock().unwrap().drain(..).collect()
+    }
+
+    /// Block for the first request, then take companions until
+    /// `batch_max` are in hand or the first request has waited `linger`
+    /// since it was admitted. A request that queued behind a busy worker
+    /// has had its wait, so it leaves at once with whatever else is
+    /// queued; one that finds an idle worker waits the full `linger`.
+    /// `None` once `stop` is set and the queue is empty.
+    fn next_batch(
+        &self,
+        stop: &AtomicBool,
+        batch_max: usize,
+        linger: Duration,
+        admitted: impl Fn(&T) -> Instant,
+    ) -> Option<Vec<T>> {
+        let first = self.pop_first(stop)?;
+        let deadline = admitted(&first) + linger;
+        let mut batch = vec![first];
+        while batch.len() < batch_max {
+            match self.pop_until(deadline) {
+                Some(p) => batch.push(p),
+                None => break,
+            }
+        }
+        Some(batch)
     }
 }
 
@@ -234,7 +272,7 @@ struct Inner {
     /// global `method_wins` table.
     class_wins: Mutex<BTreeMap<String, Vec<u64>>>,
     stats: ServerStats,
-    queue: Queue,
+    queue: Queue<Pending>,
     draining: AtomicBool,
     workers_stop: AtomicBool,
     started: Instant,
@@ -598,36 +636,34 @@ fn handle_optimize(inner: &Arc<Inner>, conn: &Arc<ConnShared>, payload: &[u8]) {
     inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
     inner.stats.in_flight.fetch_add(1, Ordering::SeqCst);
     inner.queue.push(Pending {
-        conn: Arc::clone(conn),
-        id,
+        reply: ReplyTo {
+            conn: Arc::clone(conn),
+            id,
+            admitted: Instant::now(),
+        },
         query,
-        admitted: Instant::now(),
     });
 }
 
 /// Pull batches off the queue until told to stop (and the queue is dry).
 fn batch_worker(inner: Arc<Inner>) {
-    loop {
-        let Some(first) = inner.queue.pop_first(&inner.workers_stop) else {
-            return;
-        };
-        let mut batch = vec![first];
-        let deadline = Instant::now() + inner.config.batch_linger;
-        while batch.len() < inner.config.batch_max {
-            match inner.queue.pop_until(deadline) {
-                Some(p) => batch.push(p),
-                None => break,
-            }
-        }
+    let (max, linger) = (inner.config.batch_max, inner.config.batch_linger);
+    let admitted = |p: &Pending| p.reply.admitted;
+    while let Some(batch) = inner
+        .queue
+        .next_batch(&inner.workers_stop, max, linger, admitted)
+    {
         serve_batch(&inner, batch);
     }
 }
 
-/// One batch solve: solve, absorb counters, write
-/// every response back.
+/// One batch solve. Each reply is written as soon as its answer is
+/// ready, not after the whole batch.
 fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
     inner.stats.record_batch(batch.len());
-    let queries: Vec<Query> = batch.iter().map(|p| p.query.clone()).collect();
+    inner.serving.record_batch(batch.len());
+    let (replies, queries): (Vec<ReplyTo>, Vec<Query>) =
+        batch.into_iter().map(|p| (p.reply, p.query)).unzip();
     let options = BatchOptions {
         // Workers are already the parallelism; keep each batch solve
         // single-threaded so `--workers N` bounds total CPU use.
@@ -640,45 +676,51 @@ fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
     if let Some((_, parallelism)) = &inner.router {
         optimizer = optimizer.with_parallelism(parallelism);
     }
-    let report = optimizer.solve_batch(&queries);
-    inner.serving.absorb(&report);
-    // Per-class producer credit, aligned with the global `method_wins`
-    // table (only successful answers are credited there too).
-    {
-        let n_slots = win_labels().len();
-        let mut class_wins = inner.class_wins.lock().unwrap();
-        for ((pending, result), via) in batch.iter().zip(&report.results).zip(&report.outcomes) {
-            if result.is_ok() {
-                let label = classify(&pending.query).label();
-                let slots = class_wins.entry(label).or_insert_with(|| vec![0; n_slots]);
-                slots[win_slot(via.producer)] += 1;
-            }
+    optimizer.solve_batch_with(&queries, |i, result, via, reused| {
+        answer(inner, &replies[i], &queries[i], result, via, reused)
+    });
+}
+
+/// Settle the counters for one answer, then write its reply, so a
+/// client that reads `/stats` right after its reply sees the request
+/// done. Drain still answers it: `run` joins the worker before it
+/// closes any socket.
+fn answer(
+    inner: &Inner,
+    reply: &ReplyTo,
+    query: &Query,
+    result: &Result<Optimized, OptError>,
+    via: &ServedVia,
+    reused: bool,
+) {
+    inner.serving.record(result, via, reused);
+    let latency_us = reply.admitted.elapsed().as_micros() as u64;
+    let body = match result {
+        Ok(r) => {
+            // Per-class producer credit, aligned with the global
+            // `method_wins` table (which also credits only answers).
+            let label = classify(query).label();
+            let mut class_wins = inner.class_wins.lock().unwrap();
+            let slots = class_wins
+                .entry(label)
+                .or_insert_with(|| vec![0; win_labels().len()]);
+            slots[win_slot(via.producer)] += 1;
+            drop(class_wins);
+            inner.stats.completed.fetch_add(1, Ordering::Relaxed);
+            ok_body(reply, query, r, via, latency_us)
         }
-    }
-    for ((pending, result), via) in batch.iter().zip(&report.results).zip(&report.outcomes) {
-        let latency_us = pending.admitted.elapsed().as_micros() as u64;
-        let body = match result {
-            Ok(r) => {
-                inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                ok_body(pending, r, via, latency_us)
-            }
-            Err(e) => {
-                inner.stats.failed.fetch_add(1, Ordering::Relaxed);
-                let code = match e {
-                    OptError::Catalog(_) => codes::INVALID_QUERY,
-                    _ => codes::OPTIMIZER_FAILED,
-                };
-                reject_body(pending.id.clone(), code, &e.to_string())
-            }
-        };
-        // Settle the counters before the reply goes out, so a client
-        // that reads `/stats` right after its reply sees the request
-        // done. Drain still answers it: `run` joins this worker before
-        // it closes any socket.
-        inner.stats.latency.record(latency_us);
-        inner.stats.in_flight.fetch_sub(1, Ordering::SeqCst);
-        send_payload(inner, &pending.conn, FrameType::Response, body);
-    }
+        Err(e) => {
+            inner.stats.failed.fetch_add(1, Ordering::Relaxed);
+            let code = match e {
+                OptError::Catalog(_) => codes::INVALID_QUERY,
+                _ => codes::OPTIMIZER_FAILED,
+            };
+            reject_body(reply.id.clone(), code, &e.to_string())
+        }
+    };
+    inner.stats.latency.record(latency_us);
+    inner.stats.in_flight.fetch_sub(1, Ordering::SeqCst);
+    send_payload(inner, &reply.conn, FrameType::Response, body);
 }
 
 /// Build an object from borrowed keys (the `json!` macro cannot nest
@@ -718,7 +760,13 @@ fn reject_body(id: Value, code: &str, message: &str) -> Value {
     ])
 }
 
-fn ok_body(pending: &Pending, r: &Optimized, via: &ServedVia, latency_us: u64) -> Value {
+fn ok_body(
+    reply: &ReplyTo,
+    query: &Query,
+    r: &Optimized,
+    via: &ServedVia,
+    latency_us: u64,
+) -> Value {
     let segments: Vec<Value> = r
         .plan
         .segments
@@ -727,13 +775,13 @@ fn ok_body(pending: &Pending, r: &Optimized, via: &ServedVia, latency_us: u64) -
             Value::Array(
                 seg.rels()
                     .iter()
-                    .map(|&rid| Value::from(pending.query.relation(rid).name.as_str()))
+                    .map(|&rid| Value::from(query.relation(rid).name.as_str()))
                     .collect(),
             )
         })
         .collect();
     obj(vec![
-        ("id", pending.id.clone()),
+        ("id", reply.id.clone()),
         ("ok", Value::Bool(true)),
         ("cost", Value::from(r.cost)),
         ("segments", Value::Array(segments)),
@@ -1023,4 +1071,66 @@ fn stats_json(inner: &Inner) -> Value {
         ("method_wins_by_class", wins_by_class),
         ("router", router_block),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Queue items that are just their admission times.
+    fn batch_of(q: &Queue<Instant>, stop: &AtomicBool, linger: Duration) -> Option<Vec<Instant>> {
+        q.next_batch(stop, 64, linger, |&admitted| admitted)
+    }
+
+    #[test]
+    fn a_request_that_waited_its_linger_leaves_at_once_with_the_queue() {
+        let linger = Duration::from_millis(200);
+        let q = Queue::new();
+        let stop = AtomicBool::new(false);
+        let first = Instant::now()
+            .checked_sub(linger)
+            .expect("the clock reaches back one linger");
+        let (second, third) = (Instant::now(), Instant::now());
+        for admitted in [first, second, third] {
+            q.push(admitted);
+        }
+        let started = Instant::now();
+        let batch = batch_of(&q, &stop, linger).expect("a batch");
+        assert!(
+            started.elapsed() < linger / 4,
+            "dispatched after {:?}",
+            started.elapsed()
+        );
+        assert_eq!(batch, [first, second, third]);
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(batch_of(&q, &stop, linger), None);
+    }
+
+    #[test]
+    fn a_request_that_finds_the_queue_empty_waits_its_linger_for_companions() {
+        let linger = Duration::from_millis(400);
+        let q = Queue::new();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let batch = batch_of(&q, &stop, linger).expect("a batch");
+                (batch, Instant::now())
+            });
+            // Give the worker time to park on the empty queue; the
+            // assertions hold whether or not it has.
+            std::thread::sleep(linger / 8);
+            let first = Instant::now();
+            q.push(first);
+            std::thread::sleep(linger / 4);
+            let second = Instant::now();
+            q.push(second);
+            let (batch, dispatched) = worker.join().expect("worker");
+            assert_eq!(batch, [first, second]);
+            assert!(
+                dispatched >= first + linger,
+                "dispatched {:?} after the first admission",
+                dispatched - first
+            );
+        });
+    }
 }

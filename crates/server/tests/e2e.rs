@@ -150,6 +150,72 @@ fn relabeled_duplicates_cost_one_cold_solve_and_answer_bit_identically() {
 }
 
 #[test]
+fn replies_stream_out_as_each_answer_is_ready() {
+    // `batch_max = 2` closes each batch as its second request lands; the
+    // long linger only makes sure the two pipelined requests share it.
+    let (addr, handle, join) = start(ServerConfig {
+        batch_linger: Duration::from_secs(5),
+        batch_max: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let small = QueryFile::from_query(&generate_job_query(&JobSpec::new(JobShape::Star), 8, 3));
+    let large = QueryFile::from_query(&generate_job_query(&JobSpec::new(JobShape::Cyclic), 40, 11));
+    let mut client = Client::connect(addr).unwrap();
+    let reply = |client: &mut Client| {
+        let (kind, v) = client.recv().expect("response arrives");
+        assert_eq!(kind, FrameType::Response);
+        assert_eq!(get(&v, &["ok"]).as_bool(), Some(true), "{v}");
+        (v, fetch_stats_http(addr).expect("stats over HTTP"))
+    };
+    let done = |stats: &Value| {
+        (
+            get(stats, &["requests", "completed"]).as_u64().unwrap(),
+            get(stats, &["serving", "queries"]).as_u64().unwrap(),
+        )
+    };
+
+    // Warm the cache: one cold solve and its dedup reuse.
+    client.send_optimize(0, &small).unwrap();
+    client.send_optimize(1, &small).unwrap();
+    for _ in 0..2 {
+        reply(&mut client);
+    }
+
+    // One batch: a cache hit first, then a large cold query. The pool
+    // answers in order, and the hit's reply must not wait for the solve.
+    client.send_optimize(2, &small).unwrap();
+    client.send_optimize(3, &large).unwrap();
+    let (hit, after_hit) = reply(&mut client);
+    assert_eq!(get(&hit, &["id"]).as_u64(), Some(2));
+    assert_eq!(get(&hit, &["outcome"]).as_str(), Some("hit"));
+    let (c, q) = done(&after_hit);
+    assert!(
+        c >= 3 && q >= 3,
+        "the hit is counted before its reply: {after_hit}"
+    );
+    let (cold, after_cold) = reply(&mut client);
+    assert_eq!(get(&cold, &["id"]).as_u64(), Some(3));
+    assert_eq!(get(&cold, &["outcome"]).as_str(), Some("miss"));
+    assert_eq!(done(&after_cold), (4, 4), "{after_cold}");
+    let latency = |v: &Value| get(v, &["latency_us"]).as_u64().unwrap();
+    assert!(
+        latency(&hit) < latency(&cold),
+        "the hit ({} us) was written before the cold solve ({} us) finished",
+        latency(&hit),
+        latency(&cold)
+    );
+    assert_eq!(get(&after_cold, &["batches", "count"]).as_u64(), Some(2));
+    assert_eq!(
+        get(&after_cold, &["serving", "cold_solves"]).as_u64(),
+        Some(2)
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn warm_cache_serves_across_connections() {
     let (addr, handle, join) = start(ServerConfig::default());
     let query = QueryFile::from_query(&generate_job_query(
@@ -338,8 +404,8 @@ fn http_routes_serve_stats_health_and_404() {
 fn drain_answers_every_admitted_request_and_rejects_new_ones() {
     const BURST: usize = 8;
     let (addr, handle, join) = start(ServerConfig {
-        // Slow the batch assembly down so requests are still queued or
-        // in flight when the drain starts.
+        // Batches of two: the burst takes four batch solves, so
+        // requests are still queued or in flight when the drain starts.
         batch_linger: Duration::from_millis(150),
         batch_max: 2,
         workers: 1,
@@ -413,6 +479,12 @@ fn drain_answers_every_admitted_request_and_rejects_new_ones() {
     let final_stats = join.join().unwrap();
     assert_eq!(
         get(&final_stats, &["requests", "completed"]).as_u64(),
+        Some(BURST as u64)
+    );
+    let count = |key: &str| get(&final_stats, &["requests", key]).as_u64().unwrap();
+    assert_eq!(count("admitted"), count("completed") + count("failed"));
+    assert_eq!(
+        get(&final_stats, &["serving", "queries"]).as_u64(),
         Some(BURST as u64)
     );
     assert_eq!(
