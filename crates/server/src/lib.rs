@@ -16,8 +16,9 @@
 //!   accept loop, batch workers, `/stats`, and graceful drain.
 //! * [`client`] — a blocking [`Client`] with pipelining, plus
 //!   [`fetch_stats_http`].
-//! * [`stats`] — the lock-free [`stats::ServerStats`] counters and
-//!   log-bucketed [`stats::LatencyHistogram`] behind `/stats`.
+//! * [`stats`] — the lock-free [`stats::ServerStats`] counters,
+//!   log-bucketed [`stats::LatencyHistogram`] and batch-worker
+//!   [`stats::WorkerTime`] behind `/stats`.
 //!
 //! Operator documentation (flags, `/stats` schema, capacity planning,
 //! troubleshooting) lives in `docs/SERVING.md`.

@@ -13,8 +13,9 @@
 //! bound (scripts block on it), serves until SIGTERM or SIGINT, then
 //! drains gracefully — stops accepting, answers everything already
 //! admitted — and prints the final stats document to stdout before
-//! exiting 0. `--batch-linger-ms` is the longest a request waits in the
-//! queue, counted from its admission, for companions to batch with. See
+//! exiting 0. `--batch-linger-ms` is how long a request that reaches an
+//! idle worker waits for companions to batch with; a request that
+//! queued while every worker was busy does not wait. See
 //! `docs/SERVING.md` for the protocol and the meaning of every flag.
 
 use std::process::ExitCode;
@@ -69,8 +70,8 @@ fn usage() -> ! {
          \x20                  [--max-queue N] [--max-frame-bytes N]\n\
          \x20                  [--cache-entries N] [--cache-shards N] [--fp-buckets N]\n\
          \x20                  [--router uniform|ucb] [--router-state PATH] [--router-epsilon F]\n\n\
-         --batch-linger-ms F is the longest a request waits in the queue for\n\
-         companions to batch with, counted from its admission (default 2).\n\
+         --batch-linger-ms F is how long a request that reaches an idle worker\n\
+         waits for companions (default 2); one queued behind busy workers does not.\n\
          docs/SERVING.md describes every flag."
     );
     std::process::exit(2);

@@ -15,18 +15,20 @@
 //!
 //! Every connection gets a reader thread that parses frames and either
 //! answers immediately (stats, rejections) or enqueues the request.
-//! Batch workers pull from the single shared queue: the first request
-//! starts a batch, and the worker takes more until `--batch-max`
-//! requests are in hand or the first has waited `--batch-linger-ms`
-//! since admission. A request that reaches an idle worker therefore
-//! lingers for companions, so concurrent duplicates land in one
+//! Batch workers pull from the single shared queue. A request that
+//! wakes an idle worker starts a batch that lingers: the worker takes
+//! more until `--batch-max` requests are in hand or `--batch-linger-ms`
+//! has passed, so concurrent duplicates land in one
 //! [`Optimizer::solve_batch_with`] call and dedup to a single cold
-//! solve; a request that already queued behind a busy worker leaves at
-//! once with whatever else is queued. The worker settles the counters
-//! for each answer and writes its reply as soon as the answer is ready,
-//! not after the whole batch. All workers share one [`PlanCache`], so a
-//! plan solved for any connection warms every later request in the
-//! process.
+//! solve. A request that queued while every worker was busy never
+//! lingers: the next free worker dispatches it at once with everything
+//! else queued, so a busy server adds no idle time. The worker settles
+//! the counters for each answer and writes its reply as soon as the
+//! answer is ready, not after the whole batch. Each worker charges its
+//! time to idle, linger or busy, and each answer its queue and service
+//! time, for the `workers` and `stages` blocks of `/stats`. All workers
+//! share one [`PlanCache`], so a plan solved for any connection warms
+//! every later request in the process.
 //!
 //! # Drain
 //!
@@ -59,7 +61,7 @@ use ljqo_cost::{CostModel, DiskCostModel, MemoryCostModel, MultiMethodCostModel}
 use ljqo_json::Value;
 
 use crate::protocol::{codes, read_error_code, read_frame, write_frame, FrameType, MAGIC, VERSION};
-use crate::stats::ServerStats;
+use crate::stats::{LatencyHistogram, ServerStats, WorkerClock};
 
 /// Everything the daemon needs to start. `Default` gives a local,
 /// single-worker server with the paper's generous `τ = 9` budget —
@@ -84,8 +86,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest batch a worker will assemble before dispatching.
     pub batch_max: usize,
-    /// The longest a batch's first request waits in the queue, counted
-    /// from its admission, for companions to batch with.
+    /// How long a request that reaches an idle worker waits for
+    /// companions to batch with. A request that queued while every
+    /// worker was busy does not wait.
     pub batch_linger: Duration,
     /// Admission bound: requests queued beyond this are rejected with
     /// code `"overload"` instead of growing the queue without bound.
@@ -190,22 +193,27 @@ impl<T> Queue<T> {
         self.cond.notify_one();
     }
 
-    /// Block until a request arrives; `None` once `stop` is set and the
-    /// queue is empty (so setting `stop` never abandons queued work).
-    fn pop_first(&self, stop: &AtomicBool) -> Option<T> {
+    /// Block until a request arrives, charging the wait to `clock` as
+    /// idle time, and say whether the queue was empty when asked.
+    /// `None` once `stop` is set and the queue is empty (so setting
+    /// `stop` never abandons queued work).
+    fn pop_first(&self, stop: &AtomicBool, clock: &mut WorkerClock) -> Option<(T, bool)> {
         let mut items = self.items.lock().unwrap();
+        let mut waited = false;
         loop {
             if let Some(p) = items.pop_front() {
-                return Some(p);
+                return Some((p, waited));
             }
             if stop.load(Ordering::SeqCst) {
                 return None;
             }
+            waited = true;
             let (guard, _) = self
                 .cond
                 .wait_timeout(items, Duration::from_millis(50))
                 .unwrap();
             items = guard;
+            clock.idle();
         }
     }
 
@@ -229,21 +237,22 @@ impl<T> Queue<T> {
         self.items.lock().unwrap().drain(..).collect()
     }
 
-    /// Block for the first request, then take companions until
-    /// `batch_max` are in hand or the first request has waited `linger`
-    /// since it was admitted. A request that queued behind a busy worker
-    /// has had its wait, so it leaves at once with whatever else is
-    /// queued; one that finds an idle worker waits the full `linger`.
-    /// `None` once `stop` is set and the queue is empty.
+    /// Block for the first request, then take companions up to
+    /// `batch_max`. Only a request that woke an idle worker lingers, for
+    /// up to `linger` from the pop; one that queued while the worker was
+    /// busy leaves at once with whatever else is queued, since every
+    /// companion that could join it has queued too. The wait for the
+    /// first request is charged to `clock` as idle time, the rest as
+    /// linger. `None` once `stop` is set and the queue is empty.
     fn next_batch(
         &self,
         stop: &AtomicBool,
         batch_max: usize,
         linger: Duration,
-        admitted: impl Fn(&T) -> Instant,
+        clock: &mut WorkerClock,
     ) -> Option<Vec<T>> {
-        let first = self.pop_first(stop)?;
-        let deadline = admitted(&first) + linger;
+        let (first, woke) = self.pop_first(stop, clock)?;
+        let deadline = Instant::now() + if woke { linger } else { Duration::ZERO };
         let mut batch = vec![first];
         while batch.len() < batch_max {
             match self.pop_until(deadline) {
@@ -251,6 +260,7 @@ impl<T> Queue<T> {
                 None => break,
             }
         }
+        clock.linger();
         Some(batch)
     }
 }
@@ -645,21 +655,24 @@ fn handle_optimize(inner: &Arc<Inner>, conn: &Arc<ConnShared>, payload: &[u8]) {
     });
 }
 
-/// Pull batches off the queue until told to stop (and the queue is dry).
+/// Pull batches off the queue until told to stop (and the queue is dry),
+/// charging the worker's time to idle, linger and busy as it goes.
 fn batch_worker(inner: Arc<Inner>) {
     let (max, linger) = (inner.config.batch_max, inner.config.batch_linger);
-    let admitted = |p: &Pending| p.reply.admitted;
+    let mut clock = WorkerClock::start(&inner.stats.workers);
     while let Some(batch) = inner
         .queue
-        .next_batch(&inner.workers_stop, max, linger, admitted)
+        .next_batch(&inner.workers_stop, max, linger, &mut clock)
     {
         serve_batch(&inner, batch);
+        clock.busy();
     }
 }
 
 /// One batch solve. Each reply is written as soon as its answer is
 /// ready, not after the whole batch.
 fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
+    let dispatched = Instant::now();
     inner.stats.record_batch(batch.len());
     inner.serving.record_batch(batch.len());
     let (replies, queries): (Vec<ReplyTo>, Vec<Query>) =
@@ -677,7 +690,15 @@ fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
         optimizer = optimizer.with_parallelism(parallelism);
     }
     optimizer.solve_batch_with(&queries, |i, result, via, reused| {
-        answer(inner, &replies[i], &queries[i], result, via, reused)
+        answer(
+            inner,
+            &replies[i],
+            dispatched,
+            &queries[i],
+            result,
+            via,
+            reused,
+        )
     });
 }
 
@@ -688,6 +709,7 @@ fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
 fn answer(
     inner: &Inner,
     reply: &ReplyTo,
+    dispatched: Instant,
     query: &Query,
     result: &Result<Optimized, OptError>,
     via: &ServedVia,
@@ -718,7 +740,8 @@ fn answer(
             reject_body(reply.id.clone(), code, &e.to_string())
         }
     };
-    inner.stats.latency.record(latency_us);
+    let queue_us = (dispatched - reply.admitted).as_micros() as u64;
+    inner.stats.record_answer(latency_us, queue_us);
     inner.stats.in_flight.fetch_sub(1, Ordering::SeqCst);
     send_payload(inner, &reply.conn, FrameType::Response, body);
 }
@@ -870,7 +893,6 @@ fn stats_json(inner: &Inner) -> Value {
     let s = &inner.stats;
     let cache = inner.cache.stats();
     let serving = inner.serving.snapshot();
-    let lat = s.latency.snapshot();
     let c = &inner.config;
 
     let server = obj(vec![
@@ -935,14 +957,27 @@ fn stats_json(inner: &Inner) -> Value {
             }),
         ),
     ]);
-    let latency = obj(vec![
-        ("count", Value::from(lat.count)),
-        ("mean", Value::from(lat.mean_us)),
-        ("p50", Value::from(lat.p50_us)),
-        ("p90", Value::from(lat.p90_us)),
-        ("p95", Value::from(lat.p95_us)),
-        ("p99", Value::from(lat.p99_us)),
-        ("max", Value::from(lat.max_us)),
+    let histogram = |h: &LatencyHistogram| {
+        let snap = h.snapshot();
+        obj(vec![
+            ("count", Value::from(snap.count)),
+            ("mean", Value::from(snap.mean_us)),
+            ("p50", Value::from(snap.p50_us)),
+            ("p90", Value::from(snap.p90_us)),
+            ("p95", Value::from(snap.p95_us)),
+            ("p99", Value::from(snap.p99_us)),
+            ("max", Value::from(snap.max_us)),
+        ])
+    };
+    let stages = obj(vec![
+        ("queue_us", histogram(&s.queue)),
+        ("service_us", histogram(&s.service)),
+    ]);
+    let micros = |a: &AtomicU64| Value::from(a.load(Ordering::Relaxed) / 1000);
+    let workers = obj(vec![
+        ("busy_us", micros(&s.workers.busy_ns)),
+        ("linger_us", micros(&s.workers.linger_ns)),
+        ("idle_us", micros(&s.workers.idle_ns)),
     ]);
     let cache_block = obj(vec![
         ("hits", Value::from(cache.hits)),
@@ -1063,7 +1098,9 @@ fn stats_json(inner: &Inner) -> Value {
         ("connections", connections),
         ("requests", requests),
         ("batches", batches),
-        ("latency_us", latency),
+        ("workers", workers),
+        ("latency_us", histogram(&s.latency)),
+        ("stages", stages),
         ("cache", cache_block),
         ("serving", serving_block),
         ("degradation", degradation),
@@ -1076,10 +1113,12 @@ fn stats_json(inner: &Inner) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::WorkerTime;
 
     /// Queue items that are just their admission times.
     fn batch_of(q: &Queue<Instant>, stop: &AtomicBool, linger: Duration) -> Option<Vec<Instant>> {
-        q.next_batch(stop, 64, linger, |&admitted| admitted)
+        let time = WorkerTime::default();
+        q.next_batch(stop, 64, linger, &mut WorkerClock::start(&time))
     }
 
     #[test]
@@ -1107,6 +1146,23 @@ mod tests {
     }
 
     #[test]
+    fn a_request_queued_while_no_worker_waits_leaves_at_once() {
+        let linger = Duration::from_secs(1);
+        let q = Queue::new();
+        let stop = AtomicBool::new(false);
+        let admitted = Instant::now();
+        q.push(admitted);
+        let started = Instant::now();
+        let batch = batch_of(&q, &stop, linger).expect("a batch");
+        assert!(
+            started.elapsed() < linger / 4,
+            "dispatched after {:?}",
+            started.elapsed()
+        );
+        assert_eq!(batch, [admitted]);
+    }
+
+    #[test]
     fn a_request_that_finds_the_queue_empty_waits_its_linger_for_companions() {
         let linger = Duration::from_millis(400);
         let q = Queue::new();
@@ -1116,8 +1172,8 @@ mod tests {
                 let batch = batch_of(&q, &stop, linger).expect("a batch");
                 (batch, Instant::now())
             });
-            // Give the worker time to park on the empty queue; the
-            // assertions hold whether or not it has.
+            // Give the worker time to park on the empty queue, so the
+            // first request is the one that wakes it.
             std::thread::sleep(linger / 8);
             let first = Instant::now();
             q.push(first);

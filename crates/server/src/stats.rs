@@ -7,10 +7,12 @@
 //! anything (the same contract as [`ljqo::ServingCounters`]). The
 //! optimizer-level view (cold solves, cache hits, degradation rungs,
 //! per-method wins) lives in `ljqo::serving`; this module covers the
-//! layers above it — sockets, admission, batching, and end-to-end
-//! latency.
+//! layers above it — sockets, admission, batching, end-to-end latency
+//! and its queue and service stages, and where the batch workers' time
+//! goes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Sub-bucket resolution bits of the log-bucketed histogram: each
 /// power-of-two range is split into `2^SUB_BITS = 8` linear sub-buckets,
@@ -203,6 +205,13 @@ pub struct ServerStats {
     pub max_batch: AtomicU64,
     /// End-to-end admission→response latency.
     pub latency: LatencyHistogram,
+    /// Queue stage: admission→batch dispatch, including any linger.
+    pub queue: LatencyHistogram,
+    /// Service stage: batch dispatch→response, recorded as latency minus
+    /// queue time so the stage means add up to the latency mean.
+    pub service: LatencyHistogram,
+    /// Where the batch workers' wall time goes.
+    pub workers: WorkerTime,
 }
 
 impl ServerStats {
@@ -216,6 +225,70 @@ impl ServerStats {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_queries.fetch_add(n as u64, Ordering::Relaxed);
         self.max_batch.fetch_max(n as u64, Ordering::Relaxed);
+    }
+
+    /// Account one answered request: its end-to-end latency and the
+    /// part of it spent queued before dispatch. The rest is service
+    /// time, so the queue and service sums add up to the latency sum.
+    pub fn record_answer(&self, latency_us: u64, queue_us: u64) {
+        let queue_us = queue_us.min(latency_us);
+        self.latency.record(latency_us);
+        self.queue.record(queue_us);
+        self.service.record(latency_us - queue_us);
+    }
+}
+
+/// Wall time of every batch worker, summed over workers and split three
+/// ways: idle (blocked on an empty queue), linger (holding a batch open
+/// for companions) and busy (from dispatch until the batch is served).
+/// Kept in nanoseconds so many short spans keep their sub-microsecond
+/// remainders; `/stats` reports whole microseconds.
+#[derive(Debug, Default)]
+pub struct WorkerTime {
+    /// Nanoseconds spent serving batches.
+    pub busy_ns: AtomicU64,
+    /// Nanoseconds spent holding a batch open for companions.
+    pub linger_ns: AtomicU64,
+    /// Nanoseconds spent blocked on an empty queue.
+    pub idle_ns: AtomicU64,
+}
+
+/// One batch worker's running clock over a [`WorkerTime`]. Each charge
+/// adds the time since the previous charge to one bucket, so a worker's
+/// three buckets add up to its lifetime, short of the span still open.
+pub(crate) struct WorkerClock<'a> {
+    time: &'a WorkerTime,
+    mark: Instant,
+}
+
+impl<'a> WorkerClock<'a> {
+    /// Start the clock; nothing is charged before this instant.
+    pub(crate) fn start(time: &'a WorkerTime) -> Self {
+        WorkerClock {
+            time,
+            mark: Instant::now(),
+        }
+    }
+
+    /// Charge the span since the last charge as idle time.
+    pub(crate) fn idle(&mut self) {
+        self.charge(&self.time.idle_ns);
+    }
+
+    /// Charge the span since the last charge as linger time.
+    pub(crate) fn linger(&mut self) {
+        self.charge(&self.time.linger_ns);
+    }
+
+    /// Charge the span since the last charge as busy time.
+    pub(crate) fn busy(&mut self) {
+        self.charge(&self.time.busy_ns);
+    }
+
+    fn charge(&mut self, bucket: &AtomicU64) {
+        let now = Instant::now();
+        bucket.fetch_add((now - self.mark).as_nanos() as u64, Ordering::Relaxed);
+        self.mark = now;
     }
 }
 
@@ -289,5 +362,44 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 8000);
         assert_eq!(s.max_us, 7999);
+    }
+
+    #[test]
+    fn stage_sums_add_up_to_the_latency_sum() {
+        let stats = ServerStats::new();
+        for (latency, queue) in [(900, 400), (3, 0), (10, 25), (7_001, 7_000)] {
+            stats.record_answer(latency, queue);
+        }
+        let (lat, queue, service) = (
+            stats.latency.snapshot(),
+            stats.queue.snapshot(),
+            stats.service.snapshot(),
+        );
+        assert_eq!((queue.count, service.count), (lat.count, lat.count));
+        assert_eq!(queue.mean_us + service.mean_us, lat.mean_us);
+        assert_eq!(queue.max_us, 7_000);
+    }
+
+    #[test]
+    fn a_worker_clock_charges_every_span_exactly_once() {
+        let time = WorkerTime::default();
+        let mut clock = WorkerClock::start(&time);
+        let started = clock.mark;
+        for _ in 0..3 {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            clock.idle();
+            clock.linger();
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            clock.busy();
+        }
+        let lifetime = (clock.mark - started).as_nanos() as u64;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (busy, linger, idle) = (
+            load(&time.busy_ns),
+            load(&time.linger_ns),
+            load(&time.idle_ns),
+        );
+        assert!(idle >= 6_000_000 && busy >= 3_000_000, "{idle} {busy}");
+        assert_eq!(busy + linger + idle, lifetime);
     }
 }

@@ -46,6 +46,21 @@ fn rotated(base: &QueryFile, k: usize) -> QueryFile {
     q
 }
 
+/// Block until the server's one batch worker has parked on the empty
+/// queue, so the next request wakes it and lingers for companions. An
+/// idle worker charges its wait to `workers.idle_us` every 50 ms, so a
+/// rise shows it waiting.
+fn wait_until_parked(addr: std::net::SocketAddr) {
+    let idle_us = || {
+        let stats = fetch_stats_http(addr).expect("stats over HTTP");
+        get(&stats, &["workers", "idle_us"]).as_u64().unwrap()
+    };
+    let before = idle_us();
+    while idle_us() == before {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 fn get<'v>(value: &'v Value, path: &[&str]) -> &'v Value {
     let mut v = value;
     for p in path {
@@ -153,6 +168,8 @@ fn relabeled_duplicates_cost_one_cold_solve_and_answer_bit_identically() {
 fn replies_stream_out_as_each_answer_is_ready() {
     // `batch_max = 2` closes each batch as its second request lands; the
     // long linger only makes sure the two pipelined requests share it.
+    // Each pair is sent to a parked worker: a request that finds the
+    // worker still busy would leave without lingering for its partner.
     let (addr, handle, join) = start(ServerConfig {
         batch_linger: Duration::from_secs(5),
         batch_max: 2,
@@ -176,6 +193,7 @@ fn replies_stream_out_as_each_answer_is_ready() {
     };
 
     // Warm the cache: one cold solve and its dedup reuse.
+    wait_until_parked(addr);
     client.send_optimize(0, &small).unwrap();
     client.send_optimize(1, &small).unwrap();
     for _ in 0..2 {
@@ -184,6 +202,7 @@ fn replies_stream_out_as_each_answer_is_ready() {
 
     // One batch: a cache hit first, then a large cold query. The pool
     // answers in order, and the hit's reply must not wait for the solve.
+    wait_until_parked(addr);
     client.send_optimize(2, &small).unwrap();
     client.send_optimize(3, &large).unwrap();
     let (hit, after_hit) = reply(&mut client);
@@ -209,6 +228,116 @@ fn replies_stream_out_as_each_answer_is_ready() {
     assert_eq!(
         get(&after_cold, &["serving", "cold_solves"]).as_u64(),
         Some(2)
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn a_request_queued_behind_a_busy_worker_does_not_wait_out_the_linger() {
+    // The two copies wake the idle worker and close its batch at once
+    // (`batch_max = 2`); the star query queues while the worker solves
+    // them, so it must leave as soon as the worker is free, not after
+    // the 5 s linger.
+    let linger = Duration::from_secs(5);
+    let (addr, handle, join) = start(ServerConfig {
+        batch_linger: linger,
+        batch_max: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let large = QueryFile::from_query(&generate_job_query(&JobSpec::new(JobShape::Cyclic), 40, 11));
+    let small = QueryFile::from_query(&generate_job_query(&JobSpec::new(JobShape::Star), 8, 3));
+    let mut client = Client::connect(addr).unwrap();
+    client.send_optimize(0, &large).unwrap();
+    client.send_optimize(1, &large).unwrap();
+    client.send_optimize(2, &small).unwrap();
+    let mut replies: Vec<Value> = (0..3)
+        .map(|_| {
+            let (kind, v) = client.recv().expect("response arrives");
+            assert_eq!(kind, FrameType::Response);
+            assert_eq!(get(&v, &["ok"]).as_bool(), Some(true), "{v}");
+            v
+        })
+        .collect();
+    replies.sort_by_key(|r| get(r, &["id"]).as_u64().unwrap());
+    let latency_us = get(&replies[2], &["latency_us"]).as_u64().unwrap();
+    assert!(
+        latency_us < linger.as_micros() as u64 / 2,
+        "the queued request waited {latency_us} us"
+    );
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn stage_times_and_worker_times_reconcile_after_a_burst() {
+    let (addr, handle, join) = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    // Two connections pipeline a mix of repeated and distinct queries,
+    // so some requests wake an idle worker and some queue behind a
+    // busy one.
+    std::thread::scope(|scope| {
+        for c in 0..2u64 {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..12u64 {
+                    let q =
+                        generate_job_query(&JobSpec::new(JobShape::Star), 10, 100 + c * 6 + i % 6);
+                    client.send_optimize(i, &QueryFile::from_query(&q)).unwrap();
+                }
+                for _ in 0..12 {
+                    let (kind, v) = client.recv().expect("response arrives");
+                    assert_eq!(kind, FrameType::Response);
+                    assert_eq!(get(&v, &["ok"]).as_bool(), Some(true), "{v}");
+                }
+            });
+        }
+    });
+    let stats = loop {
+        let stats = fetch_stats_http(addr).expect("stats over HTTP");
+        let idle = |key: &str| get(&stats, &["requests", key]).as_u64() == Some(0);
+        if idle("in_flight") && idle("queued") {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let num = |path: &[&str]| get(&stats, path).as_f64().unwrap();
+
+    let latency = num(&["latency_us", "mean"]);
+    let stages = num(&["stages", "queue_us", "mean"]) + num(&["stages", "service_us", "mean"]);
+    assert!(
+        (stages - latency).abs() <= 1e-9 * latency,
+        "stage means add up to {stages} us, latency mean is {latency} us"
+    );
+    for stage in ["queue_us", "service_us"] {
+        assert_eq!(
+            num(&["stages", stage, "count"]),
+            num(&["latency_us", "count"])
+        );
+    }
+
+    let workers = num(&["server", "workers"]);
+    let lifetime_us = workers * num(&["server", "uptime_ms"]) * 1e3;
+    let accounted_us = ["busy_us", "linger_us", "idle_us"]
+        .iter()
+        .map(|key| num(&["workers", key]))
+        .sum::<f64>();
+    assert!(
+        (accounted_us - lifetime_us).abs() <= workers * 60e3 + 0.02 * lifetime_us,
+        "workers account for {accounted_us} us of {lifetime_us} us: {stats}"
+    );
+    assert!(num(&["workers", "busy_us"]) > 0.0, "{stats}");
+
+    let requests = |key: &str| num(&["requests", key]);
+    assert_eq!(requests("admitted"), 24.0);
+    assert_eq!(
+        requests("admitted"),
+        requests("completed") + requests("failed")
     );
 
     handle.shutdown();
