@@ -3,9 +3,9 @@
 //!
 //! For every cell of {shape × query size × budget τ × tree method}, the
 //! harness solves the same query twice at the same unit budget
-//! `τ·N²·κ`: once with the linear driver (the matching paper method)
-//! and once with the bushy-tree local search ([`try_optimize_bushy`],
-//! tree moves + path-to-root incremental re-costing). Shapes cover the
+//! `τ·N²·κ`: once in the linear search space (the matching paper
+//! method) and once in the bushy space ([`SearchSpace::Bushy`], tree
+//! moves + path-to-root incremental re-costing). Shapes cover the
 //! JOB-shaped star / snowflake / cyclic generators, the paper's
 //! chain-biased benchmark, and the hub-and-chains family built so that
 //! the bushy optimum strictly beats *any* linear order.
@@ -125,14 +125,16 @@ fn main() {
                         .solve(&query)
                         .expect("linear driver plans every instance")
                         .0;
-                        let bushy = try_optimize_bushy(
-                            &query,
+                        let bushy = Optimizer::new(
                             &model,
                             &OptimizerConfig::new(tree_method)
                                 .with_time_limit(tau)
-                                .with_seed(seed),
+                                .with_seed(seed)
+                                .with_space(SearchSpace::Bushy),
                         )
-                        .expect("bushy driver plans every instance");
+                        .solve(&query)
+                        .expect("bushy search plans every instance")
+                        .0;
                         // Budget parity: both solves draw from the same
                         // τ·N²·κ pool (small per-restart slack aside).
                         let ceiling = (tau * 5.0 * (n * n) as f64) as u64 + 64 + 4 * n as u64;

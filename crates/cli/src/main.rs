@@ -23,11 +23,14 @@
 //! restriction and searches mutable bushy trees with incremental
 //! path-to-root re-costing (`--method BUSHYII` or `BUSHYSA` pick the
 //! descent; the nine linear method names map onto the matching tree
-//! search). The `"space"` key is always present in `--json` output, and
-//! `"bushy"` reports whether any emitted segment is genuinely bushy.
-//! Bushy search is a plain single-threaded solve: it rejects the plan
-//! cache, parallel/portfolio/cooperate, `--qerror`, and `--all-methods`
-//! flags (usage error), which are all wired to the linear plan type.
+//! search). It runs through the same `Optimizer` solve and the same
+//! writers as the linear space. The `"space"` key is always present in
+//! `--json` output, and `"bushy"` reports whether any emitted segment is
+//! genuinely bushy. Bushy search is a plain single-threaded, uncached
+//! solve: the optimizer refuses the plan cache and parallel search
+//! (`--cache-entries`, `--workers`, `--portfolio`, `--cooperate`), and
+//! the CLI refuses `--qerror` and `--all-methods`, which replay and
+//! tabulate linear plans. Each refusal is a usage error (exit 2).
 //!
 //! Large-N regime: `--budget-schedule` decides how the work budget grows
 //! with query size — `quadratic` is the paper's `τ·N²·κ` rule (default),
@@ -123,7 +126,7 @@ struct Options {
     input: String,
     method: Method,
     model: String,
-    space: String,
+    space: SearchSpace,
     tau: f64,
     kappa: f64,
     schedule: BudgetSchedule,
@@ -172,7 +175,7 @@ fn parse_args() -> Options {
         input: String::new(),
         method: Method::Iai,
         model: "memory".into(),
-        space: "linear".into(),
+        space: SearchSpace::Linear,
         tau: 9.0,
         kappa: 5.0,
         schedule: BudgetSchedule::Quadratic,
@@ -213,11 +216,10 @@ fn parse_args() -> Options {
             "--model" => opts.model = value("--model"),
             "--space" => {
                 let v = value("--space");
-                if v != "linear" && v != "bushy" {
+                opts.space = SearchSpace::parse(&v).unwrap_or_else(|| {
                     eprintln!("error: unknown search space {v:?} (expected linear or bushy)");
                     usage()
-                }
-                opts.space = v;
+                });
             }
             "--tau" => opts.tau = value("--tau").parse().unwrap_or_else(|_| usage()),
             "--kappa" => opts.kappa = value("--kappa").parse().unwrap_or_else(|_| usage()),
@@ -333,17 +335,13 @@ fn parse_args() -> Options {
         eprintln!("error: --router-state requires --router ucb");
         usage();
     }
-    if opts.space == "bushy" {
-        // Everything downstream of these flags — the plan cache, the
-        // parallel search, the regret replay, the nine-method table —
-        // is wired to the linear `Plan` type. Refuse loudly rather
-        // than silently fall back to a linear solve.
+    if opts.space == SearchSpace::Bushy {
+        // The regret replay and the nine-method table never reach the
+        // optimizer, which refuses the bushy space's other unsupported
+        // flags itself (`OptError::Unsupported`). Both are wired to the
+        // linear `Plan` type: refuse loudly rather than silently fall
+        // back to a linear solve.
         let conflict = [
-            (opts.workers > 1, "--workers"),
-            (opts.portfolio, "--portfolio"),
-            (opts.cooperate, "--cooperate"),
-            (opts.router != "uniform", "--router"),
-            (opts.cache_entries > 0, "--cache-entries"),
             (opts.qerror > 1.0, "--qerror"),
             (opts.all_methods, "--all-methods"),
         ]
@@ -458,10 +456,13 @@ fn bound_json(
     query: &Query,
     model: &dyn CostModel,
     cost: f64,
-    linear_space: bool,
+    space: SearchSpace,
 ) -> ljqo_json::Value {
     let b = bound_report(query, model);
-    let denom = if linear_space { b.linear } else { b.tree };
+    let denom = match space {
+        SearchSpace::Linear => b.linear,
+        SearchSpace::Bushy => b.tree,
+    };
     ljqo_json::json!({
         "linear": b.linear,
         "tree": b.tree,
@@ -479,102 +480,14 @@ fn render_tree(tree: &BushyTree, query: &Query) -> String {
     }
 }
 
-/// The `--space bushy` solve: a plain single-threaded bushy-tree search,
-/// reported through the same JSON schema as the linear path (with the
-/// linear-only blocks present but disabled).
-fn run_bushy(
-    query: &Query,
-    model: &dyn CostModel,
-    config: &OptimizerConfig,
-    opts: &Options,
-) -> ExitCode {
-    let result = match try_optimize_bushy(query, model, config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return exit_for(&e);
-        }
-    };
-    if opts.json {
-        let segments: Vec<ljqo_json::Value> = result
-            .trees
-            .iter()
-            .map(|tree| {
-                let names: Vec<String> = tree
-                    .leaves()
-                    .iter()
-                    .map(|&r| query.relation(r).name.clone())
-                    .collect();
-                ljqo_json::Value::from(names)
-            })
-            .collect();
-        let trees: Vec<String> = result.trees.iter().map(|t| render_tree(t, query)).collect();
-        let out = ljqo_json::json!({
-            "method": opts.method.name(),
-            "model": opts.model.clone(),
-            "space": "bushy",
-            "bushy": result.is_bushy(),
-            "cost": result.cost,
-            "segments": segments,
-            "trees": trees,
-            "evaluations": result.n_evals,
-            "budget_units": result.units_used,
-            "degradation": result.degradation.label(),
-            "degraded": result.degradation.is_degraded(),
-            "deadline_expired": result.deadline_expired,
-            "workers": 1u64,
-            "portfolio": false,
-            "cooperate": false,
-            "workers_failed": 0u64,
-            "largen": largen_json(query, config),
-            "bound": bound_json(query, model, result.cost, false),
-            "cache": cache_json(None, opts),
-            "robustness": robustness_json(None, opts),
-            "router": router_json(None, query, opts),
-        });
-        println!("{}", out.to_string_pretty());
-    } else {
-        println!(
-            "method {} under the {} cost model (τ = {}N², κ = {}), bushy search space",
-            opts.method.name(),
-            opts.model,
-            opts.tau,
-            opts.kappa
-        );
-        if opts.schedule != BudgetSchedule::Quadratic {
-            println!("budget schedule: {}", opts.schedule);
-        }
-        println!("estimated cost: {:.6e}", result.cost);
-        println!(
-            "search effort: {} evaluations / {} budget units",
-            result.n_evals, result.units_used
-        );
-        if !result.is_bushy() {
-            println!("notice: the best tree found is outer linear");
-        }
-        if result.deadline_expired {
-            println!("notice: wall-clock deadline expired during the search");
-        }
-        if result.degradation.is_degraded() {
-            println!(
-                "notice: plan degraded to the {} fallback — treat its cost as a rough bound",
-                result.degradation.label()
-            );
-        }
-        println!();
-        for (tree, cost) in result.trees.iter().zip(&result.segment_costs) {
-            println!("{}  [segment cost {:.6e}]", render_tree(tree, query), cost);
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn exit_for(err: &OptError) -> ExitCode {
     match err {
         OptError::Catalog(_) => ExitCode::from(EXIT_CATALOG),
         OptError::NoValidPlan { .. }
         | OptError::ComponentTooLarge { .. }
         | OptError::DisconnectedComponent { .. } => ExitCode::from(EXIT_OPTIMIZER),
+        // A flag combination the optimizer does not support: usage error.
+        OptError::Unsupported { .. } => ExitCode::from(2),
     }
 }
 
@@ -618,16 +531,13 @@ fn main() -> ExitCode {
             .with_time_limit(opts.tau)
             .with_kappa(opts.kappa)
             .with_schedule(opts.schedule)
-            .with_seed(opts.seed);
+            .with_seed(opts.seed)
+            .with_space(opts.space);
         if let Some(ms) = opts.deadline_ms {
             config = config.with_deadline(Duration::from_millis(ms));
         }
         config
     };
-
-    if opts.space == "bushy" {
-        return run_bushy(&query, model.as_ref(), &config_for(opts.method), &opts);
-    }
 
     if opts.all_methods {
         println!(
@@ -725,6 +635,11 @@ fn main() -> ExitCode {
     } else {
         None
     };
+    let space = if result.trees.is_some() {
+        SearchSpace::Bushy
+    } else {
+        SearchSpace::Linear
+    };
     if opts.json {
         let cache_stats_json = cache_json(cache.as_ref().map(|c| (c, via.outcome)), &opts);
         let robustness = robustness_json(sample.as_ref(), &opts);
@@ -741,19 +656,22 @@ fn main() -> ExitCode {
             .collect();
         let segments: Vec<ljqo_json::Value> =
             order.into_iter().map(ljqo_json::Value::from).collect();
-        // Linear segments rendered as (left-deep) trees, so the schema
-        // matches the bushy space key for key.
-        let trees: Vec<String> = result
-            .plan
-            .segments
-            .iter()
-            .map(|seg| render_tree(&BushyTree::left_deep(seg.rels()), &query))
-            .collect();
+        // Every segment rendered as a tree (linear ones left-deep), so
+        // both spaces share the schema key for key.
+        let trees: Vec<String> = match &result.trees {
+            Some(trees) => trees.iter().map(|t| render_tree(t, &query)).collect(),
+            None => result
+                .plan
+                .segments
+                .iter()
+                .map(|seg| render_tree(&BushyTree::left_deep(seg.rels()), &query))
+                .collect(),
+        };
         let out = ljqo_json::json!({
             "method": opts.method.name(),
             "model": opts.model.clone(),
-            "space": "linear",
-            "bushy": false,
+            "space": space.name(),
+            "bushy": result.is_bushy(),
             "cost": result.cost,
             "segments": segments,
             "trees": trees,
@@ -767,7 +685,7 @@ fn main() -> ExitCode {
             "cooperate": opts.cooperate,
             "workers_failed": result.workers_failed as u64,
             "largen": largen_json(&query, &config),
-            "bound": bound_json(&query, model.as_ref(), result.cost, true),
+            "bound": bound_json(&query, model.as_ref(), result.cost, space),
             "cache": cache_stats_json,
             "robustness": robustness,
             "router": router_json(router.as_deref(), &query, &opts),
@@ -775,11 +693,15 @@ fn main() -> ExitCode {
         println!("{}", out.to_string_pretty());
     } else {
         println!(
-            "method {} under the {} cost model (τ = {}N², κ = {})",
+            "method {} under the {} cost model (τ = {}N², κ = {}){}",
             opts.method.name(),
             opts.model,
             opts.tau,
-            opts.kappa
+            opts.kappa,
+            match space {
+                SearchSpace::Linear => "",
+                SearchSpace::Bushy => ", bushy search space",
+            }
         );
         if opts.schedule != BudgetSchedule::Quadratic {
             println!("budget schedule: {}", opts.schedule);
@@ -853,6 +775,9 @@ fn main() -> ExitCode {
                 result.workers_failed
             );
         }
+        if space == SearchSpace::Bushy && !result.is_bushy() {
+            println!("notice: the best tree found is outer linear");
+        }
         if result.deadline_expired {
             println!("notice: wall-clock deadline expired during the search");
         }
@@ -863,7 +788,14 @@ fn main() -> ExitCode {
             );
         }
         println!();
-        print!("{}", result.plan.to_tree().explain(&query));
+        match &result.trees {
+            None => print!("{}", result.plan.to_tree().explain(&query)),
+            Some(trees) => {
+                for (tree, cost) in trees.iter().zip(&result.segment_costs) {
+                    println!("{}  [segment cost {:.6e}]", render_tree(tree, &query), cost);
+                }
+            }
+        }
     }
     ExitCode::SUCCESS
 }

@@ -22,26 +22,23 @@
 //! so the bushy loops track the best tree themselves; early stopping
 //! against the model lower bound is therefore a linear-only feature.
 //!
-//! [`try_optimize_bushy`] is the end-to-end driver, mirroring
-//! [`Optimizer::solve`](crate::Optimizer::solve): same per-component
-//! budget split, same panic isolation, and on any rung-1 failure the
-//! same linear fallback ladder — a rescued linear order enters the bushy
-//! result as its left-deep embedding (costs agree bit-for-bit between
-//! the two walks, so no re-pricing is needed).
+//! There is no second driver: [`Optimizer::solve`](crate::Optimizer::solve)
+//! with [`SearchSpace::Bushy`](crate::SearchSpace::Bushy) runs these
+//! searches as rung 1 of the one component loop (through
+//! [`MethodRunner::run_bushy`]), under the same per-component budget
+//! split and panic isolation. On any rung-1 failure the linear fallback
+//! ladder rescues the component, and the rescued order enters the result
+//! as its left-deep tree (costs agree bit-for-bit between the two walks,
+//! so no re-pricing is needed).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use ljqo_catalog::{CompiledQuery, Query, RelId};
-use ljqo_cost::estimate::{clamp_card, final_result_size};
-use ljqo_cost::{sanitize_cost, CostModel, Evaluator, JoinCtx, TreeEvaluator};
+use ljqo_cost::{CostModel, Evaluator, TreeEvaluator};
 use ljqo_plan::{random_valid_order, TreeMoveSet, TreePlan};
 
 use crate::bushy::{optimal_bushy_dp, BushyTree};
-use crate::driver::{component_budgets, component_fallback, ComponentOutcome, OptimizerConfig};
-use crate::error::{Degradation, OptError};
+use crate::error::OptError;
 use crate::methods::{Method, MethodRunner};
 
 impl BushyTree {
@@ -394,186 +391,6 @@ impl MethodRunner {
     }
 }
 
-/// The outcome of [`try_optimize_bushy`] — the bushy analogue of
-/// [`crate::Optimized`].
-#[derive(Debug, Clone)]
-pub struct BushyOptimized {
-    /// One join tree per join-graph component, cross products last
-    /// (smallest component results first, like
-    /// [`Plan`](ljqo_plan::Plan) segments).
-    pub trees: Vec<BushyTree>,
-    /// Estimated total cost, including cross products between segments.
-    pub cost: f64,
-    /// Per-segment costs, aligned with `trees`.
-    pub segment_costs: Vec<f64>,
-    /// Budget units consumed.
-    pub units_used: u64,
-    /// Plan evaluations performed.
-    pub n_evals: u64,
-    /// Deepest fallback rung reached across components. A degraded
-    /// segment is a *linear* rescue embedded left-deep.
-    pub degradation: Degradation,
-    /// Whether the wall-clock deadline expired during the search.
-    pub deadline_expired: bool,
-}
-
-impl BushyOptimized {
-    /// Whether any segment is genuinely bushy (not outer linear).
-    pub fn is_bushy(&self) -> bool {
-        self.trees.iter().any(|t| !t.is_linear())
-    }
-}
-
-/// Optimize `query` over the **bushy** tree space — the counterpart of
-/// [`Optimizer::solve`](crate::Optimizer::solve) with identical budget
-/// semantics: the same `τ·N²·κ` total, split across components by
-/// squared size with the same floor, so bushy and linear runs at one
-/// configuration are directly comparable.
-///
-/// Per component: the configured method runs in the bushy space (see
-/// [`MethodRunner::run_bushy`]), panic-isolated, under the unit budget
-/// and the optional deadline. Queries beyond 256 relations exceed the
-/// arena's [`BlockMask`](ljqo_catalog::BlockMask) and are planned in the *linear* space
-/// (their result embedded left-deep, not flagged as degradation — it is
-/// the paper's own restriction, honestly applied). Any rung-1 failure
-/// walks the linear fallback ladder of
-/// [`Optimizer::solve`](crate::Optimizer::solve) and embeds the rescue
-/// left-deep; the embedding's cost is the order's cost (the two walks
-/// agree bit-for-bit).
-pub fn try_optimize_bushy(
-    query: &Query,
-    model: &dyn CostModel,
-    config: &OptimizerConfig,
-) -> Result<BushyOptimized, OptError> {
-    query.validate()?;
-    let components = query.graph().components();
-    let budgets = component_budgets(config.budget_units(query.n_joins().max(1)), &components);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let linear_only = query.n_relations() > ljqo_catalog::BlockMask::CAPACITY;
-
-    let mut segments: Vec<(BushyTree, f64)> = Vec::with_capacity(components.len());
-    let mut units_used = 0;
-    let mut n_evals = 0;
-    let mut degradation = Degradation::None;
-    let mut deadline_expired = false;
-    for (idx, (comp, budget)) in components.iter().zip(budgets).enumerate() {
-        let mut outcome = ComponentOutcome::default();
-        let mut tree: Option<(BushyTree, f64)> = None;
-
-        // Rung 1, bushy edition. Same `AssertUnwindSafe` justification as
-        // the linear driver: on panic the evaluators are discarded and
-        // the RNG state stays usable.
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let mut ev = Evaluator::with_budget(query, model, budget);
-            if let Some(deadline) = config.deadline {
-                ev.set_deadline(deadline);
-            }
-            // Early stopping is linear-only: tree candidates never feed
-            // `ev.best()`, so a stop threshold would never trip.
-            let best = if linear_only {
-                config.runner.run(config.method, &mut ev, comp, &mut rng);
-                ev.best().map(|(o, c)| (BushyTree::left_deep(o.rels()), c))
-            } else {
-                config
-                    .runner
-                    .run_bushy(config.method, &mut ev, comp, &mut rng)
-                    .map(|(p, c)| (BushyTree::from_plan(&p), c))
-            };
-            (best, ev.used(), ev.n_evals(), ev.deadline_expired())
-        }));
-        match attempt {
-            Ok((best, used, evals, deadline_hit)) => {
-                outcome.units_used = used;
-                outcome.n_evals = evals;
-                outcome.deadline_expired = deadline_hit;
-                if let Some((t, cost)) = best {
-                    let mut leaves = t.leaves();
-                    leaves.sort_unstable();
-                    let mut expect = comp.clone();
-                    expect.sort_unstable();
-                    if leaves == expect {
-                        tree = Some((t, cost));
-                    }
-                }
-            }
-            Err(_) => {
-                // The method (or the model under it) panicked; its
-                // evaluator died with it, so its spend is unknown.
-            }
-        }
-
-        // Rungs 2–4: the linear ladder, embedded left-deep. The linear
-        // walk and the tree walk price a left-deep shape identically, so
-        // the rescued order's cost carries over unchanged.
-        if tree.is_none() {
-            component_fallback(query, model, config, comp, &mut outcome);
-            tree = outcome
-                .best
-                .take()
-                .map(|(o, c)| (BushyTree::left_deep(o.rels()), c));
-        }
-
-        units_used += outcome.units_used;
-        n_evals += outcome.n_evals;
-        degradation = degradation.max(outcome.degradation);
-        deadline_expired |= outcome.deadline_expired;
-        let Some((t, cost)) = tree else {
-            return Err(OptError::NoValidPlan { component: idx });
-        };
-        segments.push((t, cost));
-    }
-
-    let (trees, total_cost, segment_costs) = assemble_bushy(query, model, segments);
-    Ok(BushyOptimized {
-        trees,
-        cost: total_cost,
-        segment_costs,
-        units_used,
-        n_evals,
-        degradation,
-        deadline_expired,
-    })
-}
-
-/// Order the per-component trees (cross products last, smallest results
-/// first) and price the assembled plan — the bushy mirror of the linear
-/// driver's assembly, with `outer_rels` counting the accumulated
-/// relations like the linear convention does.
-fn assemble_bushy(
-    query: &Query,
-    model: &dyn CostModel,
-    mut segments: Vec<(BushyTree, f64)>,
-) -> (Vec<BushyTree>, f64, Vec<f64>) {
-    segments.sort_by(|a, b| {
-        let sa = final_result_size(query, &a.0.leaves());
-        let sb = final_result_size(query, &b.0.leaves());
-        sa.total_cmp(&sb)
-    });
-
-    let total_cost = catch_unwind(AssertUnwindSafe(|| {
-        let mut total: f64 = segments.iter().map(|&(_, c)| c).sum();
-        let mut running = final_result_size(query, &segments[0].0.leaves());
-        for (tree, _) in segments.iter().skip(1) {
-            let inner = final_result_size(query, &tree.leaves());
-            let output = clamp_card(running * inner);
-            total += model.join_cost(&JoinCtx {
-                outer_card: running,
-                inner_card: inner,
-                output_card: output,
-                outer_rels: tree.n_leaves(),
-                is_cross_product: true,
-            });
-            running = output;
-        }
-        sanitize_cost(total)
-    }))
-    .unwrap_or(f64::MAX);
-
-    let segment_costs: Vec<f64> = segments.iter().map(|&(_, c)| c).collect();
-    let trees = segments.into_iter().map(|(t, _)| t).collect();
-    (trees, total_cost, segment_costs)
-}
-
 /// Optimality gap of a bushy search result against the exact bushy DP on
 /// one component: `(search − optimum) / optimum`, with the DP tree
 /// re-costed through the arena evaluator so both sides share one code
@@ -598,6 +415,7 @@ pub fn bushy_gap_vs_dp(
 mod tests {
     use super::*;
     use crate::dp::optimal_order_dp;
+    use crate::{Optimized, Optimizer, OptimizerConfig, SearchSpace};
     use ljqo_catalog::QueryBuilder;
     use ljqo_cost::MemoryCostModel;
     use ljqo_cost::TimeLimit;
@@ -634,7 +452,13 @@ mod tests {
     }
 
     fn config(method: Method, seed: u64) -> OptimizerConfig {
-        OptimizerConfig::new(method).with_seed(seed)
+        OptimizerConfig::new(method)
+            .with_seed(seed)
+            .with_space(SearchSpace::Bushy)
+    }
+
+    fn solve(q: &Query, model: &dyn CostModel, config: &OptimizerConfig) -> Optimized {
+        Optimizer::new(model, config).solve(q).unwrap().0
     }
 
     #[test]
@@ -654,7 +478,7 @@ mod tests {
         let model = MemoryCostModel::default();
         for (q, seed) in [(chain_query(), 3u64), (hub_chains_query(), 7)] {
             let comp: Vec<RelId> = q.rel_ids().collect();
-            let r = try_optimize_bushy(&q, &model, &config(Method::BushyIi, seed)).unwrap();
+            let r = solve(&q, &model, &config(Method::BushyIi, seed));
             assert!(!r.degradation.is_degraded());
             let gap = bushy_gap_vs_dp(&q, &model, &comp, r.segment_costs[0])
                 .unwrap()
@@ -673,7 +497,7 @@ mod tests {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let (_, linear_opt) = optimal_order_dp(&q, &comp, &model).unwrap();
         for method in [Method::BushyIi, Method::BushySa] {
-            let r = try_optimize_bushy(&q, &model, &config(method, 5)).unwrap();
+            let r = solve(&q, &model, &config(method, 5));
             assert!(
                 r.is_bushy() && r.cost < linear_opt,
                 "{method}: {} vs linear optimum {linear_opt}",
@@ -687,8 +511,8 @@ mod tests {
         let q = hub_chains_query();
         let model = MemoryCostModel::default();
         let cfg = config(Method::BushySa, 42);
-        let a = try_optimize_bushy(&q, &model, &cfg).unwrap();
-        let b = try_optimize_bushy(&q, &model, &cfg).unwrap();
+        let a = solve(&q, &model, &cfg);
+        let b = solve(&q, &model, &cfg);
         assert_eq!(a.trees, b.trees);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.units_used, b.units_used);
@@ -712,11 +536,12 @@ mod tests {
             .build()
             .unwrap();
         let model = MemoryCostModel::default();
-        let r = try_optimize_bushy(&q, &model, &config(Method::BushyIi, 2)).unwrap();
-        assert_eq!(r.trees.len(), 3);
+        let r = solve(&q, &model, &config(Method::BushyIi, 2));
+        let trees = r.trees.as_deref().unwrap();
+        assert_eq!(trees.len(), 3);
         // Smallest result (the singleton, 3 tuples) first.
-        assert_eq!(r.trees[0], BushyTree::Leaf(RelId(4)));
-        let total: usize = r.trees.iter().map(|t| t.n_leaves()).sum();
+        assert_eq!(trees[0], BushyTree::Leaf(RelId(4)));
+        let total: usize = trees.iter().map(|t| t.n_leaves()).sum();
         assert_eq!(total, 5);
         assert!(r.cost.is_finite());
     }
@@ -732,7 +557,7 @@ mod tests {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let (_, linear_opt) = optimal_order_dp(&q, &comp, &model).unwrap();
         for seed in 0..4 {
-            let r = try_optimize_bushy(&q, &model, &config(Method::BushyIi, seed)).unwrap();
+            let r = solve(&q, &model, &config(Method::BushyIi, seed));
             assert!(
                 r.cost <= linear_opt * (1.0 + 1e-12),
                 "seed {seed}: {} vs {linear_opt}",

@@ -113,7 +113,7 @@ pub(crate) fn serve_from_entry(
     // Re-price every segment under the live catalog; a model fault or a
     // saturated price marks the entry stale rather than serving garbage.
     let mut agree = true;
-    let mut segments: Vec<(JoinOrder, f64)> = Vec::with_capacity(orders.len());
+    let mut segments: Vec<(JoinOrder, f64, _)> = Vec::with_capacity(orders.len());
     for (order, seg) in orders.into_iter().zip(&entry.segments) {
         let fresh = catch_unwind(AssertUnwindSafe(|| {
             sanitize_cost(model.order_cost(query, &order))
@@ -123,7 +123,7 @@ pub(crate) fn serve_from_entry(
             return None;
         }
         agree &= costs_agree(fresh, seg.cost);
-        segments.push((JoinOrder::new(order), fresh));
+        segments.push((JoinOrder::new(order), fresh, None));
     }
     let outcome = if agree {
         // Keep the stored prices: assembly is deterministic in the
@@ -138,13 +138,14 @@ pub(crate) fn serve_from_entry(
     };
 
     let n_segments = segments.len() as u64;
-    let (plan, total_cost, segment_costs) = assemble_plan(query, model, segments);
+    let (plan, total_cost, segment_costs, _) = assemble_plan(query, model, segments);
     if !total_cost.is_finite() || total_cost == f64::MAX {
         return None;
     }
     Some((
         Optimized {
             plan,
+            trees: None,
             cost: total_cost,
             segment_costs,
             units_used: n_segments,

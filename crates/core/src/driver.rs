@@ -2,7 +2,10 @@
 //! budget split across join-graph components, the fallback ladder that
 //! plans one component, and the assembly of the final [`Plan`] with cross
 //! products postponed to the end (the paper's heuristic for disconnected
-//! join graphs). [`Optimizer`](crate::Optimizer) drives them.
+//! join graphs). [`Optimizer`](crate::Optimizer) drives them, in either
+//! [`SearchSpace`]: the paper's outer linear orders, or bushy trees,
+//! whose rung 1 is the tree search and whose rescues enter as left-deep
+//! trees.
 //!
 //! Planning is hardened against misbehaving components: each method run
 //! is panic-isolated with `catch_unwind`, a wall-clock [`Deadline`] can
@@ -18,7 +21,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ljqo_catalog::{Query, RelId};
+use ljqo_catalog::{BlockMask, Query, RelId};
 use ljqo_cost::estimate::{clamp_card, final_result_size};
 use ljqo_cost::{
     sanitize_cost, BudgetSchedule, CostModel, Deadline, Evaluator, JoinCtx, OrderCost, TimeLimit,
@@ -27,15 +30,49 @@ use ljqo_heuristics::{AugmentationHeuristic, CardFreeHeuristic};
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::{random_valid_order, JoinOrder, Plan};
 
+use crate::bushy::BushyTree;
 use crate::error::Degradation;
 use crate::methods::{Method, MethodRunner};
 use crate::parallel::splitmix;
+
+/// The plan shapes a search ranges over.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SearchSpace {
+    /// Outer linear (left-deep) join orders, the paper's restriction.
+    #[default]
+    Linear,
+    /// Bushy join trees (see [`crate::bushy_search`]): the configured
+    /// method runs as tree search through
+    /// [`MethodRunner::run_bushy`]. Sequential and uncached only.
+    Bushy,
+}
+
+impl SearchSpace {
+    /// Parse a space name (`linear` or `bushy`).
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "linear" => Some(SearchSpace::Linear),
+            "bushy" => Some(SearchSpace::Bushy),
+            _ => None,
+        }
+    }
+
+    /// The space's name, as [`SearchSpace::parse`] reads it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SearchSpace::Linear => "linear",
+            SearchSpace::Bushy => "bushy",
+        }
+    }
+}
 
 /// Configuration for an [`Optimizer`](crate::Optimizer).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     /// Which of the paper's nine methods to run.
     pub method: Method,
+    /// Whether to search outer linear orders or bushy trees.
+    pub space: SearchSpace,
     /// The time limit `τ·N²` (the paper sweeps `τ` from 0.3 to 9).
     pub time_limit: TimeLimit,
     /// Budget calibration: units of work per `N²` (see `ljqo-cost`).
@@ -67,6 +104,7 @@ impl OptimizerConfig {
     pub fn new(method: Method) -> Self {
         OptimizerConfig {
             method,
+            space: SearchSpace::Linear,
             time_limit: TimeLimit::of(9.0),
             kappa: 5.0,
             schedule: BudgetSchedule::Quadratic,
@@ -75,6 +113,13 @@ impl OptimizerConfig {
             deadline: None,
             runner: MethodRunner::default(),
         }
+    }
+
+    /// Set the search space.
+    #[must_use]
+    pub fn with_space(mut self, space: SearchSpace) -> Self {
+        self.space = space;
+        self
     }
 
     /// Set the time limit multiplier `τ`.
@@ -107,13 +152,15 @@ impl OptimizerConfig {
 
     /// Total budget units for a query with `n` joins: the configured
     /// [`BudgetSchedule`] applied to this config's `τ` and `κ`. Every
-    /// entry point (linear, bushy, parallel, cached) derives its budget
-    /// from this one place.
+    /// solve (linear, bushy, parallel, cached) derives its budget from
+    /// this one place.
     pub fn budget_units(&self, n_joins: usize) -> u64 {
         self.schedule.units(&self.time_limit, n_joins, self.kappa)
     }
 
     /// Enable early stopping within `epsilon` of the model's lower bound.
+    /// Linear space only: tree candidates never feed
+    /// [`Evaluator::best`], so no stop threshold is set in bushy space.
     #[must_use]
     pub fn with_early_stop(mut self, epsilon: f64) -> Self {
         self.early_stop = Some(epsilon);
@@ -132,8 +179,13 @@ impl OptimizerConfig {
 #[derive(Debug, Clone)]
 pub struct Optimized {
     /// The chosen plan (one segment per join-graph component, cross
-    /// products last).
+    /// products last). In bushy space a segment's order is its tree's
+    /// leaves from left to right; the shape is in `trees`.
     pub plan: Plan,
+    /// One join tree per segment, aligned with `plan.segments`: `Some`
+    /// exactly in [`SearchSpace::Bushy`]. A segment that the linear
+    /// search or the fallback ladder planned is its left-deep tree.
+    pub trees: Option<Vec<BushyTree>>,
     /// Estimated total cost, including cross products between segments.
     pub cost: f64,
     /// Per-segment costs, aligned with `plan.segments`. These are the
@@ -164,12 +216,20 @@ pub struct Optimized {
     pub winner: Option<Method>,
 }
 
-/// What planning one component produced, and how. Shared with the bushy
-/// driver (`crate::bushy_search`), whose fallback ladder is the linear
-/// one.
+impl Optimized {
+    /// Whether any segment is genuinely bushy (not outer linear).
+    pub fn is_bushy(&self) -> bool {
+        self.trees.iter().flatten().any(|t| !t.is_linear())
+    }
+}
+
+/// What planning one component produced, and how.
 #[derive(Default)]
 pub(crate) struct ComponentOutcome {
     pub(crate) best: Option<(JoinOrder, f64)>,
+    /// The component's join tree (bushy space only), whose leaves from
+    /// left to right are `best`'s order.
+    pub(crate) tree: Option<BushyTree>,
     pub(crate) units_used: u64,
     pub(crate) n_evals: u64,
     pub(crate) deadline_expired: bool,
@@ -182,7 +242,10 @@ pub(crate) struct ComponentOutcome {
 
 /// Plan one join-graph component down the fallback ladder:
 ///
-/// 1. the configured method, panic-isolated, under budget + deadline;
+/// 1. the configured method, panic-isolated, under budget + deadline —
+///    in bushy space the tree search, for queries that fit the arena's
+///    [`BlockMask`] (larger ones run the linear search, as the paper
+///    does, and are not flagged as degraded);
 /// 2. the augmentation heuristic (cheap, deterministic), panic-isolated;
 /// 3. the cardinality-free structural order — generation consults no
 ///    statistics so it survives whatever corrupted the rungs above;
@@ -190,7 +253,10 @@ pub(crate) struct ComponentOutcome {
 /// 4. a random valid order — valid by construction, costed on a
 ///    best-effort basis.
 ///
-/// Returns `best: None` only if all four rungs fail.
+/// Returns `best: None` only if all four rungs fail. In bushy space an
+/// order from the linear search or the fallback rungs enters as its
+/// left-deep tree; both walks price that shape bit-for-bit alike, so
+/// its cost carries over unchanged.
 pub(crate) fn plan_component(
     query: &Query,
     model: &dyn CostModel,
@@ -200,6 +266,8 @@ pub(crate) fn plan_component(
     rng: &mut SmallRng,
 ) -> ComponentOutcome {
     let mut outcome = ComponentOutcome::default();
+    let bushy = config.space == SearchSpace::Bushy;
+    let tree_search = bushy && query.n_relations() <= BlockMask::CAPACITY;
 
     // Rung 1: the configured combinatorial method. `AssertUnwindSafe` is
     // justified: on panic the evaluator and its walker are discarded, and
@@ -210,14 +278,24 @@ pub(crate) fn plan_component(
         if let Some(deadline) = config.deadline {
             ev.set_deadline(deadline);
         }
-        if let Some(eps) = config.early_stop {
+        if let Some(eps) = config.early_stop.filter(|_| !bushy) {
             let lb = model.lower_bound(query, comp);
             if lb > 0.0 {
                 ev.set_stop_threshold(lb * (1.0 + eps));
             }
         }
-        config.runner.run(config.method, &mut ev, comp, rng);
-        let best = ev.best().map(|(o, c)| (o.clone(), c));
+        let best = if tree_search {
+            config
+                .runner
+                .run_bushy(config.method, &mut ev, comp, rng)
+                .map(|(plan, cost)| {
+                    let tree = BushyTree::from_plan(&plan);
+                    (JoinOrder::new(tree.leaves()), cost, Some(tree))
+                })
+        } else {
+            config.runner.run(config.method, &mut ev, comp, rng);
+            ev.best().map(|(o, c)| (o.clone(), c, None))
+        };
         (best, ev.used(), ev.n_evals(), ev.deadline_expired())
     }));
     match attempt {
@@ -225,10 +303,19 @@ pub(crate) fn plan_component(
             outcome.units_used = used;
             outcome.n_evals = evals;
             outcome.deadline_expired = deadline_hit;
-            if let Some((order, cost)) = best {
-                if is_valid(query.graph(), order.rels()) {
+            if let Some((order, cost, tree)) = best {
+                // A tree's leaves must be exactly the component (equal
+                // length and every relation present); an order must also
+                // be valid, which a tree's leaf order need not be.
+                let accepted = match &tree {
+                    Some(_) => {
+                        order.len() == comp.len() && comp.iter().all(|r| order.rels().contains(r))
+                    }
+                    None => is_valid(query.graph(), order.rels()),
+                };
+                if accepted {
                     outcome.best = Some((order, cost));
-                    return outcome;
+                    outcome.tree = tree;
                 }
             }
         }
@@ -239,7 +326,15 @@ pub(crate) fn plan_component(
         }
     }
 
-    component_fallback(query, model, config, comp, &mut outcome);
+    if outcome.best.is_none() {
+        component_fallback(query, model, config, comp, &mut outcome);
+    }
+    if bushy && outcome.tree.is_none() {
+        outcome.tree = outcome
+            .best
+            .as_ref()
+            .map(|(order, _)| BushyTree::left_deep(order.rels()));
+    }
     outcome
 }
 
@@ -345,16 +440,21 @@ pub(crate) fn component_budgets(total: u64, components: &[Vec<RelId>]) -> Vec<u6
 /// plan whose segments were rescued by the fallback ladder must not be
 /// lost to one last model fault while pricing the cross products.
 ///
-/// Returns the plan, its total cost, and the per-segment costs in the
-/// plan's (sorted) segment order. Assembly is a pure function of the
-/// `(order, cost)` pairs: feeding the same pairs back in reproduces the
-/// same total bit-for-bit, which is what lets a plan-cache hit return the
-/// cold path's exact cost (see `crate::cached`).
+/// Each segment may carry its join tree (bushy space), whose leaves from
+/// left to right are the segment's order; the tree rides through the
+/// sort, and the order alone keys the sort and prices the cross products.
+///
+/// Returns the plan, its total cost, the per-segment costs in the
+/// plan's (sorted) segment order, and the trees in that order when every
+/// segment has one. Assembly is a pure function of the `(order, cost)`
+/// pairs: feeding the same pairs back in reproduces the same total
+/// bit-for-bit, which is what lets a plan-cache hit return the cold
+/// path's exact cost (see `crate::cached`).
 pub(crate) fn assemble_plan(
     query: &Query,
     model: &dyn CostModel,
-    mut segments: Vec<(JoinOrder, f64)>,
-) -> (Plan, f64, Vec<f64>) {
+    mut segments: Vec<(JoinOrder, f64, Option<BushyTree>)>,
+) -> (Plan, f64, Vec<f64>, Option<Vec<BushyTree>>) {
     segments.sort_by(|a, b| {
         let sa = final_result_size(query, a.0.rels());
         let sb = final_result_size(query, b.0.rels());
@@ -362,9 +462,9 @@ pub(crate) fn assemble_plan(
     });
 
     let total_cost = catch_unwind(AssertUnwindSafe(|| {
-        let mut total: f64 = segments.iter().map(|&(_, c)| c).sum();
+        let mut total: f64 = segments.iter().map(|s| s.1).sum();
         let mut running = final_result_size(query, segments[0].0.rels());
-        for (order, _) in segments.iter().skip(1) {
+        for (order, ..) in segments.iter().skip(1) {
             let inner = final_result_size(query, order.rels());
             let output = clamp_card(running * inner);
             total += model.join_cost(&JoinCtx {
@@ -380,9 +480,10 @@ pub(crate) fn assemble_plan(
     }))
     .unwrap_or(f64::MAX);
 
-    let segment_costs: Vec<f64> = segments.iter().map(|&(_, c)| c).collect();
+    let segment_costs: Vec<f64> = segments.iter().map(|s| s.1).collect();
+    let trees = segments.iter_mut().map(|s| s.2.take()).collect();
     let plan = Plan {
-        segments: segments.into_iter().map(|(o, _)| o).collect(),
+        segments: segments.into_iter().map(|(o, ..)| o).collect(),
     };
-    (plan, total_cost, segment_costs)
+    (plan, total_cost, segment_costs, trees)
 }

@@ -47,6 +47,14 @@ pub enum OptError {
         /// Relations in the offending set.
         n_relations: usize,
     },
+    /// The [`Optimizer`](crate::Optimizer) combines the bushy search
+    /// space with a feature that is wired to left-deep orders: parallel
+    /// search or the plan cache. Refused up front rather than silently
+    /// solved in the linear space.
+    Unsupported {
+        /// The feature the bushy search space cannot use.
+        feature: &'static str,
+    },
 }
 
 impl std::fmt::Display for OptError {
@@ -68,6 +76,9 @@ impl std::fmt::Display for OptError {
                 "relation set of size {n_relations} is not a connected join-graph component: \
                  no cross-product-free plan covers it"
             ),
+            OptError::Unsupported { feature } => {
+                write!(f, "{feature} requires the linear search space")
+            }
         }
     }
 }
@@ -78,7 +89,8 @@ impl std::error::Error for OptError {
             OptError::Catalog(e) => Some(e),
             OptError::NoValidPlan { .. }
             | OptError::ComponentTooLarge { .. }
-            | OptError::DisconnectedComponent { .. } => None,
+            | OptError::DisconnectedComponent { .. }
+            | OptError::Unsupported { .. } => None,
         }
     }
 }

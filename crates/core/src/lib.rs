@@ -21,7 +21,8 @@
 //!   iterative improvement) wins below ≈ `1.8N²`.
 //! * [`Optimizer`] — the one entry point: splits the query into
 //!   join-graph components, budgets and optimizes each, and assembles a
-//!   [`Plan`](ljqo_plan::Plan) with late cross products. Optional
+//!   [`Plan`](ljqo_plan::Plan) with late cross products, over outer
+//!   linear orders or bushy trees ([`SearchSpace`]). Optional
 //!   [`Parallelism`] searches each component with a worker pool, an
 //!   optional [`PlanCache`](ljqo_cache::PlanCache) serves repeated
 //!   queries, and [`Optimizer::solve_batch`] spreads many queries over a
@@ -35,8 +36,9 @@
 //!   and a baseline.
 //! * [`bushy`] / [`bushy_search`] — the paper's open problem attacked
 //!   head-on: exact bushy DP for small components, and II/SA local search
-//!   over arena-backed bushy trees ([`try_optimize_bushy`]) for large
-//!   ones, with path-to-root incremental re-costing.
+//!   over arena-backed bushy trees for large ones, with path-to-root
+//!   incremental re-costing, run by [`Optimizer`] in
+//!   [`SearchSpace::Bushy`].
 //! * [`eval`] — the paper's scaled-cost statistics (outlying values coerced
 //!   to 10).
 //!
@@ -85,11 +87,10 @@ pub mod serving;
 pub mod trace;
 
 pub use bushy_search::{
-    bushy_gap_vs_dp, bushy_tree_cost, try_optimize_bushy, BushyIterativeImprovement,
-    BushyOptimized, BushySimulatedAnnealing,
+    bushy_gap_vs_dp, bushy_tree_cost, BushyIterativeImprovement, BushySimulatedAnnealing,
 };
 pub use cached::CacheOutcome;
-pub use driver::{Optimized, OptimizerConfig};
+pub use driver::{Optimized, OptimizerConfig, SearchSpace};
 pub use error::{Degradation, OptError};
 pub use ii::IterativeImprovement;
 pub use methods::{Method, MethodRunner};

@@ -128,8 +128,9 @@ pub struct MethodRunner {
     /// KBZ heuristic (selectivity MST weights by default, the Table 2
     /// winner).
     pub kbz: KbzHeuristic,
-    /// Bushy iterative improvement parameters (used by the bushy-space
-    /// drivers; see [`MethodRunner::run_bushy`]).
+    /// Bushy iterative improvement parameters (used in
+    /// [`SearchSpace::Bushy`](crate::SearchSpace::Bushy); see
+    /// [`MethodRunner::run_bushy`]).
     pub bushy_ii: crate::bushy_search::BushyIterativeImprovement,
     /// Bushy simulated annealing parameters.
     pub bushy_sa: crate::bushy_search::BushySimulatedAnnealing,
@@ -247,7 +248,7 @@ impl MethodRunner {
                 let order = CardFreeHeuristic.generate(ev.query().graph(), component);
                 ev.cost(&order);
             }
-            // Under the *linear* drivers the bushy methods run their
+            // In the *linear* search space the bushy methods run their
             // honest linear restriction; the tree search itself lives in
             // `MethodRunner::run_bushy` (crate::bushy_search).
             Method::BushyIi => self.ii.run(ev, component, rng),

@@ -6,6 +6,12 @@
 //! its share of the `τ·N²` budget, plan each one, and join the
 //! components with cross products last.
 //!
+//! * **Search space.** [`OptimizerConfig::space`] picks outer linear
+//!   orders or bushy trees. Both run the one component loop, fallback
+//!   ladder and assembly; bushy results also carry their trees
+//!   ([`Optimized::trees`]). Bushy space is sequential and uncached:
+//!   combined with parallelism or a cache, a solve returns
+//!   [`OptError::Unsupported`].
 //! * **Component loop.** Without parallelism each component runs the
 //!   configured method sequentially down the fallback ladder. With it,
 //!   each component's share is sharded over a worker pool
@@ -39,7 +45,7 @@ use ljqo_plan::validity::is_valid;
 use crate::cached::{cacheable, entry_for, producer, serve_from_entry, CacheOutcome};
 use crate::driver::{
     assemble_plan, component_budgets, component_fallback, plan_component, ComponentOutcome,
-    Optimized, OptimizerConfig,
+    Optimized, OptimizerConfig, SearchSpace,
 };
 use crate::error::OptError;
 use crate::methods::Method;
@@ -201,8 +207,10 @@ impl<'a> Optimizer<'a> {
     /// deadline, degrading per component to the augmentation heuristic,
     /// then the cardinality-free structural order, then a random valid
     /// order (see [`Degradation`](crate::Degradation)). An `Err` is
-    /// returned only when some component defeats every rung.
+    /// returned only when some component defeats every rung, or when the
+    /// session is [unsupported](OptError::Unsupported).
     pub fn solve(&self, query: &Query) -> Result<(Optimized, ServedVia), OptError> {
+        self.supported()?;
         let served = match self.cache {
             None => self.serve(query, None, &mut None, self.config),
             Some((_, fp_config)) => {
@@ -226,9 +234,10 @@ impl<'a> Optimizer<'a> {
     /// without waiting for the rest of the batch.
     ///
     /// `on_result(i, &result, &via, reused)` runs once per query: on the
-    /// calling thread for a query that fails validation, otherwise on the
-    /// pool thread that produced the answer (the calling thread is one of
-    /// the pool's threads), right after producing it.
+    /// calling thread for a query that fails validation (every query,
+    /// when the session is [unsupported](OptError::Unsupported)),
+    /// otherwise on the pool thread that produced the answer (the calling
+    /// thread is one of the pool's threads), right after producing it.
     /// `reused` marks a dedup reuse: an answer served from the entry a
     /// sibling's cold solve in this batch produced. Calls for
     /// different queries may run concurrently and in any order.
@@ -262,15 +271,16 @@ impl<'a> Optimizer<'a> {
         let mut prints: Vec<Option<Fingerprinted>> = Vec::with_capacity(queries.len());
         let mut collected: Vec<(usize, Served)> = Vec::with_capacity(queries.len());
         let mut valid: Vec<usize> = Vec::with_capacity(queries.len());
+        let supported = self.supported();
         for (i, q) in queries.iter().enumerate() {
-            match q.validate() {
+            match supported.clone().and_then(|()| Ok(q.validate()?)) {
                 Ok(()) => {
                     prints.push(self.cache.map(|(_, fpc)| fingerprint(q, &fpc)));
                     valid.push(i);
                 }
                 Err(e) => {
                     prints.push(None);
-                    let served = self.failed(e.into());
+                    let served = self.failed(e);
                     on_result(i, &served.result, &served.via, served.reused);
                     collected.push((i, served));
                 }
@@ -447,6 +457,17 @@ impl<'a> Optimizer<'a> {
         }
     }
 
+    /// The one refusal: bushy trees are searched sequentially and never
+    /// cached, so the bushy space rejects parallelism and a cache.
+    fn supported(&self) -> Result<(), OptError> {
+        let feature = match (self.config.space, self.parallelism, self.cache) {
+            (SearchSpace::Bushy, Some(_), _) => "parallel search",
+            (SearchSpace::Bushy, None, Some(_)) => "the plan cache",
+            _ => return Ok(()),
+        };
+        Err(OptError::Unsupported { feature })
+    }
+
     /// A query that failed before reaching the pool.
     fn failed(&self, error: OptError) -> Served {
         Served {
@@ -485,15 +506,16 @@ impl<'a> Optimizer<'a> {
                 total.winner = outcome.winner;
                 winner_len = comp.len();
             }
-            let Some(best) = outcome.best else {
+            let Some((order, cost)) = outcome.best else {
                 return Err(OptError::NoValidPlan { component: idx });
             };
-            segments.push(best);
+            segments.push((order, cost, outcome.tree));
         }
 
-        let (plan, cost, segment_costs) = assemble_plan(query, self.model, segments);
+        let (plan, cost, segment_costs, trees) = assemble_plan(query, self.model, segments);
         Ok(Optimized {
             plan,
+            trees,
             cost,
             segment_costs,
             units_used: total.units_used,
@@ -1040,6 +1062,44 @@ mod tests {
         }
         assert!(reuses >= 6, "every repeated query reuses its class's solve");
         assert_eq!(reuses, report.n_dedup_reuses);
+    }
+
+    #[test]
+    fn bushy_space_refuses_parallelism_and_the_cache() {
+        let queries = batch_queries();
+        let model = MemoryCostModel::default();
+        let cfg = OptimizerConfig::new(Method::BushyIi)
+            .with_seed(3)
+            .with_space(SearchSpace::Bushy);
+        let cache = PlanCache::new(ljqo_cache::PlanCacheConfig::with_entries(16));
+        let par = Parallelism::workers(2);
+        let bushy = Optimizer::new(&model, &cfg);
+        for (optimizer, feature) in [
+            (
+                bushy.with_cache(&cache, FingerprintConfig::default()),
+                "the plan cache",
+            ),
+            (bushy.with_parallelism(&par), "parallel search"),
+        ] {
+            let refusal = OptError::Unsupported { feature };
+            assert_eq!(optimizer.solve(&queries[0]).unwrap_err(), refusal);
+            let report = optimizer.solve_batch(&queries);
+            assert_eq!(report.n_failed, queries.len());
+            for result in &report.results {
+                assert_eq!(result.as_ref().unwrap_err(), &refusal);
+            }
+        }
+        // Nothing was solved, so nothing was cached.
+        assert_eq!(cache.stats().entries, 0);
+        // The regret study replays through a cache of its own.
+        assert_eq!(
+            crate::regret_under(&queries[0], &queries[0], &bushy).unwrap_err(),
+            OptError::Unsupported {
+                feature: "the plan cache"
+            }
+        );
+        // The same session without either feature plans.
+        assert!(bushy.solve(&queries[0]).unwrap().0.trees.is_some());
     }
 
     #[test]

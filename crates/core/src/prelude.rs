@@ -7,8 +7,7 @@
 pub use crate::bound::{bound_report, cardinality_floors, component_bound, BoundReport};
 pub use crate::bushy::{optimal_bushy_dp, BushyTree};
 pub use crate::bushy_search::{
-    bushy_gap_vs_dp, bushy_tree_cost, try_optimize_bushy, BushyIterativeImprovement,
-    BushyOptimized, BushySimulatedAnnealing,
+    bushy_gap_vs_dp, bushy_tree_cost, BushyIterativeImprovement, BushySimulatedAnnealing,
 };
 pub use crate::dp::{optimal_order_dp, optimal_order_exhaustive};
 pub use crate::eval::{mean_scaled_cost, per_query_best, scaled_cost, OUTLIER_CAP};
@@ -20,7 +19,7 @@ pub use crate::robust::{recost_plan, regret_under, RegretSample};
 pub use crate::trace::{trace_run, trace_run_scheduled, Trace, TracePoint};
 pub use crate::{
     BatchOptions, BatchReport, CacheOutcome, Degradation, OptError, Optimized, Optimizer,
-    OptimizerConfig, ServedVia, ServingCounters, ServingSnapshot,
+    OptimizerConfig, SearchSpace, ServedVia, ServingCounters, ServingSnapshot,
 };
 pub use crate::{IterativeImprovement, Method, MethodRunner, RandomSampling, SimulatedAnnealing};
 

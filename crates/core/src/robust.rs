@@ -83,11 +83,11 @@ pub fn recost_plan(query: &Query, model: &dyn CostModel, plan: &Plan) -> f64 {
                 sanitize_cost(model.order_cost(query, order.rels()))
             }))
             .unwrap_or(f64::MAX);
-            (order.clone(), cost)
+            (order.clone(), cost, None)
         })
         .collect();
     catch_unwind(AssertUnwindSafe(|| {
-        let (_, total, _) = assemble_plan(query, model, segments);
+        let (_, total, ..) = assemble_plan(query, model, segments);
         total
     }))
     .unwrap_or(f64::MAX)
@@ -123,7 +123,9 @@ fn regret_of(true_cost: f64, reference_cost: f64) -> f64 {
 /// optimizer's cache, if any, is neither read nor written.
 ///
 /// Errors propagate from either solve (an invalid catalog on either
-/// side, or a query no rung of the fallback ladder could plan).
+/// side, or a query no rung of the fallback ladder could plan). The
+/// replay goes through a plan cache, so a bushy-space `optimizer` gets
+/// [`OptError::Unsupported`].
 ///
 /// [`Parallelism::robust_portfolio`]: crate::Parallelism::robust_portfolio
 pub fn regret_under(

@@ -208,12 +208,10 @@ fn bushy_ii_stays_within_the_asserted_gap_of_the_dp() {
         let n = rng.gen_range(4usize..11);
         let q = connected_query(&mut rng, n);
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let r = try_optimize_bushy(
-            &q,
-            &model,
-            &OptimizerConfig::new(Method::BushyIi).with_seed(case),
-        )
-        .unwrap();
+        let config = OptimizerConfig::new(Method::BushyIi)
+            .with_seed(case)
+            .with_space(SearchSpace::Bushy);
+        let r = Optimizer::new(&model, &config).solve(&q).unwrap().0;
         assert_eq!(r.degradation, Degradation::None, "case {case}");
         let gap = bushy_gap_vs_dp(&q, &model, &comp, r.cost)
             .expect("small connected components fit the bushy DP")

@@ -192,6 +192,53 @@ fn nan_costs_never_poison_the_result() {
     }
 }
 
+#[test]
+fn bushy_space_faults_walk_the_one_fallback_ladder() {
+    // The bushy tree search is rung 1 of the one component loop. A
+    // panic under it falls down the same ladder as a linear method, and
+    // the rescued order enters the result as its left-deep tree. A NaN
+    // saturates, as in the linear space: the search completes undegraded
+    // and never selects the poisoned tree.
+    let q = chain_query();
+    for mode in [FaultMode::PanicOnKth(1), FaultMode::NanOnKth(1)] {
+        for method in [Method::BushyIi, Method::BushySa] {
+            let model = FaultyCostModel::new(MemoryCostModel::default(), mode);
+            let config = OptimizerConfig::new(method)
+                .with_seed(3)
+                .with_space(SearchSpace::Bushy);
+            let r = Optimizer::new(&model, &config)
+                .solve(&q)
+                .unwrap_or_else(|e| panic!("{mode:?} {method}: no plan: {e}"))
+                .0;
+            assert!(
+                model.evals() >= 1,
+                "{mode:?} {method}: the fault never fired"
+            );
+            let trees = r.trees.as_ref().expect("bushy space reports trees");
+            assert_eq!(trees.len(), r.plan.segments.len(), "{mode:?} {method}");
+            for (tree, order) in trees.iter().zip(&r.plan.segments) {
+                assert_eq!(tree.leaves(), order.rels(), "{mode:?} {method}");
+            }
+            assert!(r.cost.is_finite() && r.cost < f64::MAX, "{mode:?} {method}");
+            match mode {
+                FaultMode::PanicOnKth(_) => {
+                    assert!(
+                        r.degradation >= Degradation::Heuristic,
+                        "{mode:?} {method}: degradation {:?}",
+                        r.degradation
+                    );
+                    // One component, so the one segment is the rescued one.
+                    for (tree, order) in trees.iter().zip(&r.plan.segments) {
+                        assert!(tree.is_linear(), "{mode:?} {method}: {tree}");
+                        assert!(is_valid(q.graph(), order.rels()), "{mode:?} {method}");
+                    }
+                }
+                _ => assert_eq!(r.degradation, Degradation::None, "{mode:?} {method}"),
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------
