@@ -12,10 +12,11 @@
 //!   [`BitsetChecker`] check the move generator runs, which revalidates
 //!   only the move's touched window.
 //! * **move evaluation** — apply a pre-sampled valid move, cost it, undo:
-//!   a from-scratch `order_cost` walk vs the compiled incremental
-//!   evaluator (`eval_move` + `rollback`), each evaluation from a state
-//!   that has not evaluated that swap yet; a third arm re-evaluates the
-//!   pool from one state, which the evaluator's swap memo answers.
+//!   a from-scratch full walk over the compiled snapshot vs the
+//!   incremental evaluator (`eval_move` + `rollback`), each evaluation
+//!   from a state that has not evaluated that swap yet; a third arm
+//!   re-evaluates the pool from one state, which the evaluator's swap
+//!   memo answers.
 //! * **end-to-end II** — a complete `IterativeImprovement::run` at a
 //!   fixed unit budget.
 //! * **II descent on JOB shapes** — `IterativeImprovement::run` at the
@@ -159,14 +160,14 @@ fn main() {
                 pool.push(mv);
             }
         }
-        let mut walker = SizeWalker::new(query.n_relations());
+        let mut walker = SizeWalker::with_compiled(Arc::clone(&compiled));
         let mut i = 0usize;
         let mut full_order = order.clone();
         let full_ns = bench_ns(&format!("move_eval/full/{n}"), || {
             let mv = pool[i % MOVE_POOL];
             i += 1;
             mv.apply(&mut full_order);
-            let c = model.order_cost_with(&query, full_order.rels(), &mut walker);
+            let c = model.order_cost_with(&mut walker, full_order.rels());
             mv.undo(&mut full_order);
             black_box(c)
         });

@@ -15,9 +15,9 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use ljqo_bench::propagate::intermediate_sizes_propagated;
 use ljqo_bench::Args;
 use ljqo_cost::estimate::intermediate_sizes;
-use ljqo_cost::propagate::intermediate_sizes_propagated;
 use ljqo_exec::{generate_data, ExecutionEngine};
 use ljqo_plan::random_valid_order;
 use ljqo_workload::{generate_query, Benchmark, CardinalityDist, QuerySpec};

@@ -30,6 +30,7 @@
 
 pub mod cli;
 pub mod grid;
+pub mod propagate;
 pub mod report;
 pub mod timing;
 

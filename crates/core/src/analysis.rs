@@ -12,6 +12,7 @@
 use rand::Rng;
 
 use ljqo_catalog::{Query, RelId};
+use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::{CostModel, OrderCost};
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::{random_valid_order, JoinOrder, Move};
@@ -46,10 +47,11 @@ pub fn sample_space<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> SpaceStats {
     assert!(n > 0, "need at least one sample");
+    let mut walker = SizeWalker::new(query);
     let mut costs: Vec<f64> = (0..n)
         .map(|_| {
             let order = random_valid_order(query.graph(), component, rng);
-            model.order_cost(query, order.rels())
+            model.order_cost_with(&mut walker, order.rels())
         })
         .collect();
     costs.sort_by(f64::total_cmp);
@@ -74,12 +76,13 @@ pub fn sample_space<R: Rng + ?Sized>(
 /// neighborhood: no valid single swap lowers the cost. Exact but
 /// O(N² · N) — use on moderate N only.
 pub fn is_swap_local_minimum(query: &Query, model: &dyn CostModel, order: &JoinOrder) -> bool {
-    let current = model.order_cost(query, order.rels());
+    let mut walker = SizeWalker::new(query);
+    let current = model.order_cost_with(&mut walker, order.rels());
     let mut probe = order.clone();
     for mv in Move::all_swaps(order.len()) {
         mv.apply(&mut probe);
         let better = is_valid(query.graph(), probe.rels())
-            && model.order_cost(query, probe.rels()) < current;
+            && model.order_cost_with(&mut walker, probe.rels()) < current;
         mv.undo(&mut probe);
         if better {
             return false;
@@ -91,14 +94,15 @@ pub fn is_swap_local_minimum(query: &Query, model: &dyn CostModel, order: &JoinO
 /// Descend greedily under the exhaustive swap neighborhood (steepest
 /// descent) to a true swap-local minimum. Returns the minimum's cost.
 pub fn steepest_descent(query: &Query, model: &dyn CostModel, order: &mut JoinOrder) -> f64 {
-    let mut current = model.order_cost(query, order.rels());
+    let mut walker = SizeWalker::new(query);
+    let mut current = model.order_cost_with(&mut walker, order.rels());
     loop {
         let mut best: Option<(Move, f64)> = None;
         let mut probe = order.clone();
         for mv in Move::all_swaps(order.len()) {
             mv.apply(&mut probe);
             if is_valid(query.graph(), probe.rels()) {
-                let c = model.order_cost(query, probe.rels());
+                let c = model.order_cost_with(&mut walker, probe.rels());
                 if c < current && best.as_ref().is_none_or(|&(_, bc)| c < bc) {
                     best = Some((mv, c));
                 }

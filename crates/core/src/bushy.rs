@@ -170,6 +170,10 @@ pub fn optimal_bushy_dp(
                 && cost[sub].is_finite()
                 && cost[other].is_finite()
             {
+                // Not `JoinCtx::step`: the output is the subset's
+                // order-independent cardinality, shared by every split,
+                // which keeps the recurrence exact; re-deriving it from
+                // the two operands would fold in split-dependent order.
                 let step = model.join_cost(&JoinCtx {
                     outer_card: card[sub],
                     inner_card: card[other],

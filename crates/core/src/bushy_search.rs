@@ -349,13 +349,18 @@ impl BushySimulatedAnnealing {
     }
 
     /// The full bushy SA method: anneal from the left-deep embedding of
-    /// one random valid order.
+    /// one random valid order. `None` when the evaluator is already
+    /// exhausted (an expired deadline): the start tree is not priced, as
+    /// bushy II prices nothing then.
     pub fn run<R: Rng + ?Sized>(
         &self,
         ev: &mut Evaluator<'_>,
         component: &[RelId],
         rng: &mut R,
     ) -> Option<(TreePlan, f64)> {
+        if ev.exhausted() {
+            return None;
+        }
         let order = random_valid_order(ev.query().graph(), component, rng);
         let plan = TreePlan::from_order(ev.compiled(), order.rels());
         let mut te = TreeEvaluator::new(ev.model(), ev.compiled().clone(), plan);

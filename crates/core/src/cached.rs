@@ -37,6 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ljqo_cache::{CachedPlan, CachedSegment, Fingerprinted};
 use ljqo_catalog::Query;
+use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::{costs_agree, sanitize_cost, CostModel, OrderCost};
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::JoinOrder;
@@ -113,10 +114,11 @@ pub(crate) fn serve_from_entry(
     // Re-price every segment under the live catalog; a model fault or a
     // saturated price marks the entry stale rather than serving garbage.
     let mut agree = true;
+    let mut walker = SizeWalker::new(query);
     let mut segments: Vec<(JoinOrder, f64, _)> = Vec::with_capacity(orders.len());
     for (order, seg) in orders.into_iter().zip(&entry.segments) {
         let fresh = catch_unwind(AssertUnwindSafe(|| {
-            sanitize_cost(model.order_cost(query, &order))
+            sanitize_cost(model.order_cost_with(&mut walker, &order))
         }))
         .ok()?;
         if !fresh.is_finite() || fresh == f64::MAX {

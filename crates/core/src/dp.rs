@@ -8,7 +8,7 @@
 //! benches use to measure how close each method gets.
 
 use ljqo_catalog::{Query, RelId};
-use ljqo_cost::estimate::clamp_card;
+use ljqo_cost::estimate::{clamp_card, SizeWalker};
 use ljqo_cost::{CostModel, JoinCtx, OrderCost};
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::JoinOrder;
@@ -83,21 +83,18 @@ pub fn optimal_order_dp(
                 s *= sel[j][i];
                 members &= members - 1;
             }
-            let outer_card = card[mask as usize];
-            let inner_card = query.cardinality(component[j]);
-            let output = clamp_card(outer_card * inner_card * s);
-            let step = model.join_cost(&JoinCtx {
-                outer_card,
-                inner_card,
-                output_card: output,
-                outer_rels: mask.count_ones() as usize,
-                is_cross_product: false,
-            });
-            let total = cost[mask as usize] + step;
+            let step = JoinCtx::step(
+                card[mask as usize],
+                query.cardinality(component[j]),
+                s,
+                true,
+                mask.count_ones() as usize,
+            );
+            let total = cost[mask as usize] + model.join_cost(&step);
             let next = (mask | bit) as usize;
             if total < cost[next] {
                 cost[next] = total;
-                card[next] = output;
+                card[next] = step.output_card;
                 last[next] = j as u8;
             }
         }
@@ -133,20 +130,22 @@ pub fn optimal_order_exhaustive(
     }
     let mut best: Option<(JoinOrder, f64)> = None;
     let mut acc: Vec<RelId> = Vec::with_capacity(component.len());
-    permute(query, model, component, &mut acc, &mut best);
+    let mut walker = SizeWalker::new(query);
+    permute(query, model, &mut walker, component, &mut acc, &mut best);
     best
 }
 
 fn permute(
     query: &Query,
     model: &dyn CostModel,
+    walker: &mut SizeWalker,
     rest: &[RelId],
     acc: &mut Vec<RelId>,
     best: &mut Option<(JoinOrder, f64)>,
 ) {
     if rest.is_empty() {
         if is_valid(query.graph(), acc) {
-            let c = model.order_cost(query, acc);
+            let c = model.order_cost_with(walker, acc);
             if best.as_ref().is_none_or(|&(_, bc)| c < bc) {
                 *best = Some((JoinOrder::new(acc.clone()), c));
             }
@@ -159,7 +158,7 @@ fn permute(
         acc.push(r);
         // Prune: an invalid prefix can never become valid.
         if acc.len() == 1 || is_valid(query.graph(), acc) {
-            permute(query, model, &next, acc, best);
+            permute(query, model, walker, &next, acc, best);
         }
         acc.pop();
     }

@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use ljqo_catalog::{BlockMask, Query, RelId};
-use ljqo_cost::estimate::{clamp_card, final_result_size};
+use ljqo_cost::estimate::final_result_size;
 use ljqo_cost::{
     sanitize_cost, BudgetSchedule, CostModel, Deadline, Evaluator, JoinCtx, OrderCost, TimeLimit,
 };
@@ -466,15 +466,9 @@ pub(crate) fn assemble_plan(
         let mut running = final_result_size(query, segments[0].0.rels());
         for (order, ..) in segments.iter().skip(1) {
             let inner = final_result_size(query, order.rels());
-            let output = clamp_card(running * inner);
-            total += model.join_cost(&JoinCtx {
-                outer_card: running,
-                inner_card: inner,
-                output_card: output,
-                outer_rels: order.len(),
-                is_cross_product: true,
-            });
-            running = output;
+            let step = JoinCtx::step(running, inner, 1.0, false, order.len());
+            total += model.join_cost(&step);
+            running = step.output_card;
         }
         sanitize_cost(total)
     }))

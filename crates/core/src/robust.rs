@@ -32,6 +32,7 @@ use ljqo_cache::{
     fingerprint, CachedPlan, CachedSegment, FingerprintConfig, PlanCache, PlanCacheConfig,
 };
 use ljqo_catalog::Query;
+use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::{sanitize_cost, CostModel, OrderCost};
 use ljqo_plan::Plan;
 
@@ -75,12 +76,13 @@ pub struct RegretSample {
 /// late-cross-product rule. The plan structure is taken as-is; only
 /// prices move.
 pub fn recost_plan(query: &Query, model: &dyn CostModel, plan: &Plan) -> f64 {
+    let mut walker = SizeWalker::new(query);
     let segments: Vec<_> = plan
         .segments
         .iter()
         .map(|order| {
             let cost = catch_unwind(AssertUnwindSafe(|| {
-                sanitize_cost(model.order_cost(query, order.rels()))
+                sanitize_cost(model.order_cost_with(&mut walker, order.rels()))
             }))
             .unwrap_or(f64::MAX);
             (order.clone(), cost, None)

@@ -123,8 +123,13 @@ impl SimulatedAnnealing {
 
     /// Run annealing from `start` until frozen (and out of restarts) or the
     /// budget is exhausted. The best visited state is tracked by the
-    /// evaluator.
+    /// evaluator. An evaluator that is already exhausted (an expired
+    /// deadline) gets no evaluation at all, so the run degrades like the
+    /// other methods instead of shipping its unsearched start.
     pub fn anneal<R: Rng + ?Sized>(&self, ev: &mut Evaluator<'_>, start: JoinOrder, rng: &mut R) {
+        if ev.exhausted() {
+            return;
+        }
         let n = start.len();
         if n < 2 {
             ev.cost(&start);

@@ -5,9 +5,20 @@
 //! inner relation `j` multiplies the cardinality by `N_j` and by the
 //! selectivities of **all** join predicates between `j` and `S`. A relation
 //! with no predicate into `S` contributes a cross product (selectivity 1).
+//!
+//! [`join_step`] is the one left-deep step: it folds those selectivities
+//! over the compiled snapshot's CSR slots against a placed-set bitmask and
+//! applies the join rule of [`JoinCtx::step`]. The full walk
+//! ([`SizeWalker`], behind [`crate::OrderCost`]) and every walk of
+//! [`crate::IncrementalEvaluator`] (move window, tail, commit, rebuild)
+//! call it, so they agree bit for bit by construction.
 
-use ljqo_catalog::{Query, RelId};
+use std::sync::Arc;
 
+use ljqo_catalog::bitset::{set_bit, test_bit};
+use ljqo_catalog::{CompiledQuery, Query, RelId};
+
+use crate::model::JoinCtx;
 use crate::CARD_CLAMP;
 
 /// Clamp a running cardinality into `(0, CARD_CLAMP]`.
@@ -24,88 +35,84 @@ pub fn clamp_card(card: f64) -> f64 {
     card.clamp(f64::MIN_POSITIVE, CARD_CLAMP)
 }
 
-/// Combined selectivity of all join predicates between `rel` and the
-/// relations marked in `placed`, or `None` if there is no predicate (cross
-/// product).
-pub fn selectivity_into(query: &Query, rel: RelId, placed: &[bool]) -> Option<f64> {
-    let graph = query.graph();
-    let mut sel: Option<f64> = None;
-    for &eid in graph.incident(rel) {
-        let e = graph.edge(eid);
-        if let Some(o) = e.other(rel) {
-            if placed[o.index()] {
-                *sel.get_or_insert(1.0) *= e.selectivity;
-            }
-        }
-    }
-    sel
-}
-
-/// One step of a left-deep walk: statistics of the join that adds `inner`
-/// to an intermediate of size `outer_card`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JoinStep {
-    /// The inner relation being added.
-    pub inner: RelId,
-    /// Cardinality of the outer (intermediate) operand.
-    pub outer_card: f64,
-    /// Cardinality of the inner base relation.
-    pub inner_card: f64,
-    /// Estimated output cardinality.
-    pub output_card: f64,
-    /// Whether this step is a cross product (no predicate into `S`).
-    pub is_cross_product: bool,
-}
-
-/// Iterator-style walker producing the [`JoinStep`] sequence of an order.
+/// The left-deep join step that adds `inner` to an intermediate of
+/// `outer_card` rows over `outer_rels` relations, with `placed` the
+/// placed-set mask (at least [`CompiledQuery::words_per_rel`] words).
 ///
-/// Its callers are [`crate::OrderCost::order_cost_with`],
-/// [`intermediate_sizes`] and [`crate::MultiMethodCostModel::annotate`].
-/// `order_cost_with` is the walk behind
-/// [`crate::Evaluator::cost`] and [`crate::OrderCost::order_cost`]; the
-/// local-improvement heuristic reaches the walker through those. The
-/// executor comparison reads `intermediate_sizes`.
+/// The compiled slots iterate `inner`'s incident edges in exactly
+/// [`ljqo_catalog::JoinGraph::incident`] order, so the product has one
+/// fixed multiplication order. The fold is branch-free: an unplaced
+/// neighbour multiplies by 1.0, which is exact, so the product equals
+/// the product over the placed neighbours alone (1.0 when there are
+/// none, which makes the step a cross product).
+#[inline(always)]
+pub fn join_step(
+    cq: &CompiledQuery,
+    inner: RelId,
+    outer_card: f64,
+    outer_rels: usize,
+    placed: &[u64],
+) -> JoinCtx {
+    let mut sel = 1.0f64;
+    let mut joined = false;
+    for rec in cq.slot_records(inner) {
+        let hit = test_bit(placed, rec.other.index());
+        sel *= if hit { rec.sel } else { 1.0 };
+        joined |= hit;
+    }
+    JoinCtx::step(outer_card, cq.cardinality(inner), sel, joined, outer_rels)
+}
+
+/// A reusable left-deep walk over a compiled snapshot: it yields the
+/// [`JoinCtx`] of every step of an order.
+///
+/// Its callers are [`crate::OrderCost`] (the walk behind
+/// [`crate::Evaluator::cost`]), [`intermediate_sizes`] and
+/// [`crate::MultiMethodCostModel::annotate`]. A walker owns its snapshot
+/// and a placed-set buffer, so one walker prices any number of orders of
+/// its query without allocating.
 #[derive(Debug)]
 pub struct SizeWalker {
-    placed: Vec<bool>,
+    compiled: Arc<CompiledQuery>,
+    placed: Vec<u64>,
 }
 
 impl SizeWalker {
-    /// Create a walker for queries with up to `n_relations` relations.
-    pub fn new(n_relations: usize) -> Self {
-        SizeWalker {
-            placed: vec![false; n_relations],
-        }
+    /// A walker over a fresh compiled snapshot of `query`.
+    pub fn new(query: &Query) -> Self {
+        Self::with_compiled(Arc::new(CompiledQuery::new(query)))
     }
 
-    /// Walk `order`, invoking `f` for every join step (i.e. for every
-    /// relation after the first). Returns the final result cardinality.
-    ///
-    /// The walker resets its internal state afterwards, so it can be reused
-    /// without reallocation.
-    pub fn walk<F: FnMut(&JoinStep)>(&mut self, query: &Query, order: &[RelId], mut f: F) -> f64 {
-        let mut iter = order.iter();
-        let Some(&first) = iter.next() else {
+    /// A walker over an existing compiled snapshot.
+    pub fn with_compiled(compiled: Arc<CompiledQuery>) -> Self {
+        let placed = vec![0; compiled.mask_stride()];
+        SizeWalker { compiled, placed }
+    }
+
+    /// The compiled snapshot this walker prices against.
+    #[inline]
+    pub fn compiled(&self) -> &Arc<CompiledQuery> {
+        &self.compiled
+    }
+
+    /// Walk `order`, invoking `f` with the inner relation and the
+    /// statistics of every join step (i.e. for every relation after the
+    /// first). Returns the final result cardinality, or `0.0` for an
+    /// empty order.
+    pub fn walk<F: FnMut(RelId, &JoinCtx)>(&mut self, order: &[RelId], mut f: F) -> f64 {
+        let Some((&first, rest)) = order.split_first() else {
             return 0.0;
         };
-        self.placed[first.index()] = true;
-        let mut card = clamp_card(query.cardinality(first));
-        for &inner in iter {
-            let inner_card = query.cardinality(inner);
-            let sel = selectivity_into(query, inner, &self.placed);
-            let output = clamp_card(card * inner_card * sel.unwrap_or(1.0));
-            f(&JoinStep {
-                inner,
-                outer_card: card,
-                inner_card,
-                output_card: output,
-                is_cross_product: sel.is_none(),
-            });
-            card = output;
-            self.placed[inner.index()] = true;
-        }
-        for &r in order {
-            self.placed[r.index()] = false;
+        let cq = &*self.compiled;
+        let placed = &mut self.placed[..];
+        placed.fill(0);
+        set_bit(placed, first.index());
+        let mut card = clamp_card(cq.cardinality(first));
+        for (q, &inner) in rest.iter().enumerate() {
+            let ctx = join_step(cq, inner, card, q + 1, placed);
+            f(inner, &ctx);
+            card = ctx.output_card;
+            set_bit(placed, inner.index());
         }
         card
     }
@@ -115,8 +122,7 @@ impl SizeWalker {
 /// per join, i.e. `order.len() - 1` entries).
 pub fn intermediate_sizes(query: &Query, order: &[RelId]) -> Vec<f64> {
     let mut sizes = Vec::with_capacity(order.len().saturating_sub(1));
-    let mut w = SizeWalker::new(query.n_relations());
-    w.walk(query, order, |s| sizes.push(s.output_card));
+    SizeWalker::new(query).walk(order, |_, s| sizes.push(s.output_card));
     sizes
 }
 
@@ -199,8 +205,8 @@ mod tests {
             .build()
             .unwrap();
         let mut steps = Vec::new();
-        let mut w = SizeWalker::new(3);
-        w.walk(&q, &ids(&[0, 1, 2]), |s| steps.push(*s));
+        let mut w = SizeWalker::new(&q);
+        w.walk(&ids(&[0, 1, 2]), |_, s| steps.push(*s));
         assert!(!steps[0].is_cross_product);
         assert!(steps[1].is_cross_product);
         // Cross product multiplies cardinalities: 20 · 30 = 600.
@@ -210,9 +216,9 @@ mod tests {
     #[test]
     fn walker_resets_between_walks() {
         let q = triangle();
-        let mut w = SizeWalker::new(3);
-        let a = w.walk(&q, &ids(&[0, 1, 2]), |_| {});
-        let b = w.walk(&q, &ids(&[0, 1, 2]), |_| {});
+        let mut w = SizeWalker::new(&q);
+        let a = w.walk(&ids(&[0, 1, 2]), |_, _| {});
+        let b = w.walk(&ids(&[0, 1, 2]), |_, _| {});
         assert_eq!(a, b);
     }
 
@@ -232,9 +238,9 @@ mod tests {
     #[test]
     fn empty_and_singleton_orders() {
         let q = triangle();
-        let mut w = SizeWalker::new(3);
-        assert_eq!(w.walk(&q, &[], |_| panic!("no steps")), 0.0);
-        let c = w.walk(&q, &ids(&[2]), |_| panic!("no steps"));
+        let mut w = SizeWalker::new(&q);
+        assert_eq!(w.walk(&[], |_, _| panic!("no steps")), 0.0);
+        let c = w.walk(&ids(&[2]), |_, _| panic!("no steps"));
         assert_eq!(c, 50.0);
     }
 }

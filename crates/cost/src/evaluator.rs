@@ -68,10 +68,10 @@ pub struct Snapshot {
 pub struct Evaluator<'a> {
     query: &'a Query,
     model: &'a dyn CostModel,
-    /// Compiled snapshot of `query`, built once per evaluator and shared
-    /// (via `Arc`) with every incremental evaluator and — through
-    /// [`Evaluator::compiled`] — with the optimizers' move generators.
-    compiled: Arc<CompiledQuery>,
+    /// The full walk over the compiled snapshot of `query`. The snapshot
+    /// is built once per evaluator and shared (via `Arc`) with every
+    /// incremental evaluator and — through [`Evaluator::compiled`] — with
+    /// the optimizers' move generators.
     walker: SizeWalker,
     limit: u64,
     used: u64,
@@ -116,8 +116,7 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             query,
             model,
-            compiled: Arc::new(CompiledQuery::new(query)),
-            walker: SizeWalker::new(query.n_relations()),
+            walker: SizeWalker::new(query),
             limit,
             used: 0,
             n_evals: 0,
@@ -221,7 +220,7 @@ impl<'a> Evaluator<'a> {
     /// filtering) and other hot-loop consumers.
     #[inline]
     pub fn compiled(&self) -> &Arc<CompiledQuery> {
-        &self.compiled
+        self.walker.compiled()
     }
 
     /// Record `rels` as the new best order without allocating when a best
@@ -241,11 +240,7 @@ impl<'a> Evaluator<'a> {
     /// poison best-tracking or the methods' acceptance decisions.
     pub fn cost(&mut self, order: &JoinOrder) -> f64 {
         self.charge(1);
-        let c = sanitize_cost(self.model.order_cost_with(
-            self.query,
-            order.rels(),
-            &mut self.walker,
-        ));
+        let c = sanitize_cost(self.model.order_cost_with(&mut self.walker, order.rels()));
         self.n_evals += 1;
         if c < self.best_cost {
             self.best_cost = c;
@@ -257,10 +252,7 @@ impl<'a> Evaluator<'a> {
     /// Evaluate a raw relation slice (used by heuristics mid-construction).
     pub fn cost_slice(&mut self, rels: &[RelId]) -> f64 {
         self.charge(1);
-        let c = sanitize_cost(
-            self.model
-                .order_cost_with(self.query, rels, &mut self.walker),
-        );
+        let c = sanitize_cost(self.model.order_cost_with(&mut self.walker, rels));
         self.n_evals += 1;
         if c < self.best_cost {
             self.best_cost = c;
@@ -281,7 +273,7 @@ impl<'a> Evaluator<'a> {
             self.query,
             self.model,
             order,
-            Arc::clone(&self.compiled),
+            Arc::clone(self.walker.compiled()),
         );
         let c = inc.current_cost();
         self.n_evals += 1;
@@ -342,10 +334,7 @@ impl<'a> Evaluator<'a> {
     /// Evaluate without charging budget or updating best-so-far. For
     /// analysis and tests only — optimizers must use [`Evaluator::cost`].
     pub fn cost_uncharged(&mut self, order: &JoinOrder) -> f64 {
-        sanitize_cost(
-            self.model
-                .order_cost_with(self.query, order.rels(), &mut self.walker),
-        )
+        sanitize_cost(self.model.order_cost_with(&mut self.walker, order.rels()))
     }
 
     /// Consume `units` of budget (heuristics use this to pay for their own

@@ -6,9 +6,9 @@
 //! rearranges a small window of the order. This module memoizes per-prefix
 //! state of the current order — accumulated cost and intermediate
 //! cardinality under the static estimator of [`crate::estimate`] — and
-//! re-costs only what a move can change. The static estimator is the one
-//! every search method prices moves with; the distinct-value estimator of
-//! [`crate::propagate`] has only a full walk and is not memoized here.
+//! re-costs only what a move can change. Every step it prices, in the
+//! move window, the tail, a commit or a rebuild, is
+//! [`crate::estimate::join_step`], the step of the full walk.
 //!
 //! # The window argument
 //!
@@ -81,12 +81,12 @@
 
 use std::sync::Arc;
 
-use ljqo_catalog::bitset::{copy_mask, set_bit, test_bit};
+use ljqo_catalog::bitset::{copy_mask, set_bit};
 use ljqo_catalog::{CompiledQuery, Query};
 use ljqo_plan::{JoinOrder, Move};
 
-use crate::estimate::clamp_card;
-use crate::model::{CostModel, JoinCtx, OrderCost};
+use crate::estimate::{clamp_card, join_step, SizeWalker};
+use crate::model::{CostModel, OrderCost};
 use crate::sanitize_cost;
 
 /// Reuse the memoized tail only when the window's exit cardinality agrees
@@ -140,13 +140,9 @@ struct Pending {
 /// [`CostModel::join_cost`] for every model, so this path is exact for
 /// all of them.
 pub struct IncrementalEvaluator<'a> {
-    query: &'a Query,
     model: &'a dyn CostModel,
-    /// Compiled snapshot of `query`: CSR adjacency with pre-resolved
-    /// other-endpoints and selectivities, the backing store of the hot
-    /// [`IncrementalEvaluator::static_step`] loop. Iterates edges in
-    /// exactly [`ljqo_catalog::JoinGraph::incident`] order, so compiled
-    /// selectivity folds stay bit-identical to the edge-chasing walk.
+    /// Compiled snapshot of the query, the one the full walk
+    /// ([`SizeWalker`]) prices against.
     compiled: Arc<CompiledQuery>,
     order: JoinOrder,
     /// Words per placed-set mask ([`CompiledQuery::mask_stride`]).
@@ -212,7 +208,6 @@ impl<'a> IncrementalEvaluator<'a> {
         let n = order.len();
         let stride = compiled.mask_stride();
         let mut inc = IncrementalEvaluator {
-            query,
             model,
             compiled,
             order,
@@ -302,7 +297,8 @@ impl<'a> IncrementalEvaluator<'a> {
     /// path must reproduce. `O(N·deg)` — for tests, debug assertions and
     /// callers that need an authoritative re-check.
     pub fn full_eval(&self) -> f64 {
-        sanitize_cost(self.model.order_cost(self.query, self.order.rels()))
+        let mut walker = SizeWalker::with_compiled(Arc::clone(&self.compiled));
+        sanitize_cost(self.model.order_cost_with(&mut walker, self.order.rels()))
     }
 
     /// Apply `mv` to the order and evaluate it incrementally. Convenience
@@ -380,7 +376,7 @@ impl<'a> IncrementalEvaluator<'a> {
         };
         // Window: recompute each step against the perturbed placement.
         for q in lo.max(1)..=hi {
-            let (step, output) = self.static_step(q, card, &placed);
+            let (step, output) = self.step(q, card, &placed);
             set_bit(&mut placed, self.order.at(q).index());
             cost += step;
             self.cand_cost[q - lo] = step;
@@ -402,7 +398,7 @@ impl<'a> IncrementalEvaluator<'a> {
                 reused_tail = true;
             } else {
                 for q in hi + 1..n {
-                    let (step, output) = self.static_step(q, card, &placed);
+                    let (step, output) = self.step(q, card, &placed);
                     set_bit(&mut placed, self.order.at(q).index());
                     cost += step;
                     self.cand_cost[q - lo] = step;
@@ -491,7 +487,7 @@ impl<'a> IncrementalEvaluator<'a> {
             } else {
                 for q in p.cand_to + 1..n {
                     let placed = &self.prefix_mask[q * stride..(q + 1) * stride];
-                    let (step, output) = self.static_step(q, self.prefix_card[q - 1], placed);
+                    let (step, output) = self.step(q, self.prefix_card[q - 1], placed);
                     self.step_cost[q] = step;
                     self.prefix_cost[q] = self.prefix_cost[q - 1] + step;
                     self.prefix_card[q] = output;
@@ -513,38 +509,13 @@ impl<'a> IncrementalEvaluator<'a> {
         p.mv.undo(&mut self.order);
     }
 
-    /// One static-estimator join step at position `q` of the order being
-    /// walked, with `outer` rows entering and `placed` (a `stride`-word
-    /// mask) the set of relations before `q`. Returns
-    /// `(step_cost, output_card)`.
+    /// The join step at position `q` of the order being walked, with
+    /// `outer` rows entering and `placed` (a `stride`-word mask) the set
+    /// of relations before `q`. Returns `(step_cost, output_card)`.
     #[inline(always)]
-    fn static_step(&self, q: usize, outer: f64, placed: &[u64]) -> (f64, f64) {
-        let inner = self.order.at(q);
-        let cq = &*self.compiled;
-        let inner_card = cq.cardinality(inner);
-        // Mirrors `estimate::selectivity_into`: the compiled slots iterate
-        // incident edges in exactly `JoinGraph::incident` order with the
-        // same multiplication order — required for bit-exact agreement
-        // with the full walk. The fold is branch-free: an unplaced
-        // neighbor multiplies by 1.0, which is exact, so the product
-        // equals the reference's product over placed neighbors alone
-        // (1.0 when there are none).
-        let mut sel = 1.0f64;
-        let mut joined = false;
-        for rec in cq.slot_records(inner) {
-            let hit = test_bit(placed, rec.other.index());
-            sel *= if hit { rec.sel } else { 1.0 };
-            joined |= hit;
-        }
-        let output = clamp_card(outer * inner_card * sel);
-        let step = self.model.join_cost(&JoinCtx {
-            outer_card: outer,
-            inner_card,
-            output_card: output,
-            outer_rels: q,
-            is_cross_product: !joined,
-        });
-        (step, output)
+    fn step(&self, q: usize, outer: f64, placed: &[u64]) -> (f64, f64) {
+        let ctx = join_step(&self.compiled, self.order.at(q), outer, q, placed);
+        (self.model.join_cost(&ctx), ctx.output_card)
     }
 
     /// Clamped cardinality of the relation at position 0 of the order
@@ -570,7 +541,7 @@ impl<'a> IncrementalEvaluator<'a> {
         self.step_cost[0] = 0.0;
         for q in 1..n {
             let placed = &self.prefix_mask[q * stride..(q + 1) * stride];
-            let (step, output) = self.static_step(q, self.prefix_card[q - 1], placed);
+            let (step, output) = self.step(q, self.prefix_card[q - 1], placed);
             self.step_cost[q] = step;
             self.prefix_cost[q] = self.prefix_cost[q - 1] + step;
             self.prefix_card[q] = output;

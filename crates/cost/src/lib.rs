@@ -36,7 +36,6 @@ pub mod incremental;
 mod memory;
 mod model;
 mod multi;
-pub mod propagate;
 mod shared;
 mod tree_eval;
 

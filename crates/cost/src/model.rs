@@ -8,10 +8,12 @@
 
 use ljqo_catalog::{Query, RelId};
 
-use crate::estimate::{final_result_size, SizeWalker};
+use crate::estimate::{clamp_card, final_result_size, SizeWalker};
 
 /// Statistics describing one join of a left-deep walk, as consumed by a
 /// cost model.
+///
+/// Every walk that prices a join step builds it with [`JoinCtx::step`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinCtx {
     /// Cardinality of the outer (intermediate) operand.
@@ -24,6 +26,36 @@ pub struct JoinCtx {
     pub outer_rels: usize,
     /// Whether this join is a cross product.
     pub is_cross_product: bool,
+}
+
+impl JoinCtx {
+    /// The paper's per-join rule: an outer operand of `outer_card` rows
+    /// joined with an inner of `inner_card` rows under the combined
+    /// selectivity `sel` yields `clamp_card(outer · inner · sel)` rows.
+    /// `joined` says whether any predicate connects the two sides; without
+    /// one the join is a cross product and `sel` is `1`. `outer_rels`
+    /// counts the base relations already in the outer operand.
+    ///
+    /// The left-deep walks reach this through
+    /// [`crate::estimate::join_step`], which folds `sel` from the
+    /// compiled snapshot; the tree walk, the linear DP and the late cross
+    /// products of plan assembly supply their own `sel`.
+    #[inline(always)]
+    pub fn step(
+        outer_card: f64,
+        inner_card: f64,
+        sel: f64,
+        joined: bool,
+        outer_rels: usize,
+    ) -> JoinCtx {
+        JoinCtx {
+            outer_card,
+            inner_card,
+            output_card: clamp_card(outer_card * inner_card * sel),
+            outer_rels,
+            is_cross_product: !joined,
+        }
+    }
 }
 
 /// A cost model for hash-join processing of outer linear join trees.
@@ -67,32 +99,24 @@ pub trait CostModel: Sync {
 /// disagree. Models customise costing through `join_cost` alone.
 pub trait OrderCost {
     /// Total cost of processing `order` (a walk over one component).
+    /// Compiles a snapshot of `query` for the one walk; callers that
+    /// price many orders of one query hold a [`SizeWalker`] and call
+    /// [`OrderCost::order_cost_with`].
     fn order_cost(&self, query: &Query, order: &[RelId]) -> f64;
 
-    /// As [`OrderCost::order_cost`] but reusing a caller-provided walker
+    /// As [`OrderCost::order_cost`], walking `walker`'s compiled snapshot
     /// (the evaluator's hot path).
-    fn order_cost_with(&self, query: &Query, order: &[RelId], walker: &mut SizeWalker) -> f64;
+    fn order_cost_with(&self, walker: &mut SizeWalker, order: &[RelId]) -> f64;
 }
 
 impl<M: CostModel + ?Sized> OrderCost for M {
     fn order_cost(&self, query: &Query, order: &[RelId]) -> f64 {
-        let mut walker = SizeWalker::new(query.n_relations());
-        self.order_cost_with(query, order, &mut walker)
+        self.order_cost_with(&mut SizeWalker::new(query), order)
     }
 
-    fn order_cost_with(&self, query: &Query, order: &[RelId], walker: &mut SizeWalker) -> f64 {
+    fn order_cost_with(&self, walker: &mut SizeWalker, order: &[RelId]) -> f64 {
         let mut total = 0.0f64;
-        let mut outer_rels = 1usize;
-        walker.walk(query, order, |s| {
-            total += self.join_cost(&JoinCtx {
-                outer_card: s.outer_card,
-                inner_card: s.inner_card,
-                output_card: s.output_card,
-                outer_rels,
-                is_cross_product: s.is_cross_product,
-            });
-            outer_rels += 1;
-        });
+        walker.walk(order, |_, ctx| total += self.join_cost(ctx));
         total.min(f64::MAX)
     }
 }

@@ -21,6 +21,7 @@
 
 use ljqo_catalog::{Query, RelId};
 
+use crate::estimate::SizeWalker;
 use crate::model::{bound_ingredients, CostModel, JoinCtx};
 
 /// A physical join operator.
@@ -119,19 +120,9 @@ impl MultiMethodCostModel {
     /// Annotate an order with the chosen method per join (for EXPLAIN
     /// output and tests).
     pub fn annotate(&self, query: &Query, order: &[RelId]) -> Vec<(RelId, JoinMethod)> {
-        let mut walker = crate::estimate::SizeWalker::new(query.n_relations());
         let mut out = Vec::with_capacity(order.len().saturating_sub(1));
-        let mut outer_rels = 1usize;
-        walker.walk(query, order, |s| {
-            let ctx = JoinCtx {
-                outer_card: s.outer_card,
-                inner_card: s.inner_card,
-                output_card: s.output_card,
-                outer_rels,
-                is_cross_product: s.is_cross_product,
-            };
-            out.push((s.inner, self.best_method(&ctx).0));
-            outer_rels += 1;
+        SizeWalker::new(query).walk(order, |inner, ctx| {
+            out.push((inner, self.best_method(ctx).0));
         });
         out
     }

@@ -18,18 +18,20 @@
 //!   `(L.set, R.set)` in ascending edge order; the outer operand is
 //!   clamped when it is a base relation (mirroring the linear walk's
 //!   clamped first relation), inner left raw (mirroring `inner_card`);
-//!   `output = clamp_card(outer · inner · sel)`;
-//!   `cost = cost(L) + cost(R) + model.join_cost(...)` with
-//!   `outer_rels = output width − 1`.
+//!   the step is [`JoinCtx::step`] with `outer_rels = output width − 1`,
+//!   and `cost = cost(L) + cost(R) + model.join_cost(step)`.
 //!
-//! On an outer-linear (left-deep) tree this reproduces
-//! [`OrderCost::order_cost`](crate::OrderCost::order_cost) **bit for bit**: the crossing-edge fold
-//! restricted to an inner leaf enumerates exactly the placed incident
-//! edges in the same (ascending edge id) order as
-//! [`estimate::selectivity_into`](crate::estimate::selectivity_into) and
-//! the compiled CSR slots; the products and the cost sum associate
-//! identically. That makes bushy-vs-linear comparisons exact rather than
-//! tolerance-based. Each node's value is a pure function of its
+//! The crossing-edge fold is the tree walk's own: a bushy join has no
+//! single inner relation whose CSR slots
+//! [`estimate::join_step`](crate::estimate::join_step) could fold. On an
+//! outer-linear (left-deep) tree it reproduces
+//! [`OrderCost::order_cost`](crate::OrderCost::order_cost) **bit for
+//! bit**: restricted to an inner leaf it enumerates exactly the placed
+//! incident edges in the same (ascending edge id) order as the compiled
+//! CSR slots, an unplaced edge contributes nothing where the slot fold
+//! multiplies by an exact 1.0, and the products and the cost sum
+//! associate identically. That makes bushy-vs-linear comparisons exact
+//! rather than tolerance-based. Each node's value is a pure function of its
 //! children's values, so the path-to-root recompute is bit-identical to a
 //! full bottom-up re-cost — debug builds assert this on **every** move.
 //!
@@ -66,30 +68,25 @@ fn join_value(
     r: &TreeNode,
     rv: (f64, f64),
 ) -> (f64, f64) {
-    let mut sel: Option<f64> = None;
+    let mut sel = 1.0f64;
+    let mut joined = false;
     for e in 0..cq.n_edges() {
         let eid = EdgeId(e as u32);
         let a = cq.edge_a(eid).index();
         let b = cq.edge_b(eid).index();
         let crosses = (l.set.test(a) && r.set.test(b)) || (l.set.test(b) && r.set.test(a));
         if crosses {
-            *sel.get_or_insert(1.0) *= cq.edge_selectivity(eid);
+            sel *= cq.edge_selectivity(eid);
+            joined = true;
         }
     }
     // Clamp rule mirrors the linear walk exactly: the walk clamps the
     // *first* (outer-side) base relation and leaves every inner base
     // relation raw; intermediates are clamped as they are produced.
     let outer_card = if l.is_leaf() { clamp_card(lv.0) } else { lv.0 };
-    let inner_card = rv.0;
-    let output = clamp_card(outer_card * inner_card * sel.unwrap_or(1.0));
-    let step = model.join_cost(&JoinCtx {
-        outer_card,
-        inner_card,
-        output_card: output,
-        outer_rels: (l.width() + r.width()) as usize - 1,
-        is_cross_product: sel.is_none(),
-    });
-    (output, lv.1 + rv.1 + step)
+    let outer_rels = (l.width() + r.width()) as usize - 1;
+    let ctx = JoinCtx::step(outer_card, rv.0, sel, joined, outer_rels);
+    (ctx.output_card, lv.1 + rv.1 + model.join_cost(&ctx))
 }
 
 /// Full bottom-up evaluation of `plan` into `card`/`cost` (indexed by

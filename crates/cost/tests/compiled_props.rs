@@ -3,12 +3,13 @@
 //! Every hot-loop shortcut introduced by the compiled query snapshot has a
 //! slow reference implementation it must match **bit for bit** (not just
 //! approximately): the bitset validity checker against the edge-chasing
-//! scan of `ljqo_plan::validity`, the compiled incremental cost paths
-//! against the from-scratch walks. The propagated estimator, which has no
-//! second implementation, is pinned by a digest of its output instead.
-//! Random catalogs with 1–4 connected components, all three cost models
-//! and all four move kinds, as seeded-RNG loops (offline build, so no
-//! proptest — every case reproduces from its printed seed).
+//! scan of `ljqo_plan::validity`, the step kernel's walks against the
+//! edge-chasing cost walk of the `oracle` test module. Random catalogs
+//! with 1–4 connected components, all three cost models and all four
+//! move kinds, as seeded-RNG loops (offline build, so no proptest —
+//! every case reproduces from its printed seed).
+
+mod oracle;
 
 use std::sync::Arc;
 
@@ -16,10 +17,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ljqo_catalog::{CompiledQuery, Query, QueryBuilder, RelId};
-use ljqo_cost::propagate::intermediate_sizes_propagated;
 use ljqo_cost::{
-    costs_agree, CostModel, DiskCostModel, IncrementalEvaluator, MemoryCostModel,
-    MultiMethodCostModel,
+    costs_agree, sanitize_cost, CostModel, DiskCostModel, IncrementalEvaluator, MemoryCostModel,
+    MultiMethodCostModel, OrderCost,
 };
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::{random_valid_order, BitsetChecker, MoveGenerator, MoveSet};
@@ -163,10 +163,11 @@ fn windowed_validity_matches_full_scan_after_moves() {
     }
 }
 
-/// The compiled incremental static path reproduces the from-scratch
-/// `order_cost` walk (within re-association tolerance per evaluation,
-/// bit-exactly after every commit), on multi-component catalogs, under
-/// every cost model, with compiled-filtered moves of all four kinds.
+/// The step kernel's walks reproduce the edge-chasing oracle on
+/// multi-component catalogs, under every cost model, with
+/// compiled-filtered moves of all four kinds: the full walk and the
+/// incremental rebuild bit for bit, every incremental evaluation within
+/// re-association tolerance, and every committed state bit for bit.
 #[test]
 fn compiled_incremental_matches_order_cost() {
     for case in 0..CASES {
@@ -174,13 +175,25 @@ fn compiled_incremental_matches_order_cost() {
         let q = arb_catalog(&mut rng);
         let compiled = Arc::new(CompiledQuery::new(&q));
         for model in models() {
+            let model = model.as_ref();
             for comp in q.graph().components() {
                 let order = random_valid_order(q.graph(), &comp, &mut rng);
-                let mut inc = IncrementalEvaluator::with_compiled(
-                    &q,
-                    model.as_ref(),
-                    order,
-                    Arc::clone(&compiled),
+                let want = oracle::order_cost(model, &q, order.rels());
+                let full = sanitize_cost(model.order_cost(&q, order.rels()));
+                assert_eq!(
+                    full.to_bits(),
+                    want.to_bits(),
+                    "case {case}: {}: full walk {full} vs oracle {want}",
+                    model.name()
+                );
+                let mut inc =
+                    IncrementalEvaluator::with_compiled(&q, model, order, Arc::clone(&compiled));
+                assert_eq!(
+                    inc.current_cost().to_bits(),
+                    want.to_bits(),
+                    "case {case}: {}: rebuild {} vs oracle {want}",
+                    model.name(),
+                    inc.current_cost()
                 );
                 let mut gen = MoveGenerator::with_compiled(Arc::clone(&compiled), all_kinds());
                 for _ in 0..16 {
@@ -189,17 +202,17 @@ fn compiled_incremental_matches_order_cost() {
                         break;
                     };
                     let got = inc.eval_applied(&mv);
-                    let want = inc.full_eval();
+                    let want = oracle::order_cost(model, &q, inc.order().rels());
                     assert!(
                         costs_agree(got, want),
-                        "case {case}: {} {mv:?}: compiled incremental {got} vs full {want}",
+                        "case {case}: {} {mv:?}: compiled incremental {got} vs oracle {want}",
                         model.name()
                     );
                     if rng.gen_bool(0.5) {
                         inc.commit();
                         assert_eq!(
-                            inc.current_cost(),
-                            inc.full_eval(),
+                            inc.current_cost().to_bits(),
+                            want.to_bits(),
                             "case {case}: {} {mv:?}: committed state not bit-exact",
                             model.name()
                         );
@@ -210,35 +223,4 @@ fn compiled_incremental_matches_order_cost() {
             }
         }
     }
-}
-
-/// Expected result of [`propagated_sizes_digest`]. A refactor of the
-/// propagated walk must leave it unchanged; a different value means the
-/// estimator's output changed.
-const PROPAGATED_SIZES_DIGEST: u64 = 0x6ce6_45e7_52a5_5403;
-
-/// Pins the propagated estimator's output bit for bit: the FNV-1a fold of
-/// every intermediate size it estimates for random valid orders of every
-/// component of the random catalogs. Any change to the walk's operation
-/// sequence (the equi-join merge, the Yao shrinkage, the clamping) moves
-/// the digest.
-#[test]
-fn propagated_sizes_digest() {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut folded = 0usize;
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xc09d_0006 ^ case);
-        let q = arb_catalog(&mut rng);
-        for comp in q.graph().components() {
-            for _ in 0..8 {
-                let order = random_valid_order(q.graph(), &comp, &mut rng);
-                for size in intermediate_sizes_propagated(&q, order.rels()) {
-                    digest = (digest ^ size.to_bits()).wrapping_mul(0x0100_0000_01b3);
-                    folded += 1;
-                }
-            }
-        }
-    }
-    assert!(folded > 0);
-    assert_eq!(digest, PROPAGATED_SIZES_DIGEST, "digest {digest:#018x}");
 }

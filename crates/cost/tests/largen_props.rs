@@ -17,21 +17,25 @@
 //!   a full re-scan after raw (unfiltered) window permutations,
 //! * move filtering: the compiled generator proposes the *same stream*
 //!   as a scalar reference proposer under the same seed,
-//! * costing: the blocked tree walk reproduces `order_cost` bit for
-//!   bit, under every cost model, on 1–4-component catalogs.
+//! * costing: the step kernel's full walk, the incremental rebuild and
+//!   the blocked tree walk reproduce the edge-chasing oracle of the
+//!   `oracle` test module bit for bit, under every cost model, on
+//!   1–4-component catalogs.
 //!
 //! Offline property-test idiom: seeded-RNG loops, one derived seed per
 //! case, failures reproduce exactly.
+
+mod oracle;
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ljqo_catalog::{bitset, CompiledQuery, JoinGraph, Query, QueryBuilder};
+use ljqo_catalog::{bitset, BlockMask, CompiledQuery, JoinGraph, Query, QueryBuilder};
 use ljqo_cost::{
-    sanitize_cost, CostModel, DiskCostModel, MemoryCostModel, MultiMethodCostModel, OrderCost,
-    TreeEvaluator,
+    sanitize_cost, CostModel, DiskCostModel, IncrementalEvaluator, MemoryCostModel,
+    MultiMethodCostModel, OrderCost, TreeEvaluator,
 };
 use ljqo_plan::validity::{is_valid, BitsetChecker, ValidityChecker};
 use ljqo_plan::{random_valid_order, JoinOrder, Move, MoveGenerator, MoveSet, TreePlan};
@@ -284,33 +288,56 @@ fn move_filtering_matches_scalar_reference_at_word_boundaries() {
     }
 }
 
-/// The blocked tree walk prices a left-deep embedding of an order
-/// exactly as the linear walk prices the order — bit for bit, under
-/// every model, at every boundary size (all ≤ the 256-relation arena
-/// capacity).
+/// Three walks price an order exactly as the edge-chasing oracle does
+/// — bit for bit, under every model: the step kernel's full walk, the
+/// incremental evaluator's rebuild, and the blocked tree walk over the
+/// order's left-deep embedding. The grid spans the 1-word mask tier
+/// (N ≤ 64), the one-block tier (N ≤ 256) and the 8-word tier past it,
+/// where the 256-relation tree arena ends and the two linear walks are
+/// compared alone.
 #[test]
 fn tree_walk_matches_linear_walk_bit_for_bit_at_word_boundaries() {
-    for (n, comps, mut rng) in boundary_cases(0x1a6e_0004) {
+    let general = GENERAL_NS.into_iter().map(|n| {
+        let seed = 0x1a6e_0004 ^ ((n as u64) << 16);
+        (n, 2, SmallRng::seed_from_u64(seed))
+    });
+    let mut strides = Vec::new();
+    for (n, comps, mut rng) in boundary_cases(0x1a6e_0004).chain(general) {
         let q = boundary_catalog(&mut rng, n, comps);
         let cq = Arc::new(CompiledQuery::new(&q));
+        strides.push(cq.mask_stride());
         for model in models() {
+            let model = model.as_ref();
             for comp in q.graph().components() {
                 let order = random_valid_order(q.graph(), &comp, &mut rng);
                 if order.len() < 2 {
                     continue;
                 }
-                let plan = TreePlan::from_order(&cq, order.rels());
-                let tree = TreeEvaluator::new(model.as_ref(), Arc::clone(&cq), plan).current_cost();
-                let linear = sanitize_cost(model.order_cost(&q, order.rels()));
-                assert_eq!(
-                    tree.to_bits(),
-                    linear.to_bits(),
-                    "N={n}/{comps} {}: tree walk {tree} != linear walk {linear}",
-                    model.name()
-                );
+                let want = oracle::order_cost(model, &q, order.rels());
+                let full = sanitize_cost(model.order_cost(&q, order.rels()));
+                let rebuild =
+                    IncrementalEvaluator::with_compiled(&q, model, order.clone(), Arc::clone(&cq))
+                        .current_cost();
+                let mut walks = vec![("full walk", full), ("incremental rebuild", rebuild)];
+                if n <= BlockMask::CAPACITY {
+                    let plan = TreePlan::from_order(&cq, order.rels());
+                    let tree = TreeEvaluator::new(model, Arc::clone(&cq), plan).current_cost();
+                    walks.push(("tree walk", tree));
+                }
+                for (walk, cost) in walks {
+                    assert_eq!(
+                        cost.to_bits(),
+                        want.to_bits(),
+                        "N={n}/{comps} {}: {walk} {cost} != oracle {want}",
+                        model.name()
+                    );
+                }
             }
         }
     }
+    strides.sort_unstable();
+    strides.dedup();
+    assert_eq!(strides, [1, 4, 8], "the grid must reach every mask tier");
 }
 
 /// Past the 256-relation block capacity the general (heap-strided) tier

@@ -264,6 +264,35 @@ fn immediate_deadline_returns_degraded_fallback() {
 }
 
 #[test]
+fn expired_deadline_degrades_every_search_method_to_the_heuristic() {
+    // No search time means no searched plan, whichever method runs: the
+    // annealers must not price their random start and ship it as an
+    // undegraded result.
+    let q = chain_query();
+    let model = MemoryCostModel::default();
+    for (method, space) in [
+        (Method::Ii, SearchSpace::Linear),
+        (Method::Iai, SearchSpace::Linear),
+        (Method::Sa, SearchSpace::Linear),
+        (Method::Saa, SearchSpace::Linear),
+        (Method::Sak, SearchSpace::Linear),
+        (Method::BushyIi, SearchSpace::Bushy),
+        (Method::BushySa, SearchSpace::Bushy),
+    ] {
+        let config = OptimizerConfig::new(method)
+            .with_seed(1)
+            .with_space(space)
+            .with_deadline(Duration::ZERO);
+        let r = Optimizer::new(&model, &config)
+            .solve(&q)
+            .unwrap_or_else(|e| panic!("{method}: no plan: {e}"))
+            .0;
+        assert!(r.deadline_expired, "{method}");
+        assert_eq!(r.degradation, Degradation::Heuristic, "{method}");
+    }
+}
+
+#[test]
 fn generous_deadline_does_not_degrade() {
     let q = chain_query();
     let model = MemoryCostModel::default();
