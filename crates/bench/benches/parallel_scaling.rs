@@ -69,7 +69,6 @@ fn main() {
                 &[Method::Ii],
                 &comp,
                 &ParallelOptions::new(budget, w, 9),
-                None,
             )
             .expect("budgeted run yields a state");
             cost = r.cost;
@@ -88,8 +87,7 @@ fn main() {
     let mut quality_rows: Vec<ljqo_json::Value> = Vec::new();
     for &w in &WORKER_GRID {
         let base = ParallelOptions::new(budget, w, 9);
-        let iso =
-            run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
+        let iso = run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
         let coop = run_portfolio(
             &query,
             &model,
@@ -97,7 +95,6 @@ fn main() {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
-            None,
         )
         .unwrap();
         assert!(
@@ -125,7 +122,6 @@ fn main() {
         &[Method::Ii],
         &comp,
         &ParallelOptions::new((budget / 20).max(200), 1, 7),
-        None,
     )
     .unwrap();
     let threshold = pilot.cost * 1.1;
@@ -140,8 +136,8 @@ fn main() {
             let started = Instant::now();
             let reps = if smoke { 3 } else { 10 };
             for _ in 0..reps {
-                let r = run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &opts, None)
-                    .unwrap();
+                let r =
+                    run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &opts).unwrap();
                 cost = r.cost;
                 units = r.units_used;
                 black_box(r.cost);

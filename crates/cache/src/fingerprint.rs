@@ -461,10 +461,104 @@ fn canonical_bfs(
     (tokens, order)
 }
 
+/// Coarse structural shape of a join graph, from relabel-invariant
+/// degree/edge counts alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ShapeClass {
+    /// Acyclic with maximum degree ≤ 2 (a path), or trivially small.
+    Chain,
+    /// Acyclic with one hub adjacent to every other relation.
+    Star,
+    /// Any other forest (snowflakes, general trees).
+    Tree,
+    /// Cyclic but sparse (average degree ≤ 3).
+    SparseCyclic,
+    /// Cyclic and dense (average degree > 3).
+    DenseCyclic,
+}
+
+impl ShapeClass {
+    /// Stable lower-case name, used in labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShapeClass::Chain => "chain",
+            ShapeClass::Star => "star",
+            ShapeClass::Tree => "tree",
+            ShapeClass::SparseCyclic => "sparse",
+            ShapeClass::DenseCyclic => "dense",
+        }
+    }
+}
+
+/// A coarse, relabel-invariant bucket of queries: many fingerprints
+/// share one class. The server breaks its per-producer win counts down
+/// by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct QueryClass {
+    /// Structural shape of the join graph.
+    pub shape: ShapeClass,
+    /// `⌊log₂ N⌋` of the relation count.
+    pub n_bucket: u8,
+    /// Join-graph component count, saturated at 3.
+    pub components: u8,
+    /// `⌊2m/N⌋` (integer average degree), saturated at 3.
+    pub density_bucket: u8,
+}
+
+impl QueryClass {
+    /// Human-readable label, e.g. `star/n3/c1/d1` — used in `/stats`.
+    pub fn label(&self) -> String {
+        format!(
+            "{}/n{}/c{}/d{}",
+            self.shape.name(),
+            self.n_bucket,
+            self.components,
+            self.density_bucket
+        )
+    }
+}
+
+/// Compute the [`QueryClass`] of a query. Every feature is a function
+/// of the degree multiset, edge count, and component structure of the
+/// join graph — the structural quantities the fingerprint's color
+/// refinement consumes, coarsened — so the class is invariant under
+/// relation relabeling by construction (the property suite re-checks
+/// this with the fingerprint's permutation harness).
+pub fn classify(query: &Query) -> QueryClass {
+    let g = query.graph();
+    let n = g.n_relations().max(1);
+    let m = g.edges().len();
+    let comps = g.components().len().max(1);
+    let max_deg = (0..n).map(|i| g.degree(RelId(i as u32))).max().unwrap_or(0);
+    // A forest has exactly n - comps edges; parallel edges push m above.
+    let forest = m + comps <= n;
+    let shape = if n <= 2 {
+        ShapeClass::Chain
+    } else if forest {
+        if max_deg <= 2 {
+            ShapeClass::Chain
+        } else if max_deg == n - 1 {
+            ShapeClass::Star
+        } else {
+            ShapeClass::Tree
+        }
+    } else if 2 * m <= 3 * n {
+        ShapeClass::SparseCyclic
+    } else {
+        ShapeClass::DenseCyclic
+    };
+    QueryClass {
+        shape,
+        n_bucket: (usize::BITS - 1 - n.leading_zeros()) as u8,
+        components: comps.min(3) as u8,
+        density_bucket: ((2 * m) / n).min(3) as u8,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ljqo_catalog::QueryBuilder;
+    use ljqo_catalog::{JoinEdge, QueryBuilder, Relation};
 
     fn chain() -> Query {
         QueryBuilder::new()
@@ -559,5 +653,30 @@ mod tests {
             fingerprint(&a, &fine).fingerprint(),
             fingerprint(&b, &fine).fingerprint()
         );
+    }
+
+    fn query_of(n: usize, edges: &[(u32, u32)]) -> Query {
+        let relations: Vec<Relation> = (0..n)
+            .map(|i| Relation::new(format!("r{i}"), 1000 + i as u64))
+            .collect();
+        let edges: Vec<JoinEdge> = edges
+            .iter()
+            .map(|&(a, b)| JoinEdge::new(a, b, 0.01, 10.0, 10.0))
+            .collect();
+        Query::new(relations, edges).unwrap()
+    }
+
+    #[test]
+    fn classify_separates_the_basic_shapes() {
+        let chain = query_of(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let star = query_of(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let tree = query_of(6, &[(0, 1), (0, 2), (1, 3), (1, 4), (4, 5)]);
+        let cycle = query_of(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+        assert_eq!(classify(&chain).shape, ShapeClass::Chain);
+        assert_eq!(classify(&star).shape, ShapeClass::Star);
+        assert_eq!(classify(&tree).shape, ShapeClass::Tree);
+        assert_eq!(classify(&cycle).shape, ShapeClass::SparseCyclic);
+        assert_eq!(classify(&chain).n_bucket, 2); // ⌊log₂ 5⌋
+        assert_eq!(classify(&chain).components, 1);
     }
 }

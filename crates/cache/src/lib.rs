@@ -13,16 +13,13 @@
 //!   (canonical traversal seeded by Weisfeiler–Lehman color refinement)
 //!   and deliberately coarse on statistics (log-scale bucketing via
 //!   [`ljqo_catalog::quant`]), so "the same query shape with near-equal
-//!   statistics" maps to one key.
+//!   statistics" maps to one key. Next to it, [`classify`] buckets a
+//!   query into a much coarser relabel-invariant [`QueryClass`] (graph
+//!   shape, size, components, density) for per-class statistics.
 //! * [`cache`] — a sharded LRU [`PlanCache`] from fingerprint to the
 //!   winning join order (in canonical coordinates), its cost, and the
 //!   producing method, with entry + byte capacity and atomic hit/miss
 //!   counters.
-//!
-//! * [`router`] — a contextual UCB bandit over coarse fingerprint
-//!   feature classes that learns per-class portfolio budget shares
-//!   online, with a mandatory ε exploration floor and corruption-
-//!   tolerant persistence.
 //!
 //! Driver integration (validity re-check against the live catalog, batch
 //! dedup, fall-through to the cold path) lives in `ljqo-core`; this crate
@@ -34,8 +31,9 @@
 
 pub mod cache;
 pub mod fingerprint;
-pub mod router;
 
 pub use cache::{CacheStats, CachedPlan, CachedSegment, PlanCache, PlanCacheConfig};
-pub use fingerprint::{fingerprint, FingerprintConfig, Fingerprinted, QueryFingerprint};
-pub use router::{classify, BanditRouter, QueryClass, RouterConfig, ShapeClass};
+pub use fingerprint::{
+    classify, fingerprint, FingerprintConfig, Fingerprinted, QueryClass, QueryFingerprint,
+    ShapeClass,
+};

@@ -7,7 +7,8 @@
 //!
 //! The three properties under test are the fingerprint's contract:
 //!
-//! 1. relabeling the relations of a query NEVER changes its fingerprint;
+//! 1. relabeling the relations of a query NEVER changes its fingerprint
+//!    (nor its coarse `classify` class);
 //! 2. perturbing one cardinality beyond one log-bucket width ALWAYS
 //!    changes it;
 //! 3. perturbing one cardinality within its log bucket NEVER changes it.
@@ -15,7 +16,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ljqo_cache::{fingerprint, FingerprintConfig};
+use ljqo_cache::{classify, fingerprint, FingerprintConfig};
 use ljqo_catalog::quant::log_bucket;
 use ljqo_catalog::{JoinEdge, Query, RelId, Relation};
 use ljqo_workload::{generate_query, Benchmark};
@@ -116,6 +117,44 @@ fn relabeling_never_changes_the_fingerprint() {
                 "case {case} bpd {bpd}: permutation changed the fingerprint"
             );
         }
+    }
+}
+
+/// Relabeling the relations of a query never changes its coarse
+/// [`classify`] class either.
+#[test]
+fn class_assignment_is_relabel_invariant() {
+    /// A random connected graph with uniform edge statistics, plus a few
+    /// extra edges for cycles: only the shape matters to the class.
+    fn random_graph(rng: &mut SmallRng) -> Query {
+        let n = rng.gen_range(3usize..12);
+        let relations: Vec<Relation> = (0..n)
+            .map(|i| Relation::new(format!("r{i}"), rng.gen_range(10u64..1_000_000)))
+            .collect();
+        let mut edges = Vec::new();
+        for i in 1..n {
+            let j = rng.gen_range(0..i) as u32;
+            edges.push(JoinEdge::new(j, i as u32, 0.01, 10.0, 10.0));
+        }
+        for _ in 0..rng.gen_range(0usize..4) {
+            let a = rng.gen_range(0..n) as u32;
+            let b = rng.gen_range(0..n) as u32;
+            if a != b {
+                edges.push(JoinEdge::new(a, b, 0.02, 5.0, 5.0));
+            }
+        }
+        Query::new(relations, edges).unwrap()
+    }
+
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x0b5e_000a ^ case);
+        let q = random_graph(&mut rng);
+        let perm = shuffled_identity(q.n_relations(), &mut rng);
+        assert_eq!(
+            classify(&q),
+            classify(&permuted(&q, &perm)),
+            "case {case}: relabeling changed the query class"
+        );
     }
 }
 

@@ -6,7 +6,6 @@
 //!          [--tau 9] [--kappa 5] [--seed 0] [--deadline-ms N]
 //!          [--budget-schedule quadratic|capped:T|nlogn:T]
 //!          [--workers N] [--cooperate] [--portfolio]
-//!          [--router uniform|ucb] [--router-state PATH] [--router-epsilon F]
 //!          [--cache-entries N] [--cache-shards N] [--fp-buckets N]
 //!          [--workload-shape star|snowflake|cyclic] [--workload-joins N]
 //!          [--qerror F] [--qerror-mode independent|correlated]
@@ -69,17 +68,6 @@
 //! shared best-cost pruning, which is timing-dependent but never worse
 //! in plan quality at equal budget.
 //!
-//! Learned routing: `--router ucb` (requires `--portfolio`) splits each
-//! portfolio solve's budget by the contextual-bandit shares learned for
-//! the query's fingerprint class instead of uniformly — see
-//! `ljqo_cache::BanditRouter`. `--router-state PATH` loads the bandit
-//! state from `PATH` before the solve and saves it back afterwards, so
-//! repeated invocations keep learning; a missing file is a fresh start
-//! and a corrupt one degrades to uniform with a counted reset.
-//! `--router-epsilon F` sets the exploration floor (clamped to `1/K`).
-//! The always-present `"router"` JSON block reports the mode, the
-//! query's class label, and the share vector applied.
-//!
 //! Plan cache: `--cache-entries N` (N > 0) routes the query through the
 //! plan-cache serving path — fingerprint, lookup, validity re-check, and
 //! fall-through to the cold search on a miss — exactly as a long-running
@@ -102,11 +90,8 @@
 //! | 6    | optimizer could not produce any plan      |
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
-use ljqo::cache::{classify, BanditRouter, RouterConfig};
-use ljqo::parallel::PORTFOLIO;
 use ljqo::prelude::*;
 use ljqo::robust::{regret_under, RegretSample};
 use ljqo_cli::QueryFile;
@@ -135,9 +120,6 @@ struct Options {
     workers: usize,
     cooperate: bool,
     portfolio: bool,
-    router: String,
-    router_state: Option<String>,
-    router_epsilon: f64,
     cache_entries: usize,
     cache_shards: usize,
     fp_buckets: u32,
@@ -157,9 +139,7 @@ fn usage() -> ! {
          \x20                         [--tau F] [--kappa F]\n\
          \x20                         [--budget-schedule quadratic|capped:T|nlogn:T]\n\
          \x20                         [--seed U64] [--deadline-ms U64] [--workers N]\n\
-         \x20                         [--cooperate] [--portfolio]\n\
-         \x20                         [--router uniform|ucb] [--router-state PATH]\n\
-         \x20                         [--router-epsilon F] [--cache-entries N]\n\
+         \x20                         [--cooperate] [--portfolio] [--cache-entries N]\n\
          \x20                         [--cache-shards N] [--fp-buckets N]\n\
          \x20                         [--workload-shape star|snowflake|cyclic]\n\
          \x20                         [--workload-joins N] [--qerror F]\n\
@@ -168,6 +148,17 @@ fn usage() -> ! {
          exactly one of QUERY.json and --workload-shape is required"
     );
     std::process::exit(2);
+}
+
+/// Parse a budget multiplier (`--tau`, `--kappa`): it must be finite
+/// and positive, or the budget saturates and the search never ends.
+fn positive(flag: &str, v: &str) -> f64 {
+    let x: f64 = v.parse().unwrap_or_else(|_| usage());
+    if !(x.is_finite() && x > 0.0) {
+        eprintln!("error: {flag} must be a finite value > 0");
+        usage()
+    }
+    x
 }
 
 fn parse_args() -> Options {
@@ -184,9 +175,6 @@ fn parse_args() -> Options {
         workers: 1,
         cooperate: false,
         portfolio: false,
-        router: "uniform".into(),
-        router_state: None,
-        router_epsilon: RouterConfig::default().epsilon,
         cache_entries: 0,
         cache_shards: 8,
         fp_buckets: 4,
@@ -221,8 +209,8 @@ fn parse_args() -> Options {
                     usage()
                 });
             }
-            "--tau" => opts.tau = value("--tau").parse().unwrap_or_else(|_| usage()),
-            "--kappa" => opts.kappa = value("--kappa").parse().unwrap_or_else(|_| usage()),
+            "--tau" => opts.tau = positive("--tau", &value("--tau")),
+            "--kappa" => opts.kappa = positive("--kappa", &value("--kappa")),
             "--budget-schedule" => {
                 let v = value("--budget-schedule");
                 opts.schedule = v.parse().unwrap_or_else(|e| {
@@ -243,24 +231,6 @@ fn parse_args() -> Options {
             }
             "--cooperate" => opts.cooperate = true,
             "--portfolio" => opts.portfolio = true,
-            "--router" => {
-                let v = value("--router");
-                if v != "uniform" && v != "ucb" {
-                    eprintln!("error: unknown router {v:?} (expected uniform or ucb)");
-                    usage()
-                }
-                opts.router = v;
-            }
-            "--router-state" => opts.router_state = Some(value("--router-state")),
-            "--router-epsilon" => {
-                opts.router_epsilon = value("--router-epsilon")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if !opts.router_epsilon.is_finite() || opts.router_epsilon < 0.0 {
-                    eprintln!("error: --router-epsilon must be a finite value >= 0");
-                    usage()
-                }
-            }
             "--cache-entries" => {
                 opts.cache_entries = value("--cache-entries").parse().unwrap_or_else(|_| usage());
             }
@@ -323,16 +293,6 @@ fn parse_args() -> Options {
     if opts.input.is_empty() == opts.workload_shape.is_none() {
         // Neither (nothing to optimize) or both (ambiguous source).
         eprintln!("error: give exactly one of QUERY.json and --workload-shape");
-        usage();
-    }
-    if opts.router == "ucb" && !opts.portfolio {
-        // The bandit splits the *portfolio* budget; without heterogeneous
-        // arms there is nothing to route between.
-        eprintln!("error: --router ucb requires --portfolio");
-        usage();
-    }
-    if opts.router_state.is_some() && opts.router == "uniform" {
-        eprintln!("error: --router-state requires --router ucb");
         usage();
     }
     if opts.space == SearchSpace::Bushy {
@@ -403,33 +363,6 @@ fn robustness_json(sample: Option<&RegretSample>, opts: &Options) -> ljqo_json::
         "regret": sample.map(|s| s.regret).unwrap_or(0.0),
         "replay": sample.map(|s| s.replay.name()).unwrap_or("off"),
         "solve_degradation": sample.map(|s| s.degradation.label()).unwrap_or("none"),
-    })
-}
-
-/// The always-present `"router"` object of `--json` output: the routing
-/// mode, the query's fingerprint class, and the budget-share vector the
-/// portfolio applied. With `--router uniform` (the default) the shares
-/// are the uniform split, so the schema is identical either way and
-/// scripts can key on `enabled` — the same contract as the cache block.
-fn router_json(router: Option<&BanditRouter>, query: &Query, opts: &Options) -> ljqo_json::Value {
-    let class = classify(query);
-    let shares = match router {
-        Some(r) => r.shares(&class),
-        None => vec![1.0 / PORTFOLIO.len() as f64; PORTFOLIO.len()],
-    };
-    ljqo_json::json!({
-        "enabled": router.is_some(),
-        "mode": opts.router.clone(),
-        "epsilon": router.map(|r| r.effective_epsilon()).unwrap_or(0.0),
-        "resets": router.map(|r| r.resets()).unwrap_or(0),
-        "state_persisted": opts.router_state.is_some(),
-        "class": class.label(),
-        "arms": ljqo_json::Value::from(
-            PORTFOLIO.iter().map(|m| m.name().to_string()).collect::<Vec<_>>()
-        ),
-        "shares": ljqo_json::Value::Array(
-            shares.into_iter().map(ljqo_json::Value::Number).collect()
-        ),
     })
 }
 
@@ -575,17 +508,6 @@ fn main() -> ExitCode {
     let fp_config = FingerprintConfig {
         buckets_per_decade: opts.fp_buckets,
     };
-    let router = (opts.router == "ucb").then(|| {
-        let arms: Vec<&str> = PORTFOLIO.iter().map(|m| m.name()).collect();
-        let config = RouterConfig {
-            epsilon: opts.router_epsilon,
-            ..RouterConfig::default()
-        };
-        Arc::new(match &opts.router_state {
-            Some(path) => BanditRouter::load(std::path::Path::new(path), &arms, config),
-            None => BanditRouter::new(&arms, config),
-        })
-    });
     let parallelism = parallel.then(|| {
         let mut parallelism = if opts.portfolio {
             Parallelism::portfolio(opts.workers)
@@ -594,9 +516,6 @@ fn main() -> ExitCode {
         };
         if opts.cooperate {
             parallelism = parallelism.with_cooperation(Cooperation::SharedBest);
-        }
-        if let Some(router) = &router {
-            parallelism = parallelism.with_router(Arc::clone(router));
         }
         parallelism
     });
@@ -615,13 +534,6 @@ fn main() -> ExitCode {
             return exit_for(&e);
         }
     };
-    // The routed solve has recorded its outcome in the bandit;
-    // persist the updated state so the next invocation keeps learning.
-    if let (Some(router), Some(path)) = (&router, &opts.router_state) {
-        if let Err(e) = router.save(std::path::Path::new(path)) {
-            eprintln!("warning: could not save router state to {path}: {e}");
-        }
-    }
     // The robustness measurement: optimize against the observed catalog,
     // replay against the truth, compare with perfect information.
     let sample: Option<RegretSample> = if perturbation.is_some() {
@@ -688,7 +600,6 @@ fn main() -> ExitCode {
             "bound": bound_json(&query, model.as_ref(), result.cost, space),
             "cache": cache_stats_json,
             "robustness": robustness,
-            "router": router_json(router.as_deref(), &query, &opts),
         });
         println!("{}", out.to_string_pretty());
     } else {
@@ -725,21 +636,6 @@ fn main() -> ExitCode {
                 } else {
                     ""
                 }
-            );
-        }
-        if let Some(router) = &router {
-            let class = classify(&query);
-            let shares: Vec<String> = router
-                .shares(&class)
-                .iter()
-                .map(|s| format!("{s:.3}"))
-                .collect();
-            println!(
-                "learned routing: class {} → shares [{}] (ε = {}, {} reset(s))",
-                class.label(),
-                shares.join(", "),
-                router.effective_epsilon(),
-                router.resets()
             );
         }
         if let Some(cache) = &cache {

@@ -286,3 +286,24 @@ fn robustness_block_reports_the_regret_study() {
         Some("none")
     );
 }
+
+#[test]
+fn non_finite_or_non_positive_budget_multipliers_are_usage_errors() {
+    // An infinite multiplier saturates the budget; the deadline only
+    // bounds the run if the flag were accepted.
+    for bad in [
+        ["--tau", "inf"],
+        ["--tau", "0"],
+        ["--kappa", "inf"],
+        ["--kappa", "-1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ljqo-opt"))
+            .arg(sample_path())
+            .args(bad)
+            .args(["--deadline-ms", "200"])
+            .output()
+            .expect("CLI binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("must be a finite value > 0"));
+    }
+}

@@ -211,8 +211,7 @@ pub struct Optimized {
     /// largest component, when the plan came from a multi-method
     /// portfolio run.
     /// `None` on sequential paths, homogeneous fan-outs, and fallback
-    /// rescues — the winner identity feeds the learned router and the
-    /// per-class win counters, which only care about portfolio runs.
+    /// rescues. The serving counters credit it as the answer's producer.
     pub winner: Option<Method>,
 }
 

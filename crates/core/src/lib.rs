@@ -29,8 +29,8 @@
 //!   thread pool.
 //! * [`parallel`] — multicore extensions: isolated fan-out, cooperative
 //!   shared-best pruning ([`Cooperation`]), and heterogeneous method
-//!   portfolios ([`parallel::PORTFOLIO`]) with an optional learned budget
-//!   split and a structural challenger.
+//!   portfolios ([`parallel::PORTFOLIO`]) with an optional structural
+//!   challenger.
 //! * [`dp`] — exact System-R-style dynamic programming over valid
 //!   left-deep trees, feasible only for small `N`; used as a test oracle
 //!   and a baseline.

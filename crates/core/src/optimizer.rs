@@ -15,8 +15,8 @@
 //! * **Component loop.** Without parallelism each component runs the
 //!   configured method sequentially down the fallback ladder. With it,
 //!   each component's share is sharded over a worker pool
-//!   ([`run_portfolio`]); a learned router, when attached, weights the
-//!   split, and the structural backstop challenges the winner.
+//!   ([`run_portfolio`]), and the structural backstop challenges the
+//!   winner.
 //! * **Cache step.** With a cache, a resident entry is re-validated and
 //!   re-priced against the live catalog before it is served, and a
 //!   full-quality cold result is inserted (see [`crate::cached`] for the
@@ -35,9 +35,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ljqo_cache::{
-    fingerprint, BanditRouter, FingerprintConfig, Fingerprinted, PlanCache, QueryClass,
-};
+use ljqo_cache::{fingerprint, FingerprintConfig, Fingerprinted, PlanCache};
 use ljqo_catalog::{Query, RelId};
 use ljqo_cost::{CostModel, Deadline};
 use ljqo_plan::validity::is_valid;
@@ -49,7 +47,7 @@ use crate::driver::{
 };
 use crate::error::OptError;
 use crate::methods::Method;
-use crate::parallel::{run_portfolio, splitmix, ParallelOptions, ParallelResult, Parallelism};
+use crate::parallel::{run_portfolio, splitmix, ParallelOptions, Parallelism};
 
 /// Options for [`Optimizer::solve_batch`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -247,7 +245,7 @@ impl<'a> Optimizer<'a> {
     /// `i` is solved with seed `splitmix(config.seed ⊕ i)` and the
     /// per-query deadline, so results are deterministic in
     /// `(config, queries)` and independent of the thread count and of
-    /// scheduling (deadline expiry and a shared learned router aside).
+    /// scheduling (deadline expiry aside).
     ///
     /// With a cache, queries are fingerprinted up front and grouped:
     ///
@@ -485,7 +483,7 @@ impl<'a> Optimizer<'a> {
         query.validate()?;
         let components = query.graph().components();
         let budgets = component_budgets(config.budget_units(query.n_joins().max(1)), &components);
-        let fanout = self.parallelism.map(|par| Fanout::new(query, config, par));
+        let fanout = self.parallelism.map(|par| Fanout::new(config, par));
         let mut rng = SmallRng::seed_from_u64(config.seed);
 
         let mut segments = Vec::with_capacity(components.len());
@@ -549,28 +547,18 @@ struct Fanout<'p> {
     parallelism: &'p Parallelism,
     /// Methods rotated across workers.
     methods: &'p [Method],
-    /// The learned router and this query's class, when routing engages.
-    routed: Option<(&'p BanditRouter, QueryClass)>,
 }
 
 impl<'p> Fanout<'p> {
-    fn new(query: &Query, config: &'p OptimizerConfig, parallelism: &'p Parallelism) -> Self {
+    fn new(config: &'p OptimizerConfig, parallelism: &'p Parallelism) -> Self {
         let methods: &[Method] = if parallelism.methods.is_empty() {
             std::slice::from_ref(&config.method)
         } else {
             &parallelism.methods
         };
-        // Learned routing engages only on genuine portfolios whose arm set
-        // matches the router's; anything else keeps the uniform split.
-        let routed = parallelism
-            .router
-            .as_deref()
-            .filter(|r| methods.len() > 1 && r.n_arms() == methods.len())
-            .map(|r| (r, ljqo_cache::classify(query)));
         Fanout {
             parallelism,
             methods,
-            routed,
         }
     }
 
@@ -603,32 +591,13 @@ impl<'p> Fanout<'p> {
                 opts.stop_threshold = Some(lb * (1.0 + eps));
             }
         }
-        // Multi-worker components consult the router for a learned share
-        // vector; singleton components have nothing to route.
-        let shares = self
-            .routed
-            .as_ref()
-            .filter(|_| workers > 1)
-            .map(|(r, class)| r.shares(class));
-        let run = run_portfolio(
-            query,
-            model,
-            &config.runner,
-            self.methods,
-            comp,
-            &opts,
-            shares.as_deref(),
-        );
+        let run = run_portfolio(query, model, &config.runner, self.methods, comp, &opts);
 
         let mut outcome = ComponentOutcome::default();
         match run {
             Some(r) if is_valid(query.graph(), r.order.rels()) => {
                 if self.methods.len() > 1 && comp.len() > 1 {
                     outcome.winner = Some(r.method);
-                    // Feed the outcome back into the router online.
-                    if let Some((router, class)) = &self.routed {
-                        record_portfolio_outcome(router, class, self.methods, &r);
-                    }
                 }
                 outcome.workers_failed = r.workers_failed;
                 outcome.deadline_expired = r.deadline_expired;
@@ -645,40 +614,6 @@ impl<'p> Fanout<'p> {
         }
         outcome
     }
-}
-
-/// Reduce one portfolio run to per-arm statistics and feed the router.
-///
-/// Each arm's cost is the best across the workers that rotated it, and
-/// its spend their summed consumption; the challenger's report (a
-/// method outside the rotation, e.g. [`Method::Cardfree`]) matches no
-/// arm and is skipped. Outcomes where fewer than two arms produced a
-/// state teach nothing about *relative* merit and are dropped — the
-/// reward is normalized within the run, so a lone survivor would always
-/// score a meaningless 1.0.
-fn record_portfolio_outcome(
-    router: &BanditRouter,
-    class: &QueryClass,
-    methods: &[Method],
-    r: &ParallelResult,
-) {
-    let k = methods.len();
-    let mut arm_costs: Vec<Option<f64>> = vec![None; k];
-    let mut arm_units: Vec<u64> = vec![0; k];
-    for report in &r.per_worker {
-        let Some(arm) = methods.iter().position(|m| *m == report.method) else {
-            continue;
-        };
-        arm_units[arm] += report.units_used;
-        if let Some(cost) = report.best_cost.filter(|c| c.is_finite()) {
-            arm_costs[arm] = Some(arm_costs[arm].map_or(cost, |c: f64| c.min(cost)));
-        }
-    }
-    if arm_costs.iter().flatten().count() < 2 {
-        return;
-    }
-    let winner = methods.iter().position(|m| *m == r.method);
-    router.record_outcome(class, &arm_costs, &arm_units, winner);
 }
 
 /// A sequential, uncached solve: `Optimizer::new(model, config).solve(query)`

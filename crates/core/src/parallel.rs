@@ -27,9 +27,8 @@
 //!   AGI, and KBZ-seeded II) instead of clones of one method, and the
 //!   best survivor wins. Complementary heuristics hedge each other:
 //!   augmentation-seeded workers dominate at small budgets, II/SA at
-//!   large ones. Optional method weights (a learned router's shares)
-//!   skew the budget split, and an optional cardinality-free challenger
-//!   backstops the winner.
+//!   large ones. An optional cardinality-free challenger backstops the
+//!   winner.
 //! * **Batching**: [`Optimizer::solve_batch`](crate::Optimizer::solve_batch)
 //!   shards many *queries* across a thread pool with per-query
 //!   deadlines — throughput-oriented parallelism one level above this
@@ -205,58 +204,6 @@ pub fn shard_budget(budget: u64, workers: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Split `budget` into shares proportional to `weights`, conserving the
-/// total exactly: each worker gets `⌊budget·wᵢ/Σw⌋` and the leftover
-/// units go one each to the workers with the largest fractional parts
-/// (ties toward the lowest index, matching every other tie-break in
-/// this module). Non-finite or negative weights are treated as zero; a
-/// zero-weight worker receives exactly zero units. When the weights are
-/// all equal — or absent, or all zero — the result is **bit-identical**
-/// to [`shard_budget`], so the uniform path is unchanged by
-/// construction.
-pub fn shard_budget_weighted(budget: u64, weights: &[f64]) -> Vec<u64> {
-    let sanitized: Vec<f64> = weights
-        .iter()
-        .map(|&w| if w.is_finite() && w > 0.0 { w } else { 0.0 })
-        .collect();
-    let total: f64 = sanitized.iter().sum();
-    if sanitized.is_empty() || total <= 0.0 {
-        return shard_budget(budget, weights.len());
-    }
-    let first = sanitized[0];
-    if sanitized.iter().all(|&w| w == first) {
-        return shard_budget(budget, weights.len());
-    }
-    let mut shares: Vec<u64> = Vec::with_capacity(sanitized.len());
-    let mut fracs: Vec<(f64, usize)> = Vec::with_capacity(sanitized.len());
-    let mut allotted = 0u64;
-    for (i, &w) in sanitized.iter().enumerate() {
-        let exact = budget as f64 * (w / total);
-        // The `min` guards the (float-rounding) edge where the floors
-        // alone would oversubscribe; conservation must be exact.
-        let share = (exact.floor() as u64).min(budget - allotted);
-        shares.push(share);
-        allotted += share;
-        fracs.push((exact - exact.floor(), i));
-    }
-    // Largest fractional part first, lowest index on ties; only
-    // positive-weight workers may receive remainder units.
-    fracs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-    let eligible: Vec<usize> = fracs
-        .iter()
-        .filter(|&&(_, i)| sanitized[i] > 0.0)
-        .map(|&(_, i)| i)
-        .collect();
-    let mut remainder = budget - allotted;
-    let mut k = 0usize;
-    while remainder > 0 {
-        shares[eligible[k % eligible.len()]] += 1;
-        remainder -= 1;
-        k += 1;
-    }
-    shares
-}
-
 /// What one spawned worker reports back.
 type WorkerOutcome = (Option<(JoinOrder, f64)>, u64, u64, u64, bool);
 
@@ -275,14 +222,8 @@ enum Slot {
 /// state across workers wins. With a single-element `methods` this is
 /// plain homogeneous fan-out.
 ///
-/// Without `method_weights`, or with equal ones, the budget is split by
-/// [`shard_budget`]. Otherwise method `m`'s total share is
-/// `method_weights[m] / Σ method_weights`, divided evenly among the
-/// workers rotating that method, and the exact split comes from
-/// [`shard_budget_weighted`] (total conserved to the unit). Worker `i`'s
-/// seed `seed ⊕ splitmix(i+1)` does not depend on the weights, so
-/// changing shares only truncates or extends each worker's anytime
-/// search.
+/// The budget is split by [`shard_budget`], and worker `i` is seeded
+/// with `seed ⊕ splitmix(i+1)`.
 ///
 /// Cooperation, early stopping, and deadlines are configured via
 /// [`ParallelOptions`]. Workers are panic-isolated: a worker that panics
@@ -314,22 +255,9 @@ pub fn run_portfolio(
     methods: &[Method],
     component: &[RelId],
     opts: &ParallelOptions,
-    method_weights: Option<&[f64]>,
 ) -> Option<ParallelResult> {
     assert!(!methods.is_empty(), "portfolio needs at least one method");
-    let workers = opts.workers.max(1);
-    let shares = match method_weights {
-        Some(weights) => {
-            assert_eq!(
-                weights.len(),
-                methods.len(),
-                "one weight per portfolio method"
-            );
-            weighted_shares(opts.budget, workers, weights)
-        }
-        None => shard_budget(opts.budget, workers),
-    };
-    let base = run_portfolio_shares(query, model, runner, methods, component, opts, shares);
+    let base = run_workers(query, model, runner, methods, component, opts);
     if opts.challenger {
         challenge_with_cardfree(query, model, component, base)
     } else {
@@ -337,47 +265,18 @@ pub fn run_portfolio(
     }
 }
 
-/// Per-worker shares for method-level `weights`. Uniform or degenerate
-/// weights take the plain [`shard_budget`] split: with uneven worker
-/// counts per method, a per-worker weighting would shift the shares.
-fn weighted_shares(budget: u64, workers: usize, weights: &[f64]) -> Vec<u64> {
-    let finite_positive = weights.iter().any(|w| w.is_finite() && *w > 0.0);
-    let uniform = weights.iter().all(|w| *w == weights[0] && w.is_finite());
-    if !finite_positive || uniform {
-        return shard_budget(budget, workers);
-    }
-    // Workers per method under the `w mod K` rotation.
-    let mut counts = vec![0u64; weights.len()];
-    for w in 0..workers {
-        counts[w % weights.len()] += 1;
-    }
-    let per_worker: Vec<f64> = (0..workers)
-        .map(|w| {
-            let m = w % weights.len();
-            let weight = weights[m];
-            if weight.is_finite() && weight > 0.0 && counts[m] > 0 {
-                weight / counts[m] as f64
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    shard_budget_weighted(budget, &per_worker)
-}
-
-/// The common portfolio body: spawn one worker per share, rotate
-/// methods, aggregate. `shares` must have one entry per worker.
-fn run_portfolio_shares(
+/// The portfolio body: spawn one worker per [`shard_budget`] share,
+/// rotate methods, aggregate.
+fn run_workers(
     query: &Query,
     model: &dyn CostModel,
     runner: &MethodRunner,
     methods: &[Method],
     component: &[RelId],
     opts: &ParallelOptions,
-    shares: Vec<u64>,
 ) -> Option<ParallelResult> {
     let workers = opts.workers.max(1);
-    debug_assert_eq!(shares.len(), workers);
+    let shares = shard_budget(opts.budget, workers);
     let shared = match opts.cooperation {
         Cooperation::Isolated => None,
         Cooperation::SharedBest => Some(SharedBest::new()),
@@ -574,7 +473,7 @@ fn challenge_with_cardfree(
 }
 
 /// Parallel-search configuration for an [`Optimizer`](crate::Optimizer).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Parallelism {
     /// Worker threads per component (clamped to at least 1).
     pub workers: usize,
@@ -590,27 +489,6 @@ pub struct Parallelism {
     /// backstop at equal budget. Use [`Parallelism::robust_portfolio`]
     /// for the default.
     pub structural_backstop: bool,
-    /// Learned budget routing: when set (and the portfolio rotates more
-    /// than one method), each query's [`ljqo_cache::QueryClass`] is
-    /// looked up in the shared [`ljqo_cache::BanditRouter`], the
-    /// emitted share vector weights [`run_portfolio`]'s budget split,
-    /// and the outcome is fed back into the router online. `None` (the default) keeps the
-    /// uniform split.
-    pub router: Option<std::sync::Arc<ljqo_cache::BanditRouter>>,
-}
-
-impl PartialEq for Parallelism {
-    fn eq(&self, other: &Self) -> bool {
-        self.workers == other.workers
-            && self.cooperation == other.cooperation
-            && self.methods == other.methods
-            && self.structural_backstop == other.structural_backstop
-            && match (&self.router, &other.router) {
-                (None, None) => true,
-                (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
-                _ => false,
-            }
-    }
 }
 
 impl Parallelism {
@@ -621,7 +499,6 @@ impl Parallelism {
             cooperation: Cooperation::Isolated,
             methods: Vec::new(),
             structural_backstop: false,
-            router: None,
         }
     }
 
@@ -648,15 +525,6 @@ impl Parallelism {
     #[must_use]
     pub fn with_cooperation(mut self, cooperation: Cooperation) -> Self {
         self.cooperation = cooperation;
-        self
-    }
-
-    /// Attach a learned budget router (shared, updated online). The
-    /// router only takes effect on multi-method portfolios; homogeneous
-    /// fan-outs have nothing to route between.
-    #[must_use]
-    pub fn with_router(mut self, router: std::sync::Arc<ljqo_cache::BanditRouter>) -> Self {
-        self.router = Some(router);
         self
     }
 }
@@ -704,7 +572,7 @@ mod tests {
         let (model, runner) = (MemoryCostModel::default(), MethodRunner::default());
         let comp: Vec<RelId> = q.rel_ids().collect();
         let opts = ParallelOptions::new(budget, workers, seed);
-        run_portfolio(q, &model, &runner, &[method], &comp, &opts, None)
+        run_portfolio(q, &model, &runner, &[method], &comp, &opts)
     }
 
     #[test]
@@ -797,7 +665,7 @@ mod tests {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
         let base = ParallelOptions::new(4_000, 4, 9);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
+        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
         let coop = run_portfolio(
             &q,
             &model,
@@ -805,7 +673,6 @@ mod tests {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
-            None,
         )
         .unwrap();
         // With no stop threshold, cooperation only observes — every
@@ -838,7 +705,7 @@ mod tests {
         let pilot_order = runner.augmentation.generate(&q, &comp, firsts[0]);
         let threshold = pilot.cost(&pilot_order) * 4.0;
         let base = ParallelOptions::new(400_000, 4, 9).with_stop_threshold(threshold);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
+        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
         let coop = run_portfolio(
             &q,
             &model,
@@ -846,7 +713,6 @@ mod tests {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
-            None,
         )
         .unwrap();
         // Both runs reach the quality bar...
@@ -876,7 +742,6 @@ mod tests {
             &PORTFOLIO,
             &comp,
             &ParallelOptions::new(8_000, 6, 3),
-            None,
         )
         .unwrap();
         assert!(is_valid(q.graph(), r.order.rels()));
@@ -903,7 +768,7 @@ mod tests {
         let runner = MethodRunner::default();
         for (budget, workers, seed) in [(200u64, 2usize, 1u64), (2_000, 4, 7), (8_000, 6, 42)] {
             let opts = ParallelOptions::new(budget, workers, seed);
-            let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts, None).unwrap();
+            let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts).unwrap();
             let robust = run_portfolio(
                 &q,
                 &model,
@@ -911,7 +776,6 @@ mod tests {
                 &PORTFOLIO,
                 &comp,
                 &opts.with_challenger(),
-                None,
             )
             .unwrap();
             assert!(
@@ -942,7 +806,7 @@ mod tests {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(0, 3, 11);
-        assert!(run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts, None).is_none());
+        assert!(run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts).is_none());
         let r = run_portfolio(
             &q,
             &model,
@@ -950,7 +814,6 @@ mod tests {
             &PORTFOLIO,
             &comp,
             &opts.with_challenger(),
-            None,
         )
         .unwrap();
         assert_eq!(r.method, Method::Cardfree);
@@ -975,7 +838,7 @@ mod tests {
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(1_000, 3, 11);
         // Plain portfolio: every worker dies, no result at all.
-        assert!(run_portfolio(&q, &AlwaysPanic, &runner, &PORTFOLIO, &comp, &opts, None).is_none());
+        assert!(run_portfolio(&q, &AlwaysPanic, &runner, &PORTFOLIO, &comp, &opts).is_none());
         // Robust: the challenger's pricing also panics, so its cost is
         // f64::MAX — not finite enough to claim a rescue either. The
         // degradation ladder in the driver handles this case instead.
@@ -985,8 +848,7 @@ mod tests {
             &runner,
             &PORTFOLIO,
             &comp,
-            &opts.with_challenger(),
-            None
+            &opts.with_challenger()
         )
         .is_none());
     }
@@ -998,183 +860,5 @@ mod tests {
         assert_eq!(p.methods, PORTFOLIO.to_vec());
         assert!(!Parallelism::portfolio(4).structural_backstop);
         assert!(!Parallelism::workers(4).structural_backstop);
-        assert!(p.router.is_none());
-    }
-
-    #[test]
-    fn weighted_sharding_conserves_the_budget_exhaustively() {
-        // The conservation property over a dense grid of corner cases:
-        // remainders in every residue class, budget < workers, zero
-        // weights, tiny and skewed weights. The sum must equal the
-        // budget *exactly* in every cell.
-        let weight_sets: [&[f64]; 9] = [
-            &[1.0],
-            &[1.0, 1.0, 1.0, 1.0],
-            &[0.7, 0.1, 0.1, 0.1],
-            &[0.125, 0.625, 0.125, 0.125],
-            &[0.0, 1.0, 0.0, 3.0],
-            &[1e-9, 1.0, 1e-9],
-            &[3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-            &[f64::NAN, 1.0, f64::INFINITY, 2.0],
-            &[-1.0, 0.5, 0.5],
-        ];
-        for budget in (0u64..40).chain([97, 100, 101, 1000, 12_345]) {
-            for weights in weight_sets {
-                let shares = shard_budget_weighted(budget, weights);
-                assert_eq!(shares.len(), weights.len());
-                assert_eq!(
-                    shares.iter().sum::<u64>(),
-                    budget,
-                    "budget {budget} not conserved for {weights:?}: {shares:?}"
-                );
-                // Sanitized-to-zero weights must receive exactly zero.
-                for (i, &w) in weights.iter().enumerate() {
-                    if !(w.is_finite() && w > 0.0) {
-                        assert_eq!(shares[i], 0, "zero-weight worker {i} got budget");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_sharding_uniform_path_is_bit_identical_to_shard_budget() {
-        for budget in [0u64, 1, 3, 7, 100, 101, 4096, 99_999] {
-            for workers in 1usize..10 {
-                for w in [1.0f64, 0.25, 1e-6, 1e9] {
-                    let weights = vec![w; workers];
-                    assert_eq!(
-                        shard_budget_weighted(budget, &weights),
-                        shard_budget(budget, workers),
-                        "uniform weights {w} diverged at {budget}/{workers}"
-                    );
-                }
-                // All-zero and all-garbage weight vectors also fall back
-                // to the uniform split rather than erroring.
-                assert_eq!(
-                    shard_budget_weighted(budget, &vec![0.0; workers]),
-                    shard_budget(budget, workers)
-                );
-                assert_eq!(
-                    shard_budget_weighted(budget, &vec![f64::NAN; workers]),
-                    shard_budget(budget, workers)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_sharding_is_proportional_and_breaks_ties_low() {
-        // 100 units at weights 70/10/10/10.
-        assert_eq!(
-            shard_budget_weighted(100, &[7.0, 1.0, 1.0, 1.0]),
-            vec![70, 10, 10, 10]
-        );
-        // 10 units at weights 1/1/2: floors 2/2/5, one remainder unit to
-        // the largest fraction (0.5 twice → lowest index wins).
-        assert_eq!(shard_budget_weighted(10, &[1.0, 1.0, 2.0]), vec![3, 2, 5]);
-        // budget < positive workers: units go to the heaviest workers
-        // first (largest fractional part of the exact share).
-        assert_eq!(shard_budget_weighted(1, &[1.0, 3.0, 1.0]), vec![0, 1, 0]);
-        // Scale invariance: weights are shares, not magnitudes.
-        assert_eq!(
-            shard_budget_weighted(1000, &[0.7, 0.1, 0.1, 0.1]),
-            shard_budget_weighted(1000, &[7e9, 1e9, 1e9, 1e9])
-        );
-    }
-
-    #[test]
-    fn weighted_portfolio_with_uniform_weights_is_bit_identical() {
-        let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        // Worker count NOT divisible by the method count, so per-method
-        // worker groups are uneven — the uniform fast path must still
-        // delegate to the plain per-worker split.
-        let opts = ParallelOptions::new(6_000, 6, 17);
-        let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts, None).unwrap();
-        let weighted = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &PORTFOLIO,
-            &comp,
-            &opts,
-            Some(&[0.25, 0.25, 0.25, 0.25]),
-        )
-        .unwrap();
-        assert_eq!(plain.order, weighted.order);
-        assert_eq!(plain.cost, weighted.cost);
-        assert_eq!(plain.units_used, weighted.units_used);
-        assert_eq!(plain.per_worker.len(), weighted.per_worker.len());
-    }
-
-    #[test]
-    fn weighted_portfolio_respects_method_level_shares() {
-        let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        // 8 workers over 4 methods, II boosted to 5/8 of the budget with
-        // an ε floor of 1/8 for the rest.
-        let opts = ParallelOptions::new(8_000, 8, 23);
-        let r = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &PORTFOLIO,
-            &comp,
-            &opts,
-            Some(&[0.625, 0.125, 0.125, 0.125]),
-        )
-        .unwrap();
-        assert!(is_valid(q.graph(), r.order.rels()));
-        // Each method has 2 workers; II's pair together must hold 5/8 of
-        // the allotment. II runs to exhaustion, so consumed units track
-        // the allotment closely.
-        let ii_units: u64 = r
-            .per_worker
-            .iter()
-            .filter(|w| w.method == Method::Ii)
-            .map(|w| w.units_used)
-            .sum();
-        assert!(
-            ii_units >= 4_500,
-            "II workers consumed only {ii_units} of an expected ~5000"
-        );
-    }
-
-    #[test]
-    fn weighted_robust_portfolio_keeps_the_challenger_contract() {
-        let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        let opts = ParallelOptions::new(4_000, 4, 31);
-        let weights = [0.625, 0.125, 0.125, 0.125];
-        let plain = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &PORTFOLIO,
-            &comp,
-            &opts,
-            Some(&weights),
-        )
-        .unwrap();
-        let robust = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &PORTFOLIO,
-            &comp,
-            &opts.with_challenger(),
-            Some(&weights),
-        )
-        .unwrap();
-        assert!(robust.cost <= plain.cost);
-        assert_eq!(robust.units_used, plain.units_used + comp.len() as u64 + 1);
-        assert_eq!(robust.per_worker.last().unwrap().method, Method::Cardfree);
     }
 }

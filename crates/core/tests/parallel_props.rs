@@ -79,7 +79,6 @@ fn total_units_never_exceed_budget_plus_bounded_overrun() {
             &[method],
             &comp,
             &ParallelOptions::new(budget, workers, case),
-            None,
         );
         let Some(r) = r else {
             assert_eq!(budget, 0, "only a zero budget may yield no state");
@@ -123,7 +122,6 @@ fn isolated_runs_are_bit_deterministic_in_seed_and_workers() {
                 &[Method::Ii],
                 &comp,
                 &ParallelOptions::new(budget, workers, case),
-                None,
             )
         };
         let (a, b) = (run().unwrap(), run().unwrap());
@@ -145,7 +143,7 @@ fn shared_best_is_never_worse_than_any_workers_isolated_best() {
         let budget = rng.gen_range(100u64..3_000);
         let workers = rng.gen_range(2usize..8);
         let base = ParallelOptions::new(budget, workers, case);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base, None).unwrap();
+        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
         let coop = run_portfolio(
             &q,
             &model,
@@ -153,7 +151,6 @@ fn shared_best_is_never_worse_than_any_workers_isolated_best() {
             &[Method::Ii],
             &comp,
             &base.with_cooperation(Cooperation::SharedBest),
-            None,
         )
         .unwrap();
         // Quality monotonicity at equal total budget: with no stop
@@ -194,7 +191,6 @@ fn portfolio_runs_stay_budgeted_and_valid() {
             &PORTFOLIO,
             &comp,
             &ParallelOptions::new(budget, workers, case),
-            None,
         )
         .unwrap();
         assert!(ljqo::plan::validity::is_valid(q.graph(), r.order.rels()));

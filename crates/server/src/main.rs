@@ -6,7 +6,6 @@
 //!             [--workers N] [--batch-max N] [--batch-linger-ms F]
 //!             [--max-queue N] [--max-frame-bytes N]
 //!             [--cache-entries N] [--cache-shards N] [--fp-buckets N]
-//!             [--router uniform|ucb] [--router-state PATH] [--router-epsilon F]
 //! ```
 //!
 //! The daemon prints one `listening on ADDR` line once the socket is
@@ -68,8 +67,7 @@ fn usage() -> ! {
          \x20                  [--tau F] [--kappa F] [--seed N] [--deadline-ms N]\n\
          \x20                  [--workers N] [--batch-max N] [--batch-linger-ms F]\n\
          \x20                  [--max-queue N] [--max-frame-bytes N]\n\
-         \x20                  [--cache-entries N] [--cache-shards N] [--fp-buckets N]\n\
-         \x20                  [--router uniform|ucb] [--router-state PATH] [--router-epsilon F]\n\n\
+         \x20                  [--cache-entries N] [--cache-shards N] [--fp-buckets N]\n\n\
          --batch-linger-ms F is how long a request that reaches an idle worker\n\
          waits for companions (default 2); one queued behind busy workers does not.\n\
          docs/SERVING.md describes every flag."
@@ -120,7 +118,11 @@ fn parse_config() -> ServerConfig {
                     "--batch-linger-ms",
                     &value_for("--batch-linger-ms", &mut args),
                 );
-                config.batch_linger = Duration::from_secs_f64((ms / 1e3).max(0.0));
+                config.batch_linger = Duration::try_from_secs_f64((ms / 1e3).max(0.0))
+                    .unwrap_or_else(|_| {
+                        eprintln!("error: --batch-linger-ms is out of range, got `{ms}`");
+                        usage();
+                    });
             }
             "--max-queue" => {
                 config.max_queue =
@@ -144,23 +146,6 @@ fn parse_config() -> ServerConfig {
             "--fp-buckets" => {
                 config.fp_buckets =
                     parse_int("--fp-buckets", &value_for("--fp-buckets", &mut args)) as u32;
-            }
-            "--router" => {
-                let v = value_for("--router", &mut args);
-                if v != "uniform" && v != "ucb" {
-                    eprintln!("error: --router expects uniform|ucb, got `{v}`");
-                    usage();
-                }
-                config.router = v;
-            }
-            "--router-state" => {
-                config.router_state = Some(value_for("--router-state", &mut args));
-            }
-            "--router-epsilon" => {
-                config.router_epsilon = parse_num(
-                    "--router-epsilon",
-                    &value_for("--router-epsilon", &mut args),
-                );
             }
             "--help" | "-h" => usage(),
             other => {

@@ -41,20 +41,16 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ljqo::parallel::PORTFOLIO;
 use ljqo::serving::DEGRADATION_LABELS;
 use ljqo::{
     win_labels, win_slot, BatchOptions, Method, OptError, Optimized, Optimizer, OptimizerConfig,
-    Parallelism, ServedVia, ServingCounters,
+    ServedVia, ServingCounters,
 };
-use ljqo_cache::{
-    classify, BanditRouter, FingerprintConfig, PlanCache, PlanCacheConfig, RouterConfig,
-};
+use ljqo_cache::{classify, FingerprintConfig, PlanCache, PlanCacheConfig};
 use ljqo_catalog::Query;
 use ljqo_cli::QueryFile;
 use ljqo_cost::{CostModel, DiskCostModel, MemoryCostModel, MultiMethodCostModel};
@@ -101,18 +97,6 @@ pub struct ServerConfig {
     pub cache_shards: usize,
     /// Fingerprint statistic-bucketing resolution (buckets per decade).
     pub fp_buckets: u32,
-    /// Budget routing mode for cold solves: `uniform` (the sequential
-    /// configured-method driver, today's behavior) or `ucb` (cold solves
-    /// run the [`PORTFOLIO`] under a process-wide contextual-bandit
-    /// router that learns per-class budget shares online).
-    pub router: String,
-    /// Path the router state is loaded from at startup and saved to on
-    /// drain. Unreadable or corrupt state degrades to uniform shares
-    /// with `router.resets` counted, never an error.
-    pub router_state: Option<String>,
-    /// Mandatory exploration floor ε for the router: every portfolio
-    /// method keeps at least this budget fraction per query class.
-    pub router_epsilon: f64,
 }
 
 impl Default for ServerConfig {
@@ -133,9 +117,6 @@ impl Default for ServerConfig {
             cache_entries: 4096,
             cache_shards: 8,
             fp_buckets: FingerprintConfig::default().buckets_per_decade,
-            router: "uniform".to_string(),
-            router_state: None,
-            router_epsilon: RouterConfig::default().epsilon,
         }
     }
 }
@@ -273,10 +254,6 @@ struct Inner {
     cache: PlanCache,
     fp_config: FingerprintConfig,
     serving: ServingCounters,
-    /// The process-wide learned router plus the parallelism every cold
-    /// solve runs under; `None` in `uniform` mode (sequential cold
-    /// solves, exactly the pre-router behavior).
-    router: Option<(Arc<BanditRouter>, Parallelism)>,
     /// Per-class win counts, keyed by [`ljqo_cache::QueryClass`] label
     /// with slots aligned to [`win_labels`] — the per-class view of the
     /// global `method_wins` table.
@@ -330,15 +307,28 @@ impl ServerHandle {
 
 impl Server {
     /// Bind the listen socket and build all shared state (cache,
-    /// counters, queue). Fails on an unbindable address or an unknown
-    /// cost-model name.
+    /// counters, queue). Fails on an unbindable address, an unknown
+    /// cost-model name, a `τ` or `κ` that is not finite and positive (an
+    /// infinite budget would pin a worker forever), or a zero
+    /// `max_queue` (every request would be rejected as overload).
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         let model = model_for(&config.model).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("unknown cost model `{}` (memory|disk|multi)", config.model),
-            )
+            invalid(format!(
+                "unknown cost model `{}` (memory|disk|multi)",
+                config.model
+            ))
         })?;
+        for (name, v) in [("tau", config.tau), ("kappa", config.kappa)] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(invalid(format!(
+                    "{name} must be finite and positive, got {v}"
+                )));
+            }
+        }
+        if config.max_queue == 0 {
+            return Err(invalid("max_queue must be at least 1".to_string()));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let mut cache_config = PlanCacheConfig::with_entries(config.cache_entries);
         cache_config.shards = config.cache_shards;
@@ -349,39 +339,12 @@ impl Server {
             .with_time_limit(config.tau)
             .with_kappa(config.kappa)
             .with_seed(config.seed);
-        let router = match config.router.as_str() {
-            "uniform" => None,
-            "ucb" => {
-                let arms: Vec<&str> = PORTFOLIO.iter().map(|m| m.name()).collect();
-                let router_config = RouterConfig {
-                    epsilon: config.router_epsilon,
-                    ..RouterConfig::default()
-                };
-                let router = Arc::new(match &config.router_state {
-                    Some(path) => BanditRouter::load(Path::new(path), &arms, router_config),
-                    None => BanditRouter::new(&arms, router_config),
-                });
-                // One search thread per portfolio method; the batch solve
-                // itself stays single-threaded (see `serve_batch`), so
-                // `--workers N` still bounds concurrent batches.
-                let parallelism =
-                    Parallelism::portfolio(PORTFOLIO.len()).with_router(Arc::clone(&router));
-                Some((router, parallelism))
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("unknown router mode `{other}` (uniform|ucb)"),
-                ));
-            }
-        };
         let inner = Arc::new(Inner {
             opt_config,
             model,
             cache: PlanCache::new(cache_config),
             fp_config,
             serving: ServingCounters::new(),
-            router,
             class_wins: Mutex::new(BTreeMap::new()),
             stats: ServerStats::new(),
             queue: Queue::new(),
@@ -473,11 +436,6 @@ impl Server {
         }
         for r in readers {
             r.join().ok();
-        }
-        // Persist what the router learned; a failed write only costs the
-        // next process its warm start.
-        if let (Some((router, _)), Some(path)) = (&inner.router, &inner.config.router_state) {
-            router.save(Path::new(path)).ok();
         }
         stats_json(&inner)
     }
@@ -683,23 +641,20 @@ fn serve_batch(inner: &Inner, batch: Vec<Pending>) {
         threads: 1,
         per_query_deadline: inner.config.deadline_ms.map(Duration::from_millis),
     };
-    let mut optimizer = Optimizer::new(&*inner.model, &inner.opt_config)
+    Optimizer::new(&*inner.model, &inner.opt_config)
         .with_cache(&inner.cache, inner.fp_config)
-        .with_batch(options);
-    if let Some((_, parallelism)) = &inner.router {
-        optimizer = optimizer.with_parallelism(parallelism);
-    }
-    optimizer.solve_batch_with(&queries, |i, result, via, reused| {
-        answer(
-            inner,
-            &replies[i],
-            dispatched,
-            &queries[i],
-            result,
-            via,
-            reused,
-        )
-    });
+        .with_batch(options)
+        .solve_batch_with(&queries, |i, result, via, reused| {
+            answer(
+                inner,
+                &replies[i],
+                dispatched,
+                &queries[i],
+                result,
+                via,
+                reused,
+            )
+        });
 }
 
 /// Settle the counters for one answer, then write its reply, so a
@@ -1037,62 +992,6 @@ fn stats_json(inner: &Inner) -> Value {
             })
             .collect(),
     );
-    let router_block = match &inner.router {
-        Some((router, _)) => {
-            let snap = router.snapshot();
-            obj(vec![
-                ("enabled", Value::Bool(true)),
-                ("mode", Value::from("ucb")),
-                ("epsilon", Value::from(snap.epsilon)),
-                ("resets", Value::from(snap.resets)),
-                (
-                    "state_path",
-                    c.router_state
-                        .as_deref()
-                        .map(Value::from)
-                        .unwrap_or(Value::Null),
-                ),
-                (
-                    "arms",
-                    Value::Array(snap.arms.iter().map(|a| Value::from(a.as_str())).collect()),
-                ),
-                (
-                    "classes",
-                    Value::Array(
-                        snap.classes
-                            .iter()
-                            .map(|cls| {
-                                let nums = |xs: &[u64]| {
-                                    Value::Array(xs.iter().map(|&x| Value::from(x)).collect())
-                                };
-                                let floats = |xs: &[f64]| {
-                                    Value::Array(xs.iter().map(|&x| Value::from(x)).collect())
-                                };
-                                obj(vec![
-                                    ("class", Value::from(cls.label.as_str())),
-                                    ("events", Value::from(cls.events)),
-                                    ("pulls", nums(&cls.pulls)),
-                                    ("mean_reward", floats(&cls.mean_reward)),
-                                    ("wins", nums(&cls.wins)),
-                                    ("shares", floats(&cls.shares)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        }
-        None => obj(vec![
-            ("enabled", Value::Bool(false)),
-            ("mode", Value::from("uniform")),
-            ("epsilon", Value::from(0.0)),
-            ("resets", Value::from(0u64)),
-            ("state_path", Value::Null),
-            ("arms", Value::Array(Vec::new())),
-            ("classes", Value::Array(Vec::new())),
-        ]),
-    };
-
     obj(vec![
         ("server", server),
         ("connections", connections),
@@ -1106,7 +1005,6 @@ fn stats_json(inner: &Inner) -> Value {
         ("degradation", degradation),
         ("method_wins", wins),
         ("method_wins_by_class", wins_by_class),
-        ("router", router_block),
     ])
 }
 

@@ -11,6 +11,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use ljqo_cache::classify;
 use ljqo_cli::QueryFile;
 use ljqo_json::Value;
 use ljqo_server::protocol::{read_frame, DEFAULT_MAX_FRAME_BYTES};
@@ -281,13 +282,13 @@ fn stage_times_and_worker_times_reconcile_after_a_burst() {
     // Two connections pipeline a mix of repeated and distinct queries,
     // so some requests wake an idle worker and some queue behind a
     // busy one.
+    let query = |seed: u64| generate_job_query(&JobSpec::new(JobShape::Star), 10, seed);
     std::thread::scope(|scope| {
         for c in 0..2u64 {
             scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 for i in 0..12u64 {
-                    let q =
-                        generate_job_query(&JobSpec::new(JobShape::Star), 10, 100 + c * 6 + i % 6);
+                    let q = query(100 + c * 6 + i % 6);
                     client.send_optimize(i, &QueryFile::from_query(&q)).unwrap();
                 }
                 for _ in 0..12 {
@@ -339,6 +340,24 @@ fn stage_times_and_worker_times_reconcile_after_a_burst() {
         requests("admitted"),
         requests("completed") + requests("failed")
     );
+
+    // Every answer is credited once, to its producer and to the class of
+    // a query that was sent: the per-class table sums to `method_wins`.
+    let sent: Vec<String> = (100..112)
+        .map(|seed| classify(&query(seed)).label())
+        .collect();
+    let wins = get(&stats, &["method_wins"]).as_object().unwrap();
+    let mut summed = vec![0u64; wins.len()];
+    for class in get(&stats, &["method_wins_by_class"]).as_array().unwrap() {
+        let label = get(class, &["class"]).as_str().unwrap();
+        assert!(sent.iter().any(|s| s == label), "unsent class {label}");
+        for (slot, (producer, _)) in wins.iter().enumerate() {
+            summed[slot] += get(class, &["wins", producer.as_str()]).as_u64().unwrap();
+        }
+    }
+    let totals: Vec<u64> = wins.iter().map(|(_, v)| v.as_u64().unwrap()).collect();
+    assert_eq!(summed, totals, "{stats}");
+    assert_eq!(totals.iter().sum::<u64>(), 24);
 
     handle.shutdown();
     join.join().unwrap();
@@ -628,101 +647,50 @@ fn drain_answers_every_admitted_request_and_rejects_new_ones() {
 }
 
 #[test]
-fn router_shares_leave_uniform_under_a_skewed_workload_and_persist() {
-    // A UCB-routed server fed a workload skewed to one query class must
-    // (a) report learned statistics in the /stats `router` block, (b)
-    // move that class's budget shares away from the uniform 1/4 split
-    // while honoring the ε floor, and (c) persist the learned state on
-    // drain so the next process starts warm.
-    let state_path = std::env::temp_dir().join(format!(
-        "ljqo_router_e2e_{}_{:x}.state",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let config = ServerConfig {
-        router: "ucb".to_string(),
-        router_state: Some(state_path.to_string_lossy().into_owned()),
-        tau: 3.0,
-        ..ServerConfig::default()
-    };
-    let (addr, handle, join) = start(config.clone());
-
-    // 16 star queries with distinct statistics: every one is a cold
-    // solve (distinct fingerprints), all in the same router class.
-    let mut client = Client::connect(addr).unwrap();
-    for i in 0..16u64 {
-        let q = QueryFile::from_query(&generate_job_query(
-            &JobSpec::new(JobShape::Star),
-            12,
-            500 + i,
-        ));
-        let reply = client.optimize(i, &q).unwrap();
-        assert_eq!(get(&reply, &["ok"]).as_bool(), Some(true), "{reply}");
+fn bind_rejects_out_of_range_budgets_and_an_empty_queue() {
+    let bad = [
+        ServerConfig {
+            tau: f64::INFINITY,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            tau: 0.0,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            kappa: f64::INFINITY,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            kappa: f64::NAN,
+            ..ServerConfig::default()
+        },
+        ServerConfig {
+            max_queue: 0,
+            ..ServerConfig::default()
+        },
+    ];
+    for config in bad {
+        let err = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..config.clone()
+        })
+        .err()
+        .unwrap_or_else(|| panic!("bind accepted {config:?}"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{config:?}");
     }
+}
 
-    let stats = client.stats().unwrap();
-    assert_eq!(get(&stats, &["router", "enabled"]).as_bool(), Some(true));
-    assert_eq!(get(&stats, &["router", "mode"]).as_str(), Some("ucb"));
-    let epsilon = get(&stats, &["router", "epsilon"]).as_f64().unwrap();
-    assert!(epsilon > 0.0 && epsilon <= 0.25);
-    let arms = get(&stats, &["router", "arms"]).as_array().unwrap();
-    assert_eq!(arms.len(), 4, "one arm per portfolio method");
-    let classes = get(&stats, &["router", "classes"]).as_array().unwrap();
-    let learned = classes
-        .iter()
-        .find(|c| get(c, &["events"]).as_u64().unwrap() >= 8)
-        .expect("the skewed class accumulated enough events to learn");
-    assert!(get(learned, &["class"])
-        .as_str()
-        .unwrap()
-        .starts_with("star/"));
-    let shares: Vec<f64> = get(learned, &["shares"])
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|s| s.as_f64().unwrap())
-        .collect();
-    assert_eq!(shares.len(), 4);
-    assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    let max = shares.iter().cloned().fold(f64::MIN, f64::max);
-    let min = shares.iter().cloned().fold(f64::MAX, f64::min);
-    assert!(
-        max > 0.25 + 1e-9,
-        "shares stayed uniform after warm-up: {shares:?}"
-    );
-    assert!(
-        min >= epsilon - 1e-9,
-        "ε floor violated: {shares:?} vs ε = {epsilon}"
-    );
-    // The per-class win table covers the same class.
-    let by_class = get(&stats, &["method_wins_by_class"]).as_array().unwrap();
-    assert!(by_class
-        .iter()
-        .any(|c| get(c, &["class"]).as_str().unwrap().starts_with("star/")));
-
-    handle.shutdown();
-    join.join().unwrap();
-
-    // Drain persisted the state; a fresh server loads it warm with no
-    // reset counted.
-    let text = std::fs::read_to_string(&state_path).expect("router state saved on drain");
-    assert!(text.starts_with("ljqo-router v1"), "{text}");
-    let (addr2, handle2, join2) = start(config);
-    let stats2 = fetch_stats_http(addr2).unwrap();
-    assert_eq!(get(&stats2, &["router", "resets"]).as_u64(), Some(0));
-    let classes2 = get(&stats2, &["router", "classes"]).as_array().unwrap();
-    assert!(
-        classes2
-            .iter()
-            .any(|c| get(c, &["events"]).as_u64().unwrap() >= 8),
-        "learned class survives the restart: {stats2}"
-    );
-    handle2.shutdown();
-    join2.join().unwrap();
-    std::fs::remove_file(&state_path).ok();
+#[test]
+fn a_linger_beyond_the_duration_range_is_a_usage_error() {
+    for linger in ["inf", "1e30"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ljqo-server"))
+            .args(["--addr", "127.0.0.1:0", "--batch-linger-ms", linger])
+            .output()
+            .expect("server binary runs");
+        assert_eq!(out.status.code(), Some(2), "--batch-linger-ms {linger}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--batch-linger-ms"));
+    }
 }
 
 /// Shorthand for injecting raw (possibly malformed) `Optimize` payloads.

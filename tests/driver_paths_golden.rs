@@ -1,7 +1,7 @@
 //! Driver-path golden: every way of running the optimizer — sequential,
-//! isolated fan-out, portfolio, the structural challenger, learned
-//! routing, cooperation, early stopping, and the uncached and cached
-//! batch pools — is a pure function of its inputs.
+//! isolated fan-out, portfolio, the structural challenger, cooperation,
+//! early stopping, and the uncached and cached batch pools — is a pure
+//! function of its inputs.
 //!
 //! Each line records the plan order, the bits of its cost, the budget
 //! units used, the evaluations performed, the portfolio winner, the
@@ -15,9 +15,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use ljqo::cache::{BanditRouter, RouterConfig};
 use ljqo::prelude::*;
 use ljqo_workload::{generate_job_query, JobShape, JobSpec};
 
@@ -176,17 +174,13 @@ fn grid() -> String {
         per_query_deadline: None,
     };
 
-    // A portfolio behind a fresh learned router: the batch runs on one
-    // thread, so the router sees the queries in input order.
-    let arms: Vec<&str> = PORTFOLIO.iter().map(|m| m.name()).collect();
-    let router = Arc::new(BanditRouter::new(&arms, RouterConfig::default()));
-    let routed = Parallelism::portfolio(4).with_router(Arc::clone(&router));
+    // The portfolio behind a cache, through the one-thread batch pool.
     let report = Optimizer::new(&model, &config(1))
-        .with_parallelism(&routed)
+        .with_parallelism(&Parallelism::portfolio(4))
         .with_cache(&fresh_cache(), FingerprintConfig::default())
         .with_batch(one_thread)
         .solve_batch(&all);
-    record_batch(&mut out, "routed_batch", &labels, &report);
+    record_batch(&mut out, "portfolio_batch", &labels, &report);
 
     // Six queries through the uncached pool.
     let report = Optimizer::new(&model, &config(1)).solve_batch(&all[..6]);

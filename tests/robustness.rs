@@ -58,7 +58,6 @@ fn parallel_run_survives_all_but_one_worker_panicking() {
         &[Method::Ii],
         &comp,
         &ParallelOptions::new(4_000, workers, 9),
-        None,
     )
     .expect("the surviving worker must still produce a plan");
     assert_eq!(r.workers_failed, workers - 1);
@@ -83,7 +82,6 @@ fn parallel_run_with_every_worker_dead_returns_none() {
         &[Method::Ii],
         &comp,
         &ParallelOptions::new(4_000, 4, 9),
-        None,
     );
     // Whichever worker drew the fault died; the others survive, so a
     // result still comes back — but the failure must be accounted.
