@@ -144,6 +144,7 @@ impl PropagatingWalker {
                 sel.unwrap_or(1.0),
                 sel.is_some(),
                 q + 1,
+                1,
             );
             f(&step);
             self.place(query, inner, step.output_card);

@@ -89,6 +89,7 @@ pub fn optimal_order_dp(
                 s,
                 true,
                 mask.count_ones() as usize,
+                1,
             );
             let total = cost[mask as usize] + model.join_cost(&step);
             let next = (mask | bit) as usize;

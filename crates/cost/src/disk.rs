@@ -79,8 +79,8 @@ impl DiskCostModel {
 impl CostModel for DiskCostModel {
     fn join_cost(&self, ctx: &JoinCtx) -> f64 {
         let outer_pages = self.pages_wide(ctx.outer_card, ctx.outer_rels);
-        let inner_pages = self.pages(ctx.inner_card);
-        let output_pages = self.pages_wide(ctx.output_card, ctx.outer_rels + 1);
+        let inner_pages = self.pages_wide(ctx.inner_card, ctx.inner_rels);
+        let output_pages = self.pages_wide(ctx.output_card, ctx.outer_rels + ctx.inner_rels);
         let io = if ctx.is_cross_product {
             // Block nested loops: scan the inner once per memory-load of
             // the outer.
@@ -135,6 +135,7 @@ mod tests {
             inner_card: 1000.0, // 32 pages <= 64 -> in-memory
             output_card: 100.0,
             outer_rels: 1,
+            inner_rels: 1,
             is_cross_product: false,
         });
         let large = m.join_cost(&JoinCtx {
@@ -142,11 +143,37 @@ mod tests {
             inner_card: 10_000.0, // 313 pages > 64 -> Grace
             output_card: 100.0,
             outer_rels: 1,
+            inner_rels: 1,
             is_cross_product: false,
         });
         // The large build should cost much more than 10x the small one's
         // inner contribution because of the 3x partitioning transfer.
         assert!(large > small * 3.0);
+    }
+
+    #[test]
+    fn a_wide_inner_operand_is_priced_at_its_own_width() {
+        // 1000 tuples fill 32 pages at width 1, a classic in-memory
+        // build; at width 3 they fill 94 pages and the join goes Grace.
+        let m = DiskCostModel::default();
+        let ctx = JoinCtx {
+            outer_card: 1000.0,
+            inner_card: 1000.0,
+            output_card: 100.0,
+            outer_rels: 1,
+            inner_rels: 1,
+            is_cross_product: false,
+        };
+        let cpu = (1000.0 + 1000.0 + 100.0) * m.cpu_weight;
+        let io = |c: f64| (c - cpu) / m.io_weight;
+        // Classic: 32 + 32 pages in, 7 pages (width 2) out.
+        assert_eq!(io(m.join_cost(&ctx)), 32.0 + 32.0 + 7.0);
+        // Grace: 3 · (32 + 94) pages moved, 13 pages (width 4) out.
+        let wide = JoinCtx {
+            inner_rels: 3,
+            ..ctx
+        };
+        assert_eq!(io(m.join_cost(&wide)), 3.0 * (32.0 + 94.0) + 13.0);
     }
 
     #[test]
@@ -160,6 +187,7 @@ mod tests {
             inner_card: 64.0,  // 2 pages
             output_card: 256.0 * 64.0,
             outer_rels: 1,
+            inner_rels: 1,
             is_cross_product: true,
         });
         assert!(c > 0.0);

@@ -60,7 +60,14 @@ pub fn join_step(
         sel *= if hit { rec.sel } else { 1.0 };
         joined |= hit;
     }
-    JoinCtx::step(outer_card, cq.cardinality(inner), sel, joined, outer_rels)
+    JoinCtx::step(
+        outer_card,
+        cq.cardinality(inner),
+        sel,
+        joined,
+        outer_rels,
+        1,
+    )
 }
 
 /// A reusable left-deep walk over a compiled snapshot: it yields the

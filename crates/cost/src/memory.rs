@@ -67,7 +67,7 @@ impl MemoryCostModel {
 
 impl CostModel for MemoryCostModel {
     fn join_cost(&self, ctx: &JoinCtx) -> f64 {
-        let out = self.output_cost(ctx.outer_rels + 1) * ctx.output_card;
+        let out = self.output_cost(ctx.outer_rels + ctx.inner_rels) * ctx.output_card;
         if ctx.is_cross_product {
             // Nested scan: touch both inputs and emit every pair.
             ctx.outer_card + ctx.inner_card + out
@@ -127,6 +127,7 @@ mod tests {
             inner_card: 1000.0,
             output_card: 100.0,
             outer_rels: 1,
+            inner_rels: 1,
             is_cross_product: false,
         });
         // Output width = 2 relations: (1.0 + 0.2·2)·100 = 140.
@@ -141,6 +142,7 @@ mod tests {
             inner_card: 100.0,
             output_card: 10_000.0,
             outer_rels: 1,
+            inner_rels: 1,
             is_cross_product: true,
         });
         // Output width 2: (1.0 + 0.4)·10000 = 14000.

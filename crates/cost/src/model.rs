@@ -10,20 +10,30 @@ use ljqo_catalog::{Query, RelId};
 
 use crate::estimate::{clamp_card, final_result_size, SizeWalker};
 
-/// Statistics describing one join of a left-deep walk, as consumed by a
-/// cost model.
+/// Statistics describing one join, as consumed by a cost model.
 ///
-/// Every walk that prices a join step builds it with [`JoinCtx::step`].
+/// Every walk that prices a join step builds it with [`JoinCtx::step`],
+/// and every walk fills the two widths the same way: `outer_rels` and
+/// `inner_rels` count the base relations in the outer (probe) and the
+/// inner (build) operand, so the output holds `outer_rels + inner_rels`.
+///
+/// * A left-deep step adds one base relation to a `k`-relation
+///   intermediate: `(k, 1)`.
+/// * A tree join of subtrees `L` and `R` passes `(|L|, |R|)`.
+/// * A late cross product between plan segments passes the width of the
+///   plan joined so far and the segment's relation count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinCtx {
-    /// Cardinality of the outer (intermediate) operand.
+    /// Cardinality of the outer (probe) operand.
     pub outer_card: f64,
-    /// Cardinality of the inner base relation.
+    /// Cardinality of the inner (build) operand.
     pub inner_card: f64,
     /// Estimated output cardinality.
     pub output_card: f64,
-    /// Number of base relations already folded into the outer operand.
+    /// Number of base relations in the outer operand.
     pub outer_rels: usize,
+    /// Number of base relations in the inner operand.
+    pub inner_rels: usize,
     /// Whether this join is a cross product.
     pub is_cross_product: bool,
 }
@@ -33,13 +43,13 @@ impl JoinCtx {
     /// joined with an inner of `inner_card` rows under the combined
     /// selectivity `sel` yields `clamp_card(outer · inner · sel)` rows.
     /// `joined` says whether any predicate connects the two sides; without
-    /// one the join is a cross product and `sel` is `1`. `outer_rels`
-    /// counts the base relations already in the outer operand.
+    /// one the join is a cross product and `sel` is `1`. The widths are
+    /// the operands' relation counts (see [`JoinCtx`]).
     ///
     /// The left-deep walks reach this through
     /// [`crate::estimate::join_step`], which folds `sel` from the
     /// compiled snapshot; the tree walk, the linear DP and the late cross
-    /// products of plan assembly supply their own `sel`.
+    /// products of plan pricing supply their own `sel`.
     #[inline(always)]
     pub fn step(
         outer_card: f64,
@@ -47,12 +57,14 @@ impl JoinCtx {
         sel: f64,
         joined: bool,
         outer_rels: usize,
+        inner_rels: usize,
     ) -> JoinCtx {
         JoinCtx {
             outer_card,
             inner_card,
             output_card: clamp_card(outer_card * inner_card * sel),
             outer_rels,
+            inner_rels,
             is_cross_product: !joined,
         }
     }
@@ -74,8 +86,8 @@ pub trait CostModel: Sync {
     }
 
     /// Whether [`CostModel::join_cost`] is monotone non-decreasing in each
-    /// of `outer_card`, `inner_card`, `output_card`, and `outer_rels`
-    /// (holding the others fixed). The LP-style certifier in `ljqo::bound` relies on
+    /// of `outer_card`, `inner_card`, `output_card`, `outer_rels` and
+    /// `inner_rels` (holding the others fixed). The LP-style certifier in `ljqo::bound` relies on
     /// this to turn per-step cardinality lower bounds into a cost lower
     /// bound: it prices each step at the *smallest* cardinalities any
     /// plan could present, which under-estimates the true step cost only

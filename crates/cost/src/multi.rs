@@ -164,6 +164,7 @@ mod tests {
             inner_card: inner,
             output_card: output,
             outer_rels: 1,
+            inner_rels: 1,
             is_cross_product: false,
         }
     }

@@ -18,8 +18,8 @@
 //!   `(L.set, R.set)` in ascending edge order; the outer operand is
 //!   clamped when it is a base relation (mirroring the linear walk's
 //!   clamped first relation), inner left raw (mirroring `inner_card`);
-//!   the step is [`JoinCtx::step`] with `outer_rels = output width − 1`,
-//!   and `cost = cost(L) + cost(R) + model.join_cost(step)`.
+//!   the step is [`JoinCtx::step`] over the operands' widths, and
+//!   `cost = cost(L) + cost(R) + model.join_cost(step)`.
 //!
 //! The crossing-edge fold is the tree walk's own: a bushy join has no
 //! single inner relation whose CSR slots
@@ -84,8 +84,14 @@ fn join_value(
     // *first* (outer-side) base relation and leaves every inner base
     // relation raw; intermediates are clamped as they are produced.
     let outer_card = if l.is_leaf() { clamp_card(lv.0) } else { lv.0 };
-    let outer_rels = (l.width() + r.width()) as usize - 1;
-    let ctx = JoinCtx::step(outer_card, rv.0, sel, joined, outer_rels);
+    let ctx = JoinCtx::step(
+        outer_card,
+        rv.0,
+        sel,
+        joined,
+        l.width() as usize,
+        r.width() as usize,
+    );
     (ctx.output_card, lv.1 + rv.1 + model.join_cost(&ctx))
 }
 

@@ -152,12 +152,14 @@ fn join_cost_is_monotone() {
         let inner = rng.gen_range(1.0f64..1e8);
         let output = rng.gen_range(1.0f64..1e10);
         let rels = rng.gen_range(1usize..20);
+        let inner_rels = rng.gen_range(1usize..20);
         let bump = rng.gen_range(1.1f64..4.0);
         let ctx = JoinCtx {
             outer_card: outer,
             inner_card: inner,
             output_card: output,
             outer_rels: rels,
+            inner_rels,
             is_cross_product: false,
         };
         for model in models() {
@@ -178,6 +180,14 @@ fn join_cost_is_monotone() {
                 },
                 JoinCtx {
                     output_card: output * bump,
+                    ..ctx
+                },
+                JoinCtx {
+                    outer_rels: rels + 1,
+                    ..ctx
+                },
+                JoinCtx {
+                    inner_rels: inner_rels + 1,
                     ..ctx
                 },
             ] {
@@ -250,6 +260,7 @@ fn multi_method_dominates_hash() {
             inner_card: rng.gen_range(1.0f64..1e7),
             output_card: rng.gen_range(1.0f64..1e8),
             outer_rels: rng.gen_range(1usize..10),
+            inner_rels: 1,
             is_cross_product: false,
         };
         assert!(
