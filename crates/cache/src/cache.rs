@@ -3,8 +3,8 @@
 //! The serving-path store that lets the cold combinatorial search run
 //! once per query equivalence class instead of once per request. Entries
 //! are keyed by [`QueryFingerprint`] and hold the
-//! winning join order in canonical coordinates plus its cost and the
-//! producing method — everything a driver needs to rehydrate, re-validate,
+//! winning plan's join trees in canonical coordinates plus their costs and
+//! the producing method — everything a driver needs to rehydrate, re-validate,
 //! and serve a plan without searching.
 //!
 //! # Concurrency
@@ -27,12 +27,18 @@ use std::sync::Mutex;
 
 use crate::fingerprint::QueryFingerprint;
 
-/// One segment of a cached plan: a join order in canonical coordinates
-/// plus its estimated cost at solve time.
+/// One segment of a cached plan: a join tree as its leaf order in
+/// canonical coordinates and its shape, plus its estimated cost at solve
+/// time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedSegment {
-    /// The component's join order, as canonical relation indices.
+    /// The component tree's leaves from left to right (for an outer
+    /// linear tree, its join order), as canonical relation indices.
     pub canon_order: Vec<u32>,
+    /// The tree's post-order join list over leaf positions (see
+    /// `ljqo_plan::BushyTree::shape`). It names no relation, so it needs
+    /// no canonicalisation.
+    pub shape: Vec<(u32, u32)>,
     /// Estimated cost of this segment when the entry was produced.
     pub cost: f64,
 }
@@ -55,7 +61,9 @@ impl CachedPlan {
         let segs: usize = self
             .segments
             .iter()
-            .map(|s| std::mem::size_of::<CachedSegment>() + s.canon_order.len() * 4)
+            .map(|s| {
+                std::mem::size_of::<CachedSegment>() + s.canon_order.len() * 4 + s.shape.len() * 8
+            })
             .sum();
         std::mem::size_of::<Node>() + segs + key.encoding_words() * 8
     }
@@ -418,6 +426,7 @@ mod tests {
         CachedPlan {
             segments: vec![CachedSegment {
                 canon_order: vec![0, 1],
+                shape: vec![(0, 1)],
                 cost,
             }],
             total_cost: cost,

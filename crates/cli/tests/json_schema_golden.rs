@@ -13,6 +13,10 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use ljqo::prelude::*;
+use ljqo_cli::QueryFile;
+use ljqo_workload::{PerturbMode, Perturbation};
+
 fn sample_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/data/sample_query.json")
 }
@@ -162,13 +166,13 @@ fn bushy_space_reports_trees_and_rejects_linear_only_flags() {
     );
 
     // The linear-only flags are refused loudly (usage error, exit 2),
-    // never silently downgraded to a linear solve.
+    // never silently downgraded to a linear solve: parallel search shards
+    // the linear search loop, and the table compares the nine linear
+    // methods.
     for conflict in [
         ["--workers", "2"].as_slice(),
         ["--portfolio"].as_slice(),
         ["--cooperate"].as_slice(),
-        ["--cache-entries", "8"].as_slice(),
-        ["--qerror", "10"].as_slice(),
         ["--all-methods"].as_slice(),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ljqo-opt"))
@@ -187,6 +191,65 @@ fn bushy_space_reports_trees_and_rejects_linear_only_flags() {
             "{conflict:?} error message names the conflict"
         );
     }
+}
+
+#[test]
+fn bushy_trees_cache_and_replay() {
+    // The CLI's one solve with a cache is a cold miss that stores the tree.
+    let cold = run_cli(&[
+        "--space",
+        "bushy",
+        "--method",
+        "BUSHYII",
+        "--seed",
+        "3",
+        "--cache-entries",
+        "8",
+    ]);
+    assert_eq!(cold.get("bushy").and_then(|v| v.as_bool()), Some(true));
+    let cache = cold.get("cache").expect("cache block present");
+    assert_eq!(cache.get("outcome").and_then(|v| v.as_str()), Some("miss"));
+    assert_eq!(cache.get("inserts").and_then(|v| v.as_u64()), Some(1));
+    let cli_cost = cold.get("cost").and_then(|v| v.as_f64()).unwrap();
+
+    // The same serving path, driven twice in one process: the second
+    // solve is a hit that replays the tree at the cold cost's bits.
+    let text = std::fs::read_to_string(sample_path()).unwrap();
+    let query = QueryFile::from_json(&text).unwrap().into_query().unwrap();
+    let model = MemoryCostModel::default();
+    let config = OptimizerConfig::new(Method::BushyIi)
+        .with_seed(3)
+        .with_space(SearchSpace::Bushy);
+    let plans = PlanCache::new(PlanCacheConfig::with_entries(8));
+    let optimizer =
+        Optimizer::new(&model, &config).with_cache(&plans, FingerprintConfig::default());
+    let (first, via) = optimizer.solve(&query).unwrap();
+    assert_eq!(via.outcome, CacheOutcome::Miss);
+    assert_eq!(first.cost, cli_cost);
+    assert!(first.is_bushy());
+    let (second, via) = optimizer.solve(&query).unwrap();
+    assert_eq!(via.outcome, CacheOutcome::Hit);
+    assert_eq!(second.trees, first.trees);
+    assert_eq!(second.cost.to_bits(), first.cost.to_bits());
+
+    // The regret study replays the bushy tree under the true catalog.
+    let replayed = run_cli(&["--space", "bushy", "--method", "BUSHYII", "--qerror", "10"]);
+    let r = replayed
+        .get("robustness")
+        .expect("robustness block present");
+    assert_eq!(r.get("enabled").and_then(|v| v.as_bool()), Some(true));
+    let observed = Perturbation::new(10.0, PerturbMode::Independent, 0).observed(&query);
+    let config = config.with_seed(0);
+    let (plan, _) = Optimizer::new(&model, &config).solve(&observed).unwrap();
+    assert!(plan.is_bushy());
+    let true_cost = r.get("true_cost").and_then(|v| v.as_f64()).unwrap();
+    let repriced = recost_trees(&query, &model, &plan.trees);
+    assert!(
+        (true_cost - repriced).abs() <= 1e-9 * repriced,
+        "true cost {true_cost} is not the tree's re-priced cost {repriced}"
+    );
+    let regret = r.get("regret").and_then(|v| v.as_f64()).unwrap();
+    assert!(regret >= 0.0 && regret.is_finite(), "regret = {regret}");
 }
 
 #[test]

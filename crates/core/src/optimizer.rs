@@ -8,10 +8,10 @@
 //!
 //! * **Search space.** [`OptimizerConfig::space`] picks outer linear
 //!   orders or bushy trees. Both run the one component loop, fallback
-//!   ladder and assembly; bushy results also carry their trees
-//!   ([`Optimized::trees`]). Bushy space is sequential and uncached:
-//!   combined with parallelism or a cache, a solve returns
-//!   [`OptError::Unsupported`].
+//!   ladder, plan pricing and cache step, and every result is a list of
+//!   segment trees ([`Optimized::trees`]). Bushy space is sequential:
+//!   parallel search is a feature of the linear search loop, so combined
+//!   with parallelism a solve returns [`OptError::Unsupported`].
 //! * **Component loop.** Without parallelism each component runs the
 //!   configured method sequentially down the fallback ladder. With it,
 //!   each component's share is sharded over a worker pool
@@ -39,11 +39,12 @@ use ljqo_cache::{fingerprint, FingerprintConfig, Fingerprinted, PlanCache};
 use ljqo_catalog::{Query, RelId};
 use ljqo_cost::{CostModel, Deadline};
 use ljqo_plan::validity::is_valid;
+use ljqo_plan::BushyTree;
 
 use crate::cached::{cacheable, entry_for, producer, serve_from_entry, CacheOutcome};
 use crate::driver::{
-    assemble_plan, component_budgets, component_fallback, plan_component, ComponentOutcome,
-    Optimized, OptimizerConfig, SearchSpace,
+    component_budgets, component_fallback, plan_component, price_plan, ComponentOutcome, Optimized,
+    OptimizerConfig, SearchSpace,
 };
 use crate::error::OptError;
 use crate::methods::Method;
@@ -455,15 +456,17 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// The one refusal: bushy trees are searched sequentially and never
-    /// cached, so the bushy space rejects parallelism and a cache.
+    /// The one refusal: the worker pool shards the linear search loop
+    /// (move filtering, shared best-cost pruning, the structural
+    /// backstop), which the tree search does not run, so the bushy space
+    /// rejects parallelism. Plans of either space cache and replay alike.
     fn supported(&self) -> Result<(), OptError> {
-        let feature = match (self.config.space, self.parallelism, self.cache) {
-            (SearchSpace::Bushy, Some(_), _) => "parallel search",
-            (SearchSpace::Bushy, None, Some(_)) => "the plan cache",
-            _ => return Ok(()),
-        };
-        Err(OptError::Unsupported { feature })
+        match (self.config.space, self.parallelism) {
+            (SearchSpace::Bushy, Some(_)) => Err(OptError::Unsupported {
+                feature: "parallel search",
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// A query that failed before reaching the pool.
@@ -504,24 +507,20 @@ impl<'a> Optimizer<'a> {
                 total.winner = outcome.winner;
                 winner_len = comp.len();
             }
-            let Some((order, cost)) = outcome.best else {
+            let Some(best) = outcome.best else {
                 return Err(OptError::NoValidPlan { component: idx });
             };
-            segments.push((order, cost, outcome.tree));
+            segments.push(best);
         }
 
-        let (plan, cost, segment_costs, trees) = assemble_plan(query, self.model, segments);
         Ok(Optimized {
-            plan,
-            trees,
-            cost,
-            segment_costs,
             units_used: total.units_used,
             n_evals: total.n_evals,
             degradation: total.degradation,
             deadline_expired: total.deadline_expired,
             workers_failed: total.workers_failed,
             winner: total.winner,
+            ..price_plan(query, self.model, segments)
         })
     }
 }
@@ -603,7 +602,7 @@ impl<'p> Fanout<'p> {
                 outcome.deadline_expired = r.deadline_expired;
                 outcome.units_used = r.units_used;
                 outcome.n_evals = r.n_evals;
-                outcome.best = Some((r.order, r.cost));
+                outcome.best = Some((BushyTree::left_deep(r.order.rels()), r.cost));
             }
             other => {
                 // Every worker panicked or the budget bought no state at
@@ -1000,41 +999,42 @@ mod tests {
     }
 
     #[test]
-    fn bushy_space_refuses_parallelism_and_the_cache() {
+    fn bushy_space_refuses_parallelism_and_caches_its_trees() {
         let queries = batch_queries();
         let model = MemoryCostModel::default();
         let cfg = OptimizerConfig::new(Method::BushyIi)
             .with_seed(3)
             .with_space(SearchSpace::Bushy);
-        let cache = PlanCache::new(ljqo_cache::PlanCacheConfig::with_entries(16));
         let par = Parallelism::workers(2);
         let bushy = Optimizer::new(&model, &cfg);
-        for (optimizer, feature) in [
-            (
-                bushy.with_cache(&cache, FingerprintConfig::default()),
-                "the plan cache",
-            ),
-            (bushy.with_parallelism(&par), "parallel search"),
-        ] {
-            let refusal = OptError::Unsupported { feature };
-            assert_eq!(optimizer.solve(&queries[0]).unwrap_err(), refusal);
-            let report = optimizer.solve_batch(&queries);
-            assert_eq!(report.n_failed, queries.len());
-            for result in &report.results {
-                assert_eq!(result.as_ref().unwrap_err(), &refusal);
-            }
+        let parallel = bushy.with_parallelism(&par);
+        let refusal = OptError::Unsupported {
+            feature: "parallel search",
+        };
+        assert_eq!(parallel.solve(&queries[0]).unwrap_err(), refusal);
+        let report = parallel.solve_batch(&queries);
+        assert_eq!(report.n_failed, queries.len());
+        for result in &report.results {
+            assert_eq!(result.as_ref().unwrap_err(), &refusal);
         }
-        // Nothing was solved, so nothing was cached.
-        assert_eq!(cache.stats().entries, 0);
-        // The regret study replays through a cache of its own.
-        assert_eq!(
-            crate::regret_under(&queries[0], &queries[0], &bushy).unwrap_err(),
-            OptError::Unsupported {
-                feature: "the plan cache"
-            }
-        );
-        // The same session without either feature plans.
-        assert!(bushy.solve(&queries[0]).unwrap().0.trees.is_some());
+
+        // A cached bushy solve replays its trees at the cold cost's bits.
+        let cache = PlanCache::new(ljqo_cache::PlanCacheConfig::with_entries(16));
+        let cached = bushy.with_cache(&cache, FingerprintConfig::default());
+        let (cold, via) = cached.solve(&queries[0]).unwrap();
+        assert_eq!(via.outcome, CacheOutcome::Miss);
+        let (warm, via) = cached.solve(&queries[0]).unwrap();
+        assert_eq!(via.outcome, CacheOutcome::Hit);
+        assert_eq!(warm.trees, cold.trees);
+        assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
+        let uncached = bushy.solve(&queries[0]).unwrap().0;
+        assert_eq!(uncached.trees, cold.trees);
+        assert_eq!(uncached.cost.to_bits(), cold.cost.to_bits());
+
+        // The regret study replays the trees through a cache of its own.
+        let sample = crate::regret_under(&queries[0], &queries[0], &bushy).unwrap();
+        assert_eq!(sample.regret, 0.0);
+        assert_eq!(sample.replay, CacheOutcome::Hit);
     }
 
     #[test]

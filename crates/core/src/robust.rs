@@ -28,16 +28,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ljqo_cache::{
-    fingerprint, CachedPlan, CachedSegment, FingerprintConfig, PlanCache, PlanCacheConfig,
-};
+use ljqo_cache::{fingerprint, FingerprintConfig, PlanCache, PlanCacheConfig};
 use ljqo_catalog::Query;
 use ljqo_cost::estimate::SizeWalker;
-use ljqo_cost::{sanitize_cost, CostModel, OrderCost};
-use ljqo_plan::Plan;
+use ljqo_cost::CostModel;
+use ljqo_plan::{BushyTree, Plan};
 
-use crate::cached::CacheOutcome;
-use crate::driver::assemble_plan;
+use crate::cached::{entry_for, CacheOutcome};
+use crate::driver::{price_plan, tree_cost};
 use crate::error::{Degradation, OptError};
 use crate::optimizer::Optimizer;
 
@@ -70,29 +68,33 @@ pub struct RegretSample {
     pub replay: CacheOutcome,
 }
 
-/// Re-price `plan` under `query`: every segment's order is costed
-/// against the live catalog (panic-isolated, `f64::MAX` on a model
-/// fault) and the segments are re-assembled with the standard
-/// late-cross-product rule. The plan structure is taken as-is; only
-/// prices move.
+/// Re-price `plan` under `query`, each segment as the outer linear tree
+/// of its order (see [`recost_trees`]).
 pub fn recost_plan(query: &Query, model: &dyn CostModel, plan: &Plan) -> f64 {
-    let mut walker = SizeWalker::new(query);
-    let segments: Vec<_> = plan
+    let trees: Vec<_> = plan
         .segments
         .iter()
-        .map(|order| {
-            let cost = catch_unwind(AssertUnwindSafe(|| {
-                sanitize_cost(model.order_cost_with(&mut walker, order.rels()))
-            }))
-            .unwrap_or(f64::MAX);
-            (order.clone(), cost, None)
+        .map(|order| BushyTree::left_deep(order.rels()))
+        .collect();
+    recost_trees(query, model, &trees)
+}
+
+/// Re-price the plan made of `trees` under `query`: every segment tree
+/// is costed against the live catalog (panic-isolated, `f64::MAX` on a
+/// model fault) and the plan is priced with the standard
+/// late-cross-product rule. The plan structure is taken as-is; only
+/// prices move.
+pub fn recost_trees(query: &Query, model: &dyn CostModel, trees: &[BushyTree]) -> f64 {
+    let mut walker = SizeWalker::new(query);
+    let segments: Vec<_> = trees
+        .iter()
+        .map(|tree| {
+            let cost = catch_unwind(AssertUnwindSafe(|| tree_cost(&mut walker, model, tree)))
+                .unwrap_or(f64::MAX);
+            (tree.clone(), cost)
         })
         .collect();
-    catch_unwind(AssertUnwindSafe(|| {
-        let (_, total, ..) = assemble_plan(query, model, segments);
-        total
-    }))
-    .unwrap_or(f64::MAX)
+    catch_unwind(AssertUnwindSafe(|| price_plan(query, model, segments).cost)).unwrap_or(f64::MAX)
 }
 
 /// `max(0, true_cost / reference_cost − 1)` with the degenerate cases
@@ -126,8 +128,8 @@ fn regret_of(true_cost: f64, reference_cost: f64) -> f64 {
 ///
 /// Errors propagate from either solve (an invalid catalog on either
 /// side, or a query no rung of the fallback ladder could plan). The
-/// replay goes through a plan cache, so a bushy-space `optimizer` gets
-/// [`OptError::Unsupported`].
+/// replay re-prices the observed plan's trees, so a bushy-space
+/// `optimizer` measures the regret of the tree it found.
 ///
 /// [`Parallelism::robust_portfolio`]: crate::Parallelism::robust_portfolio
 pub fn regret_under(
@@ -148,22 +150,11 @@ pub fn regret_under(
     // sees in production.
     let fp_config = FingerprintConfig::default();
     let fp = fingerprint(true_query, &fp_config);
-    let entry = CachedPlan {
-        segments: observed
-            .plan
-            .segments
-            .iter()
-            .zip(&observed.segment_costs)
-            .map(|(order, &cost)| CachedSegment {
-                canon_order: fp.canonize_order(order.rels()),
-                cost,
-            })
-            .collect(),
-        total_cost: observed.cost,
-        producer: solver.config.method.name(),
-    };
     let cache = PlanCache::new(PlanCacheConfig::with_entries(2));
-    cache.insert(fp.fingerprint().clone(), entry);
+    cache.insert(
+        fp.fingerprint().clone(),
+        entry_for(&fp, &observed, solver.config),
+    );
 
     let (served, via) = solver.with_cache(&cache, fp_config).solve(true_query)?;
     let (true_cost, reference_cost) = if via.outcome.is_hit() {
@@ -175,7 +166,7 @@ pub fn regret_under(
         // the serving path solved the true query cold — that cold solve
         // is the reference, and the observed plan is priced directly.
         (
-            recost_plan(true_query, solver.model, &observed.plan),
+            recost_trees(true_query, solver.model, &observed.trees),
             served.cost,
         )
     };

@@ -5,11 +5,12 @@
 //! permutation of the joining relations. This crate provides:
 //!
 //! * [`JoinOrder`] — a permutation of (a subset of) the query's relations,
-//! * [`JoinTree`] — the equivalent explicit tree, for display and
-//!   explanation,
-//! * [`Plan`] — a full query plan: one join order per connected component
-//!   of the join graph, with late cross products between components (the
-//!   paper's "postpone cross-products" heuristic),
+//! * [`BushyTree`] — a join tree, outer linear or bushy: the shape of
+//!   every plan segment, with its EXPLAIN rendering,
+//! * [`Plan`] — the leaf orders of a full query plan: one segment per
+//!   connected component of the join graph, with late cross products
+//!   between components (the paper's "postpone cross-products"
+//!   heuristic),
 //! * validity checking ([`validity`]) — an order is *valid* when every
 //!   relation after the first joins with at least one earlier relation, so
 //!   no cross product is needed inside a component,
@@ -37,5 +38,5 @@ pub use btree::{TreeMove, TreeMoveSet, TreeNode, TreePlan, NO_NODE};
 pub use moves::{Move, MoveGenerator, MoveKind, MoveSet};
 pub use order::{JoinOrder, Plan};
 pub use random::random_valid_order;
-pub use tree::JoinTree;
+pub use tree::BushyTree;
 pub use validity::BitsetChecker;

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use ljqo_catalog::{CompiledQuery, JoinEdge, JoinGraph, RelId};
 use ljqo_plan::validity::{first_invalid_position, is_valid};
-use ljqo_plan::{random_valid_order, JoinOrder, JoinTree, Move, MoveGenerator, MoveSet};
+use ljqo_plan::{random_valid_order, BushyTree, JoinOrder, Move, MoveGenerator, MoveSet};
 
 const CASES: u64 = 64;
 
@@ -100,7 +100,8 @@ fn move_sequences_undo_in_reverse() {
     }
 }
 
-/// A join order and its tree round-trip.
+/// A join order's left-deep tree, and a random tree over the same
+/// leaves, round-trip through their leaves and shape.
 #[test]
 fn tree_roundtrip() {
     for case in 0..CASES {
@@ -108,9 +109,23 @@ fn tree_roundtrip() {
         let g = arb_connected(&mut rng);
         let comp = component_of(&g);
         let order = random_valid_order(&g, &comp, &mut rng);
-        let tree: JoinTree = order.to_tree();
-        assert_eq!(tree.n_leaves(), order.len(), "case {case}");
-        assert_eq!(JoinOrder::new(tree.order()), order, "case {case}");
+        let tree = BushyTree::left_deep(order.rels());
+        assert_eq!(tree.leaves(), order.rels(), "case {case}");
+        assert!(tree.is_linear(), "case {case}");
+        assert!(tree.is_cross_product_free(&g), "case {case}");
+
+        // Join random neighbouring subtrees until one tree is left.
+        let mut parts: Vec<BushyTree> = order.rels().iter().map(|&r| BushyTree::leaf(r)).collect();
+        while parts.len() > 1 {
+            let i = rng.gen_range(0..parts.len() - 1);
+            let inner = parts.remove(i + 1);
+            let outer = parts.remove(i);
+            parts.insert(i, BushyTree::join(outer, inner));
+        }
+        let bushy = parts.pop().unwrap();
+        assert_eq!(bushy.leaves(), order.rels(), "case {case}");
+        let back = BushyTree::from_shape(bushy.leaves().to_vec(), bushy.shape().to_vec());
+        assert_eq!(back.as_ref(), Some(&bushy), "case {case}");
     }
 }
 

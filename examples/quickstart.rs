@@ -52,7 +52,7 @@ fn main() {
     let result = Optimizer::new(&model, &config).solve(&query).unwrap().0;
 
     println!("IAI plan (cost {:.3e}):", result.cost);
-    println!("{}", result.plan.to_tree().explain(&query));
+    println!("{}", result.explain(&query));
     println!(
         "search effort: {} plan evaluations in {} budget units",
         result.n_evals, result.units_used

@@ -69,5 +69,5 @@ fn main() {
         .solve(&query)
         .unwrap()
         .0;
-    println!("\nbest IAI plan:\n{}", best.plan.to_tree().explain(&query));
+    println!("\nbest IAI plan:\n{}", best.explain(&query));
 }

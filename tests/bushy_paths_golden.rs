@@ -83,7 +83,7 @@ fn solve(query: &Query, config: &OptimizerConfig) -> BushyRun {
         .solve(query)
         .expect("every grid query plans");
     BushyRun {
-        trees: r.trees.expect("a bushy solve reports its trees"),
+        trees: r.trees,
         segment_costs: r.segment_costs,
         cost: r.cost,
         units_used: r.units_used,
@@ -95,10 +95,7 @@ fn solve(query: &Query, config: &OptimizerConfig) -> BushyRun {
 
 /// A tree with relation indices for leaves, e.g. `((0 ⋈ 1) ⋈ 2)`.
 fn render(tree: &BushyTree) -> String {
-    match tree {
-        BushyTree::Leaf(r) => r.index().to_string(),
-        BushyTree::Join(l, r) => format!("({} ⋈ {})", render(l), render(r)),
-    }
+    tree.render(|r| r.index().to_string())
 }
 
 fn record(out: &mut String, label: &str, run: &BushyRun) {

@@ -169,9 +169,10 @@ fn plan_display_and_explain_are_consistent() {
         .solve(&query)
         .unwrap()
         .0;
-    let tree = result.plan.to_tree();
-    assert_eq!(tree.n_leaves(), query.n_relations());
-    let explain = tree.explain(&query);
+    assert_eq!(result.trees.len(), 1);
+    assert_eq!(result.trees[0].n_leaves(), query.n_relations());
+    assert_eq!(result.trees[0].leaves(), result.plan.segments[0].rels());
+    let explain = result.explain(&query);
     // Every relation name appears in the explanation.
     for rel in query.relations() {
         assert!(explain.contains(&rel.name), "missing {}", rel.name);

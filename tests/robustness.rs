@@ -212,7 +212,7 @@ fn bushy_space_faults_walk_the_one_fallback_ladder() {
                 model.evals() >= 1,
                 "{mode:?} {method}: the fault never fired"
             );
-            let trees = r.trees.as_ref().expect("bushy space reports trees");
+            let trees = &r.trees;
             assert_eq!(trees.len(), r.plan.segments.len(), "{mode:?} {method}");
             for (tree, order) in trees.iter().zip(&r.plan.segments) {
                 assert_eq!(tree.leaves(), order.rels(), "{mode:?} {method}");
