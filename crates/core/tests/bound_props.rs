@@ -75,7 +75,7 @@ fn assert_sound(tag: &str, q: &Query, model: &dyn CostModel) {
                 // Compare against the arena re-costing (the same fold the
                 // searches use); the DP's own fold may differ in the last
                 // bits.
-                let recost = bushy_tree_cost(q, model, &tree);
+                let recost = recost_trees(q, model, std::slice::from_ref(&tree));
                 let optimum = dp_cost.min(recost);
                 assert!(
                     b.tree <= optimum * (1.0 + 1e-12) + 1e-9,
