@@ -3,8 +3,8 @@
 //! The serving-path store that lets the cold combinatorial search run
 //! once per query equivalence class instead of once per request. Entries
 //! are keyed by [`QueryFingerprint`] and hold the
-//! winning plan's join trees in canonical coordinates plus their costs and
-//! the producing method — everything a driver needs to rehydrate, re-validate,
+//! winning plan's join trees in canonical coordinates plus its total cost
+//! and the producing method — everything a driver needs to rehydrate, re-validate,
 //! and serve a plan without searching.
 //!
 //! # Concurrency
@@ -28,8 +28,8 @@ use std::sync::Mutex;
 use crate::fingerprint::QueryFingerprint;
 
 /// One segment of a cached plan: a join tree as its leaf order in
-/// canonical coordinates and its shape, plus its estimated cost at solve
-/// time.
+/// canonical coordinates and its shape. It carries no cost: a hit
+/// re-prices the trees under the live catalog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedSegment {
     /// The component tree's leaves from left to right (for an outer
@@ -39,8 +39,6 @@ pub struct CachedSegment {
     /// `ljqo_plan::BushyTree::shape`). It names no relation, so it needs
     /// no canonicalisation.
     pub shape: Vec<(u32, u32)>,
-    /// Estimated cost of this segment when the entry was produced.
-    pub cost: f64,
 }
 
 /// A cached optimization result, in canonical coordinates.
@@ -427,7 +425,6 @@ mod tests {
             segments: vec![CachedSegment {
                 canon_order: vec![0, 1],
                 shape: vec![(0, 1)],
-                cost,
             }],
             total_cost: cost,
             producer: "II",

@@ -12,8 +12,8 @@
 //!
 //! A cached entry stores each segment tree as its leaf order in
 //! canonical coordinates and its shape (the post-order join list over
-//! leaf positions, which names no relation), plus the cost it was found
-//! at. Serving from it never trusts the entry:
+//! leaf positions, which names no relation), plus the plan's total cost.
+//! Serving from it never trusts the entry:
 //!
 //! 1. every segment's leaves are rehydrated through the *current*
 //!    query's canonical mapping, with out-of-range indices rejected, and
@@ -22,42 +22,40 @@
 //!    exactly (no duplicates, no gaps) and each segment must be
 //!    cross-product free in the live join graph (for an outer linear
 //!    tree: a valid order);
-//! 3. every segment is re-priced under the live catalog and cost model
-//!    (panic-isolated), by the same walk the cold path priced it with.
+//! 3. the trees are priced under the live catalog and cost model by
+//!    `price_plan`, the pricer the cold path shipped its cost from
+//!    (panic-isolated); a segment or plan it cannot price makes the
+//!    entry stale.
 //!
-//! If the fresh prices agree with the stored ones
-//! ([`ljqo_cost::costs_agree`]) the stored costs are kept, so the served
-//! result is **bit-identical** to the cold solve that produced the entry
-//! (plan pricing is a pure function of the `(tree, cost)` pairs). If
-//! they differ materially — the same fingerprint covering a
-//! within-bucket-different query, or catalog statistics drifting under a
-//! resident entry — the plan structure is reused at freshly computed
-//! costs ([`CacheOutcome::HitRecosted`]). Entries that fail any check are
+//! The price is what the hit serves. The cold path shipped the price of
+//! the same trees, so on the query that produced the entry the served
+//! result is **bit-identical** to that cold solve. When the price
+//! disagrees with the entry's total ([`ljqo_cost::costs_agree`]) — the
+//! same fingerprint covering a within-bucket-different query, or catalog
+//! statistics drifting under a resident entry — the hit is reported as
+//! [`CacheOutcome::HitRecosted`]. Entries that fail any check are
 //! invalidated and the query falls through to the cold path
 //! ([`CacheOutcome::Stale`]), so a poisoned cache can cost latency but
 //! never correctness.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use ljqo_cache::{CachedPlan, CachedSegment, Fingerprinted};
 use ljqo_catalog::{BlockMask, Query};
 use ljqo_cost::costs_agree;
-use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::CostModel;
 use ljqo_plan::BushyTree;
 
-use crate::driver::{price_plan, tree_cost, Optimized, OptimizerConfig};
+use crate::driver::{price_plan, Optimized, OptimizerConfig};
 
 /// How a cached [`Optimizer`](crate::Optimizer) answered a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Served from the cache; fresh per-segment prices agreed with the
-    /// stored ones, so the result is bit-identical to the cold solve that
+    /// Served from the cache; the plan's price agreed with the entry's
+    /// total, so the result is bit-identical to the cold solve that
     /// produced the entry.
     Hit,
-    /// Served from the cache structurally, but re-priced: the entry's
-    /// stored costs disagreed with the live catalog (within-bucket
-    /// statistics drift), so the returned cost is freshly computed.
+    /// Served from the cache, but the plan's price under the live catalog
+    /// disagreed with the entry's total (within-bucket statistics
+    /// drift).
     HitRecosted,
     /// A resident entry failed validity re-checks against the live
     /// catalog; it was invalidated and the query was solved cold.
@@ -118,36 +116,18 @@ pub(crate) fn serve_from_entry(
         return None; // entry does not cover every relation
     }
 
-    // Re-price every segment under the live catalog; a model fault or a
-    // saturated price marks the entry stale rather than serving garbage.
-    let mut agree = true;
-    let mut walker = SizeWalker::new(query);
-    let mut segments = Vec::with_capacity(trees.len());
-    for (tree, seg) in trees.into_iter().zip(&entry.segments) {
-        let fresh = catch_unwind(AssertUnwindSafe(|| tree_cost(&mut walker, model, &tree))).ok()?;
-        if !fresh.is_finite() || fresh == f64::MAX {
-            return None;
-        }
-        agree &= costs_agree(fresh, seg.cost);
-        segments.push((tree, fresh));
+    // A model fault or a saturated price marks the entry stale rather
+    // than serving garbage.
+    let n_segments = trees.len() as u64;
+    let served = price_plan(query, model, trees);
+    if !served.cost.is_finite() || served.cost == f64::MAX {
+        return None;
     }
-    let outcome = if agree {
-        // Keep the stored prices: plan pricing is deterministic in the
-        // `(tree, cost)` pairs, so the total is bit-identical to the
-        // cold solve that produced this entry.
-        for (s, seg) in segments.iter_mut().zip(&entry.segments) {
-            s.1 = seg.cost;
-        }
+    let outcome = if costs_agree(served.cost, entry.total_cost) {
         CacheOutcome::Hit
     } else {
         CacheOutcome::HitRecosted
     };
-
-    let n_segments = segments.len() as u64;
-    let served = price_plan(query, model, segments);
-    if !served.cost.is_finite() || served.cost == f64::MAX {
-        return None;
-    }
     Some((
         Optimized {
             units_used: n_segments,
@@ -171,11 +151,9 @@ pub(crate) fn entry_for(
         segments: result
             .trees
             .iter()
-            .zip(&result.segment_costs)
-            .map(|(tree, &cost)| CachedSegment {
+            .map(|tree| CachedSegment {
                 canon_order: fp.canonize_order(tree.leaves()),
                 shape: tree.shape().to_vec(),
-                cost,
             })
             .collect(),
         total_cost: result.cost,

@@ -489,7 +489,7 @@ impl<'a> Optimizer<'a> {
         let fanout = self.parallelism.map(|par| Fanout::new(config, par));
         let mut rng = SmallRng::seed_from_u64(config.seed);
 
-        let mut segments = Vec::with_capacity(components.len());
+        let mut trees = Vec::with_capacity(components.len());
         let mut total = ComponentOutcome::default();
         let mut winner_len = 0;
         for (idx, (comp, budget)) in components.iter().zip(budgets).enumerate() {
@@ -510,7 +510,7 @@ impl<'a> Optimizer<'a> {
             let Some(best) = outcome.best else {
                 return Err(OptError::NoValidPlan { component: idx });
             };
-            segments.push(best);
+            trees.push(best);
         }
 
         Ok(Optimized {
@@ -520,7 +520,7 @@ impl<'a> Optimizer<'a> {
             deadline_expired: total.deadline_expired,
             workers_failed: total.workers_failed,
             winner: total.winner,
-            ..price_plan(query, self.model, segments)
+            ..price_plan(query, self.model, trees)
         })
     }
 }
@@ -602,7 +602,7 @@ impl<'p> Fanout<'p> {
                 outcome.deadline_expired = r.deadline_expired;
                 outcome.units_used = r.units_used;
                 outcome.n_evals = r.n_evals;
-                outcome.best = Some((BushyTree::left_deep(r.order.rels()), r.cost));
+                outcome.best = Some(BushyTree::left_deep(r.order.rels()));
             }
             other => {
                 // Every worker panicked or the budget bought no state at

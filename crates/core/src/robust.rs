@@ -30,12 +30,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ljqo_cache::{fingerprint, FingerprintConfig, PlanCache, PlanCacheConfig};
 use ljqo_catalog::Query;
-use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::CostModel;
 use ljqo_plan::{BushyTree, Plan};
 
 use crate::cached::{entry_for, CacheOutcome};
-use crate::driver::{price_plan, tree_cost};
+use crate::driver::price_plan;
 use crate::error::{Degradation, OptError};
 use crate::optimizer::Optimizer;
 
@@ -61,10 +60,10 @@ pub struct RegretSample {
     pub degradation: Degradation,
     /// How the cache serving path answered when the observed plan was
     /// replayed against the true catalog: [`CacheOutcome::Hit`] when the
-    /// stored prices still agree (no material drift),
-    /// [`CacheOutcome::HitRecosted`] when the entry was structurally
-    /// reusable but re-priced, [`CacheOutcome::Stale`] when it failed
-    /// revalidation outright.
+    /// plan's true price still agrees with the stored total (no material
+    /// drift), [`CacheOutcome::HitRecosted`] when it does not,
+    /// [`CacheOutcome::Stale`] when the entry failed revalidation
+    /// outright.
     pub replay: CacheOutcome,
 }
 
@@ -79,22 +78,16 @@ pub fn recost_plan(query: &Query, model: &dyn CostModel, plan: &Plan) -> f64 {
     recost_trees(query, model, &trees)
 }
 
-/// Re-price the plan made of `trees` under `query`: every segment tree
-/// is costed against the live catalog (panic-isolated, `f64::MAX` on a
-/// model fault) and the plan is priced with the standard
-/// late-cross-product rule. The plan structure is taken as-is; only
-/// prices move.
+/// Re-price the plan made of `trees` under `query` by the pricer every
+/// solve ships its cost from: every segment tree is costed against the
+/// live catalog (panic-isolated, `f64::MAX` on a model fault) and the
+/// plan is priced with the standard late-cross-product rule. The plan
+/// structure is taken as-is; only prices move.
 pub fn recost_trees(query: &Query, model: &dyn CostModel, trees: &[BushyTree]) -> f64 {
-    let mut walker = SizeWalker::new(query);
-    let segments: Vec<_> = trees
-        .iter()
-        .map(|tree| {
-            let cost = catch_unwind(AssertUnwindSafe(|| tree_cost(&mut walker, model, tree)))
-                .unwrap_or(f64::MAX);
-            (tree.clone(), cost)
-        })
-        .collect();
-    catch_unwind(AssertUnwindSafe(|| price_plan(query, model, segments).cost)).unwrap_or(f64::MAX)
+    catch_unwind(AssertUnwindSafe(|| {
+        price_plan(query, model, trees.to_vec()).cost
+    }))
+    .unwrap_or(f64::MAX)
 }
 
 /// `max(0, true_cost / reference_cost − 1)` with the degenerate cases
@@ -212,8 +205,8 @@ mod tests {
         assert_eq!(s.regret, 0.0);
         assert_eq!(s.observed_cost, s.true_cost);
         assert_eq!(s.true_cost, s.reference_cost);
-        // The stored prices agree bit-for-bit, so the replay is a plain
-        // hit, not a re-cost.
+        // The replayed plan prices at the stored total bit for bit, so
+        // the replay is a plain hit, not a re-cost.
         assert_eq!(s.replay, CacheOutcome::Hit);
         assert_eq!(s.degradation, Degradation::None);
     }

@@ -172,7 +172,6 @@ fn poison(cache: &PlanCache, q: &Query, fp_cfg: &FingerprintConfig) {
             segments: vec![CachedSegment {
                 canon_order: vec![900, 901, 902],
                 shape: vec![(0, 1), (3, 2)],
-                cost: 1.0,
             }],
             total_cost: 1.0,
             producer: "test-poison",
@@ -258,7 +257,6 @@ fn cached_trees_are_rechecked_before_they_are_served() {
                 segments: vec![CachedSegment {
                     canon_order: fp.canonize_order(&leaves),
                     shape: shape.clone(),
-                    cost: 1.0,
                 }],
                 total_cost: 1.0,
                 producer: "test",
