@@ -7,9 +7,8 @@
 //! that several batch workers can feed concurrently and a `/stats`
 //! endpoint can read at any moment without resetting anything.
 //! [`ServingCounters`] is that view: a bag of atomics fed one answer at
-//! a time by [`record`](ServingCounters::record) (plus
-//! [`record_batch`](ServingCounters::record_batch) when a batch opens),
-//! and a [`snapshot`](ServingCounters::snapshot) side producing a
+//! a time by [`record`](ServingCounters::record), and a
+//! [`snapshot`](ServingCounters::snapshot) side producing a
 //! point-in-time copy. `record` classifies an answer with
 //! the same classification the batch report's tallies use.
 //!
@@ -88,8 +87,6 @@ pub struct ServingCounters {
     degraded: AtomicU64,
     deadline_expired: AtomicU64,
     units_used: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
     degradation: [AtomicU64; 4],
     wins: [AtomicU64; N_WIN_SLOTS],
 }
@@ -114,10 +111,6 @@ pub struct ServingSnapshot {
     pub deadline_expired: u64,
     /// Total budget units consumed.
     pub units_used: u64,
-    /// Batches opened.
-    pub batches: u64,
-    /// Largest batch opened.
-    pub max_batch: u64,
     /// Per-rung degradation counts of successful queries, aligned with
     /// [`DEGRADATION_LABELS`] (index 0 counts undegraded plans).
     pub degradation: [u64; 4],
@@ -132,13 +125,6 @@ impl ServingCounters {
     /// Fresh counters, all zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Count one batch of `len` queries as it opens. Safe to call
-    /// concurrently from many workers.
-    pub fn record_batch(&self, len: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(len as u64, Ordering::Relaxed);
     }
 
     /// Fold one answer into the lifetime totals: the arguments of an
@@ -180,8 +166,6 @@ impl ServingCounters {
             degraded: self.degraded.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
             units_used: self.units_used.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
             degradation: std::array::from_fn(|i| self.degradation[i].load(Ordering::Relaxed)),
             method_wins: labels
                 .into_iter()
@@ -220,7 +204,6 @@ mod tests {
     /// One batch of `qs`, every answer recorded into `counters` from
     /// the hook.
     fn record_batch_of(opt: &Optimizer, qs: &[Query], counters: &ServingCounters) -> BatchReport {
-        counters.record_batch(qs.len());
         opt.solve_batch_with(qs, |_, result, via, reused| {
             counters.record(result, via, reused)
         })
@@ -240,8 +223,6 @@ mod tests {
         assert_eq!(first.queries, 4);
         assert_eq!(first.cold_solves, 4);
         assert_eq!(first.units_used, report.units_used);
-        assert_eq!(first.batches, 1);
-        assert_eq!(first.max_batch, 4);
         assert_eq!(first.degradation[0], 4, "no degradation expected");
         let iai = first
             .method_wins
@@ -256,8 +237,6 @@ mod tests {
         assert_eq!(second.queries, 6);
         assert_eq!(second.cold_solves, 6);
         assert!(second.units_used >= first.units_used);
-        assert_eq!(second.batches, 2);
-        assert_eq!(second.max_batch, 4);
     }
 
     #[test]
@@ -326,7 +305,6 @@ mod tests {
             for _ in 0..threads {
                 scope.spawn(|| {
                     for _ in 0..batches_per_thread {
-                        counters.record_batch(report.results.len());
                         for (result, via) in report.results.iter().zip(&report.outcomes) {
                             counters.record(result, via, false);
                         }
@@ -336,7 +314,6 @@ mod tests {
         });
         let s = counters.snapshot();
         let total = threads * batches_per_thread;
-        assert_eq!(s.batches, total);
         assert_eq!(s.queries, total * 3);
         assert_eq!(s.cold_solves, total * 3);
         let wins: u64 = s.method_wins.iter().map(|(_, w)| w).sum();
