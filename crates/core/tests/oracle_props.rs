@@ -1,15 +1,16 @@
 //! Every shipped cost, checked against the test-only plan pricer.
 //!
-//! Each `Optimizer` path — sequential, batch, cache miss, cache hit (on
-//! the same and on a relabelled query), `recost_plan`, and the bushy
-//! space with and without a cache — reports a plan and its total cost.
-//! The `oracle` module prices that plan again from the query and the
-//! plan's trees alone, with its own width bookkeeping for tree joins and
-//! late cross products. Every reported total must equal the oracle's
-//! price of the plan at the reported segment costs bit for bit, every
-//! re-priced total must equal the oracle's own price bit for bit, every
-//! segment cost must be the oracle's price of its tree (see [`check`]),
-//! and the plan's leaf orders must be its trees' leaves.
+//! Each `Optimizer` path — every linear method, sequential and in a
+//! batch, each parallel fan-out (isolated workers, the portfolio, the
+//! robust portfolio, cooperating workers), early stopping, cache miss,
+//! cache hit (on the same and on a relabelled query), `recost_plan`, and
+//! the bushy space with and without a cache — reports a plan and its
+//! total cost. The `oracle` module prices that plan again from the query
+//! and the plan's trees alone, with its own width bookkeeping for tree
+//! joins and late cross products. Every segment cost must be the
+//! oracle's price of its tree, every total the oracle's price of the
+//! plan, and both `recost_trees` of the shipped trees, all bit for bit
+//! (see [`check`]); the plan's leaf orders must be its trees' leaves.
 //!
 //! Random queries of one to four components under all three cost
 //! models. Offline property-test idiom: seeded-RNG loops, one derived
@@ -85,30 +86,20 @@ fn relabelled(q: &Query) -> Query {
     Query::new(relations, edges).unwrap()
 }
 
-/// The reported plan agrees with the oracle: its leaf orders are its
-/// trees' leaves, each segment cost is the oracle's price of its tree,
-/// and the total is the oracle's price of the plan at those segment
-/// costs, bit for bit.
-///
-/// A segment the linear search found carries the cost its incremental
-/// evaluator reported, which re-associates the reused tail of the walk
-/// and so may differ from a fresh walk in the last bits; `exact` is false
-/// for such results, and their segment costs are checked to 1e-12
-/// relative instead.
-fn check(tag: &str, model: &dyn CostModel, q: &Query, r: &Optimized, exact: bool) {
+/// The reported plan ships its price, bit for bit: its leaf orders are
+/// its trees' leaves, each segment cost is the oracle's price of its
+/// tree, the total is the oracle's price of the plan at those segment
+/// costs, and the total is what `recost_trees` charges for the trees.
+fn check(tag: &str, model: &dyn CostModel, q: &Query, r: &Optimized) {
     assert_eq!(r.trees.len(), r.plan.segments.len(), "{tag}");
     assert_eq!(r.trees.len(), r.segment_costs.len(), "{tag}");
     for (i, (tree, order)) in r.trees.iter().zip(&r.plan.segments).enumerate() {
         assert_eq!(tree.leaves(), order.rels(), "{tag}: segment {i}");
         let got = r.segment_costs[i];
         let want = oracle::tree_cost(model, q, tree);
-        let agree = if exact {
-            got.to_bits() == want.to_bits()
-        } else {
-            (got - want).abs() <= 1e-12 * want.abs()
-        };
-        assert!(
-            agree,
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
             "{tag}: segment {i} {tree} costs {got} but prices at {want}"
         );
     }
@@ -119,6 +110,11 @@ fn check(tag: &str, model: &dyn CostModel, q: &Query, r: &Optimized, exact: bool
         "{tag}: reported {} but the oracle prices the plan at {want}",
         r.cost
     );
+    assert_eq!(
+        recost_trees(q, model, &r.trees).to_bits(),
+        r.cost.to_bits(),
+        "{tag}: recost_trees"
+    );
 }
 
 #[test]
@@ -128,7 +124,7 @@ fn linear_paths_report_the_oracle_cost() {
         let n_components = rng.gen_range(1usize..5);
         let cyclic = component_query(&mut rng, n_components, true);
         let acyclic = component_query(&mut rng, n_components, false);
-        let method = [Method::Ii, Method::Iai, Method::Sa][case as usize % 3];
+        let method = Method::ALL[case as usize % Method::ALL.len()];
         let config = OptimizerConfig::new(method)
             .with_seed(rng.gen())
             .with_time_limit(1.0);
@@ -138,7 +134,7 @@ fn linear_paths_report_the_oracle_cost() {
             let optimizer = Optimizer::new(model, &config);
 
             let (r, _) = optimizer.solve(&cyclic).unwrap();
-            check(&format!("{tag} sequential"), model, &cyclic, &r, false);
+            check(&format!("{tag} sequential"), model, &cyclic, &r);
             assert_eq!(
                 recost_plan(&cyclic, model, &r.plan).to_bits(),
                 oracle::repriced_plan_cost(model, &cyclic, &r.trees).to_bits(),
@@ -152,13 +148,7 @@ fn linear_paths_report_the_oracle_cost() {
                 })
                 .solve_batch(&[cyclic.clone(), acyclic.clone()]);
             for (i, (r, q)) in batch.results.iter().zip([&cyclic, &acyclic]).enumerate() {
-                check(
-                    &format!("{tag} batch {i}"),
-                    model,
-                    q,
-                    r.as_ref().unwrap(),
-                    false,
-                );
+                check(&format!("{tag} batch {i}"), model, q, r.as_ref().unwrap());
             }
 
             let cache = PlanCache::new(PlanCacheConfig::default());
@@ -170,7 +160,52 @@ fn linear_paths_report_the_oracle_cost() {
             ] {
                 let (r, via) = cached.solve(&q).unwrap();
                 assert_eq!(via.outcome, outcome, "{tag} {path}");
-                check(&format!("{tag} {path}"), model, &q, &r, false);
+                check(&format!("{tag} {path}"), model, &q, &r);
+            }
+        }
+    }
+}
+
+#[test]
+fn fanouts_and_early_stop_report_the_oracle_cost() {
+    let runs: [(&str, Option<Parallelism>, Option<f64>); 6] = [
+        ("workers2", Some(Parallelism::workers(2)), None),
+        ("portfolio4", Some(Parallelism::portfolio(4)), None),
+        ("robust4", Some(Parallelism::robust_portfolio(4)), None),
+        (
+            "shared_best4",
+            Some(Parallelism::portfolio(4).with_cooperation(Cooperation::SharedBest)),
+            None,
+        ),
+        ("early_stop", None, Some(0.5)),
+        (
+            "early_stop_workers2",
+            Some(Parallelism::workers(2)),
+            Some(0.5),
+        ),
+    ];
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x0ac1_0003 ^ case);
+        let n_components = rng.gen_range(1usize..5);
+        let q = component_query(&mut rng, n_components, true);
+        let method = Method::ALL[case as usize % Method::ALL.len()];
+        let seed = rng.gen();
+        for model in models() {
+            let model = model.as_ref();
+            for (name, parallelism, early_stop) in &runs {
+                let mut config = OptimizerConfig::new(method)
+                    .with_seed(seed)
+                    .with_time_limit(1.0);
+                if let Some(eps) = early_stop {
+                    config = config.with_early_stop(*eps);
+                }
+                let mut optimizer = Optimizer::new(model, &config);
+                if let Some(par) = parallelism {
+                    optimizer = optimizer.with_parallelism(par);
+                }
+                let (r, _) = optimizer.solve(&q).unwrap();
+                let tag = format!("case {case} model {} {method} {name}", model.name());
+                check(&tag, model, &q, &r);
             }
         }
     }
@@ -193,12 +228,7 @@ fn bushy_paths_report_the_oracle_cost() {
             let optimizer = Optimizer::new(model, &config);
 
             let (r, _) = optimizer.solve(&q).unwrap();
-            check(&format!("{tag} uncached"), model, &q, &r, true);
-            assert_eq!(
-                recost_trees(&q, model, &r.trees).to_bits(),
-                r.cost.to_bits(),
-                "{tag} recost_trees"
-            );
+            check(&format!("{tag} uncached"), model, &q, &r);
             // The leaf orders alone, re-priced as left-deep trees.
             let left_deep: Vec<BushyTree> = r
                 .plan
@@ -218,7 +248,7 @@ fn bushy_paths_report_the_oracle_cost() {
                 let (served, via) = cached.solve(&q).unwrap();
                 assert_eq!(via.outcome, outcome, "{tag} {path}");
                 assert_eq!(served.trees, r.trees, "{tag} {path}");
-                check(&format!("{tag} {path}"), model, &q, &served, true);
+                check(&format!("{tag} {path}"), model, &q, &served);
             }
         }
     }
