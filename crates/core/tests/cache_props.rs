@@ -119,8 +119,8 @@ fn warm_hit_is_bit_identical_to_the_cold_solve() {
 fn warm_hit_serves_relabeled_queries_at_the_same_cost() {
     // A query and a relation-relabeled copy share a fingerprint; the copy
     // must be served from the entry the original populated, at the exact
-    // same total cost (its statistics are identical, so the stored
-    // per-segment costs survive the re-pricing agreement check).
+    // same total cost (its statistics are identical, so its trees price
+    // exactly as the original's did).
     //
     // Cardinalities are spaced a factor of 3 apart — more than one bucket
     // width at the default 4 buckets per decade — so every relation has a
