@@ -28,8 +28,7 @@
 //! [`MethodRunner::run_bushy`]), under the same per-component budget
 //! split and panic isolation. On any rung-1 failure the linear fallback
 //! ladder rescues the component, and the rescued order enters the result
-//! as its left-deep tree (costs agree bit-for-bit between the two walks,
-//! so no re-pricing is needed).
+//! as its left-deep tree; `price_plan` prices it like any other.
 
 use rand::Rng;
 
