@@ -1,33 +1,22 @@
-//! Parallel search scaling: isolated fan-out, cooperative wind-down, and
-//! batch throughput on an N = 50 workload.
+//! Parallel search scaling: worker fan-out and batch throughput on an
+//! N = 50 workload.
 //!
-//! Three experiments, per worker count w ∈ {1, 2, 4, 8}:
+//! Two experiments:
 //!
-//! * **isolated scaling** — `run_portfolio` at a fixed *total* budget.
-//!   Sharding keeps total work constant, so wall-clock gains here come
-//!   purely from hardware threads; the snapshot records
-//!   `hardware_threads` so a single-core run (flat wall times) is
-//!   distinguishable from a multicore one (≈ w× speedup).
-//! * **cooperative wind-down** — the same run with a reachable stop
-//!   threshold, [`Cooperation::Isolated`] vs [`Cooperation::SharedBest`].
-//!   In isolated mode each worker must reach the bar (or its budget) on
-//!   its own; in cooperative mode the first worker there winds everyone
-//!   down. The saved units are a wall-clock win on *any* core count —
-//!   this is the end-to-end speedup the snapshot's `speedup` column
-//!   reports at 4 and 8 workers.
-//! * **batch throughput** — [`Optimizer::solve_batch`] over many smaller queries
-//!   at 1 vs 4 pool threads.
-//!
-//! The run also asserts the quality-monotonicity contract on the grid:
-//! at equal total budget, `SharedBest` never returns a worse cost than
-//! `Isolated`.
+//! * **isolated scaling** — `run_portfolio` at a fixed *total* budget,
+//!   per worker count w ∈ {1, 2, 4, 8}. Sharding keeps total work
+//!   constant, so wall-clock gains here come purely from hardware
+//!   threads; the snapshot records `hardware_threads` so a single-core
+//!   run (flat wall times) is distinguishable from a multicore one
+//!   (≈ min(w, threads)× speedup).
+//! * **batch throughput** — [`Optimizer::solve_batch`] over many smaller
+//!   queries at 1 vs 4 pool threads.
 //!
 //! Writes `BENCH_parallel.json` at the workspace root (override with
 //! `BENCH_PARALLEL_OUT`; set `PARALLEL_SCALING_SMOKE=1` for a
 //! seconds-long CI-sized run).
 
 use std::io::Write as _;
-use std::time::Instant;
 
 use ljqo_bench::timing::{bench_ns, black_box};
 
@@ -83,84 +72,6 @@ fn main() {
         }));
     }
 
-    // --- Quality grid: SharedBest is never worse at equal budget --------
-    let mut quality_rows: Vec<ljqo_json::Value> = Vec::new();
-    for &w in &WORKER_GRID {
-        let base = ParallelOptions::new(budget, w, 9);
-        let iso = run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
-        let coop = run_portfolio(
-            &query,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &base.with_cooperation(Cooperation::SharedBest),
-        )
-        .unwrap();
-        assert!(
-            coop.cost <= iso.cost,
-            "SharedBest must never be worse at equal budget: {} vs {} at {w} workers",
-            coop.cost,
-            iso.cost
-        );
-        quality_rows.push(ljqo_json::json!({
-            "workers": w as u64,
-            "isolated_cost": iso.cost,
-            "shared_best_cost": coop.cost,
-        }));
-    }
-
-    // --- Cooperative wind-down: the end-to-end wall-clock win -----------
-    // Threshold from a cheap pilot: what a single II worker reaches with
-    // 5% of the budget, with 10% slack. The full-budget searches reach it
-    // comfortably, but from an unlucky random start only after a while —
-    // exactly the case where the first finisher's publish saves the rest.
-    let pilot = run_portfolio(
-        &query,
-        &model,
-        &runner,
-        &[Method::Ii],
-        &comp,
-        &ParallelOptions::new((budget / 20).max(200), 1, 7),
-    )
-    .unwrap();
-    let threshold = pilot.cost * 1.1;
-    let mut winddown_rows: Vec<ljqo_json::Value> = Vec::new();
-    for &w in &WORKER_GRID {
-        let base = ParallelOptions::new(budget, w, 9).with_stop_threshold(threshold);
-        let mut measured = Vec::new();
-        for coop in [Cooperation::Isolated, Cooperation::SharedBest] {
-            let opts = base.with_cooperation(coop);
-            let mut cost = f64::NAN;
-            let mut units = 0u64;
-            let started = Instant::now();
-            let reps = if smoke { 3 } else { 10 };
-            for _ in 0..reps {
-                let r =
-                    run_portfolio(&query, &model, &runner, &[Method::Ii], &comp, &opts).unwrap();
-                cost = r.cost;
-                units = r.units_used;
-                black_box(r.cost);
-            }
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3 / reps as f64;
-            println!("winddown/N{n}/workers{w}/{coop:?}: {wall_ms:.3} ms, {units} units");
-            measured.push((wall_ms, cost, units));
-        }
-        let (iso, coop) = (&measured[0], &measured[1]);
-        let speedup = iso.0 / coop.0;
-        println!("winddown/N{n}/workers{w}/speedup: {speedup:.2}x");
-        winddown_rows.push(ljqo_json::json!({
-            "workers": w as u64,
-            "isolated_wall_ms": json_num(iso.0),
-            "cooperative_wall_ms": json_num(coop.0),
-            "speedup": json_num(speedup),
-            "isolated_units": iso.2,
-            "cooperative_units": coop.2,
-            "isolated_cost": iso.1,
-            "cooperative_cost": coop.1,
-        }));
-    }
-
     // --- Batch throughput ------------------------------------------------
     let queries: Vec<Query> = (0..batch_size)
         .map(|i| generate_query(&Benchmark::Default.spec(), batch_n, 100 + i as u64))
@@ -196,17 +107,14 @@ fn main() {
 
     let report = ljqo_json::json!({
         "bench": "parallel_scaling",
-        "description": "Isolated fan-out scaling, cooperative shared-best wind-down, and batch throughput",
+        "description": "Worker fan-out scaling at a fixed total budget, and batch throughput",
         "model": "memory",
         "workload": "Benchmark::Default (random graphs)",
         "n_relations": n as u64,
         "total_budget_units": budget,
         "hardware_threads": hardware_threads as u64,
         "smoke": smoke,
-        "stop_threshold": threshold,
         "isolated_scaling": ljqo_json::Value::Array(scaling_rows),
-        "quality_grid": ljqo_json::Value::Array(quality_rows),
-        "cooperative_winddown": ljqo_json::Value::Array(winddown_rows),
         "batch_throughput": ljqo_json::Value::Array(batch_rows),
     });
 

@@ -5,7 +5,7 @@
 //!          [--space linear|bushy]
 //!          [--tau 9] [--kappa 5] [--seed 0] [--deadline-ms N]
 //!          [--budget-schedule quadratic|capped:T|nlogn:T]
-//!          [--workers N] [--cooperate] [--portfolio]
+//!          [--workers N] [--portfolio]
 //!          [--cache-entries N] [--cache-shards N] [--fp-buckets N]
 //!          [--workload-shape star|snowflake|cyclic] [--workload-joins N]
 //!          [--qerror F] [--qerror-mode independent|correlated]
@@ -28,7 +28,7 @@
 //! linear plans (`--cache-entries`, `--qerror`). The `"space"` key is
 //! always present in `--json` output, and `"bushy"` reports whether any
 //! emitted segment is genuinely bushy. Bushy search is single-threaded:
-//! parallel search (`--workers`, `--portfolio`, `--cooperate`) shards the
+//! parallel search (`--workers`, `--portfolio`) shards the
 //! linear search loop and the optimizer refuses it, and the CLI refuses
 //! `--all-methods`, whose table compares the paper's nine linear methods.
 //! Neither is a limit of the plan type. Each refusal is a usage error
@@ -66,10 +66,8 @@
 //! Parallel search: `--workers N` fans each component's budget out over
 //! `N` worker threads (same total budget, wall-clock speedup only);
 //! `--portfolio` rotates the workers through the heterogeneous
-//! II/SA/AGI/KBI portfolio instead of cloning one method; `--cooperate`
-//! switches the workers from isolated (bit-deterministic) search to
-//! shared best-cost pruning, which is timing-dependent but never worse
-//! in plan quality at equal budget.
+//! II/SA/AGI/KBI portfolio instead of cloning one method. Workers share
+//! nothing, so a run is bit-deterministic in `(--seed, --workers)`.
 //!
 //! Plan cache: `--cache-entries N` (N > 0) routes the query through the
 //! plan-cache serving path — fingerprint, lookup, validity re-check, and
@@ -129,7 +127,6 @@ struct Options {
     seed: u64,
     deadline_ms: Option<u64>,
     workers: usize,
-    cooperate: bool,
     portfolio: bool,
     cache_entries: usize,
     cache_shards: usize,
@@ -150,7 +147,7 @@ fn usage() -> ! {
          \x20                         [--tau F] [--kappa F]\n\
          \x20                         [--budget-schedule quadratic|capped:T|nlogn:T]\n\
          \x20                         [--seed U64] [--deadline-ms U64] [--workers N]\n\
-         \x20                         [--cooperate] [--portfolio] [--cache-entries N]\n\
+         \x20                         [--portfolio] [--cache-entries N]\n\
          \x20                         [--cache-shards N] [--fp-buckets N]\n\
          \x20                         [--workload-shape star|snowflake|cyclic]\n\
          \x20                         [--workload-joins N] [--qerror F]\n\
@@ -195,7 +192,6 @@ fn parse_args() -> Options {
         seed: 0,
         deadline_ms: None,
         workers: 1,
-        cooperate: false,
         portfolio: false,
         cache_entries: 0,
         cache_shards: 8,
@@ -245,7 +241,6 @@ fn parse_args() -> Options {
                 opts.deadline_ms = Some(value("--deadline-ms").parse().unwrap_or_else(|_| usage()));
             }
             "--workers" => opts.workers = at_least_one("--workers", &value("--workers")),
-            "--cooperate" => opts.cooperate = true,
             "--portfolio" => opts.portfolio = true,
             "--cache-entries" => {
                 opts.cache_entries = value("--cache-entries").parse().unwrap_or_else(|_| usage());
@@ -480,7 +475,7 @@ fn run(opts: &Options, out: &mut impl Write) -> io::Result<ExitCode> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let parallel = opts.workers > 1 || opts.portfolio || opts.cooperate;
+    let parallel = opts.workers > 1 || opts.portfolio;
     let cache_enabled = opts.cache_entries > 0;
     let cache = cache_enabled.then(|| {
         PlanCache::new(PlanCacheConfig {
@@ -493,15 +488,11 @@ fn run(opts: &Options, out: &mut impl Write) -> io::Result<ExitCode> {
         buckets_per_decade: opts.fp_buckets,
     };
     let parallelism = parallel.then(|| {
-        let mut parallelism = if opts.portfolio {
+        if opts.portfolio {
             Parallelism::portfolio(opts.workers)
         } else {
             Parallelism::workers(opts.workers)
-        };
-        if opts.cooperate {
-            parallelism = parallelism.with_cooperation(Cooperation::SharedBest);
         }
-        parallelism
     });
     let config = config_for(opts.method);
     let mut optimizer = Optimizer::new(model.as_ref(), &config);
@@ -569,7 +560,6 @@ fn run(opts: &Options, out: &mut impl Write) -> io::Result<ExitCode> {
             "deadline_expired": result.deadline_expired,
             "workers": opts.workers as u64,
             "portfolio": opts.portfolio,
-            "cooperate": opts.cooperate,
             "workers_failed": result.workers_failed as u64,
             "largen": largen_json(&query, &config),
             "bound": bound_json(&query, model.as_ref(), result.cost, opts.space),
@@ -602,15 +592,10 @@ fn run(opts: &Options, out: &mut impl Write) -> io::Result<ExitCode> {
         if parallel {
             writeln!(
                 out,
-                "parallel search: {} workers{}{}",
+                "parallel search: {} workers{}",
                 opts.workers,
                 if opts.portfolio {
                     " (II/SA/AGI/KBI portfolio)"
-                } else {
-                    ""
-                },
-                if opts.cooperate {
-                    ", cooperative shared-best pruning"
                 } else {
                     ""
                 }

@@ -172,7 +172,6 @@ fn bushy_space_reports_trees_and_rejects_linear_only_flags() {
     for conflict in [
         ["--workers", "2"].as_slice(),
         ["--portfolio"].as_slice(),
-        ["--cooperate"].as_slice(),
         ["--all-methods"].as_slice(),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ljqo-opt"))

@@ -40,8 +40,8 @@
 
 use ljqo_cache::{CachedPlan, CachedSegment, Fingerprinted};
 use ljqo_catalog::{BlockMask, Query};
-use ljqo_cost::costs_agree;
-use ljqo_cost::CostModel;
+use ljqo_cost::estimate::SizeWalker;
+use ljqo_cost::{costs_agree, CostModel};
 use ljqo_plan::BushyTree;
 
 use crate::driver::{price_plan, Optimized, OptimizerConfig};
@@ -119,7 +119,7 @@ pub(crate) fn serve_from_entry(
     // A model fault or a saturated price marks the entry stale rather
     // than serving garbage.
     let n_segments = trees.len() as u64;
-    let served = price_plan(query, model, trees);
+    let served = price_plan(query, &mut SizeWalker::new(query), model, trees);
     if !served.cost.is_finite() || served.cost == f64::MAX {
         return None;
     }

@@ -1,8 +1,9 @@
 //! The per-component pieces of the optimizer: its configuration, the
 //! budget split across join-graph components, the fallback ladder that
-//! plans one component, and [`price_plan`], which joins the component
-//! trees with cross products postponed to the end (the paper's heuristic
-//! for disconnected join graphs) and prices the whole plan.
+//! plans one component (sequentially, or fanned out over a worker pool),
+//! and [`price_plan`], which joins the component trees with cross
+//! products postponed to the end (the paper's heuristic for disconnected
+//! join graphs) and prices the whole plan.
 //! [`Optimizer`](crate::Optimizer) drives them, in either
 //! [`SearchSpace`]: the paper's outer linear orders, or bushy trees,
 //! whose rung 1 is the tree search. Either way every component ends as a
@@ -23,7 +24,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ljqo_catalog::{BlockMask, Query, RelId};
+use ljqo_catalog::{BlockMask, CompiledQuery, Query, RelId};
 use ljqo_cost::estimate::{final_result_size, SizeWalker};
 use ljqo_cost::{
     sanitize_cost, BudgetSchedule, CostModel, Deadline, Evaluator, JoinCtx, OrderCost, TimeLimit,
@@ -35,7 +36,8 @@ use ljqo_plan::{random_valid_order, BushyTree, JoinOrder, Plan};
 
 use crate::error::Degradation;
 use crate::methods::{Method, MethodRunner};
-use crate::parallel::splitmix;
+use crate::optimizer::Optimizer;
+use crate::parallel::{portfolio_on, splitmix, ParallelOptions};
 
 /// The plan shapes a search ranges over.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -248,104 +250,142 @@ pub(crate) struct ComponentOutcome {
     pub(crate) winner: Option<Method>,
 }
 
-/// Plan one join-graph component down the fallback ladder:
+/// Plan component `idx` of the optimizer's query down the fallback
+/// ladder:
 ///
 /// 1. the configured method, panic-isolated, under budget + deadline —
-///    in bushy space the tree search, for queries that fit the arena's
-///    [`BlockMask`] (larger ones run the linear search, as the paper
-///    does, and are not flagged as degraded);
+///    sequentially with the solve's shared `rng`, or, with
+///    [`Parallelism`](crate::Parallelism), as a [`run_portfolio`] fan-out
+///    seeded with `config.seed ⊕ splitmix(idx)`; in bushy space the tree
+///    search, for queries that fit the arena's [`BlockMask`] (larger ones
+///    run the linear search, as the paper does, and are not flagged as
+///    degraded);
 /// 2. the augmentation heuristic (cheap, deterministic), panic-isolated;
 /// 3. the cardinality-free structural order — generation consults no
 ///    statistics so it survives whatever corrupted the rungs above;
 /// 4. a random valid order — valid by construction.
 ///
+/// Every evaluator walks `compiled`, the solve's one snapshot of `query`.
 /// Returns `best: None` only if all four rungs fail. An order from the
 /// linear search or the fallback rungs enters as its left-deep tree.
 /// No rung ships a cost: [`price_plan`] prices the trees, so a model
 /// that cannot price the structural or random order prices it at
 /// `f64::MAX` there.
+///
+/// [`run_portfolio`]: crate::parallel::run_portfolio
 pub(crate) fn plan_component(
+    opt: &Optimizer,
     query: &Query,
-    model: &dyn CostModel,
-    config: &OptimizerConfig,
+    compiled: &Arc<CompiledQuery>,
+    idx: usize,
     comp: &[RelId],
     budget: u64,
     rng: &mut SmallRng,
 ) -> ComponentOutcome {
-    let mut outcome = ComponentOutcome::default();
+    let (model, config) = (opt.model, opt.config);
     let bushy = config.space == SearchSpace::Bushy;
     let tree_search = bushy && query.n_relations() <= BlockMask::CAPACITY;
 
     // Rung 1: the configured combinatorial method. `AssertUnwindSafe` is
-    // justified: on panic the evaluator and its walker are discarded, and
-    // the RNG holds plain integers whose state is usable regardless of
-    // where the method stopped.
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut ev = Evaluator::with_budget(query, model, budget);
-        if let Some(deadline) = config.deadline {
-            ev.set_deadline(deadline);
-        }
-        if let Some(eps) = config.early_stop.filter(|_| !bushy) {
+    // justified: on panic the evaluators and their walkers are discarded,
+    // and the RNG holds plain integers whose state is usable regardless
+    // of where the method stopped. A panicked method's spend is unknown
+    // and reported as zero.
+    let mut outcome = catch_unwind(AssertUnwindSafe(|| {
+        let stop_threshold = config.early_stop.filter(|_| !bushy).and_then(|eps| {
             let lb = model.lower_bound(query, comp);
-            if lb > 0.0 {
-                ev.set_stop_threshold(lb * (1.0 + eps));
+            (lb > 0.0).then_some(lb * (1.0 + eps))
+        });
+        let Some(par) = opt.parallelism else {
+            let mut ev = Evaluator::with_compiled(query, model, budget, Arc::clone(compiled));
+            if let Some(deadline) = config.deadline {
+                ev.set_deadline(deadline);
             }
-        }
-        let best = if tree_search {
-            config
-                .runner
-                .run_bushy(config.method, &mut ev, comp, rng)
-                .map(|(plan, _)| BushyTree::from_plan(&plan))
-        } else {
-            config.runner.run(config.method, &mut ev, comp, rng);
-            ev.best().map(|(o, _)| BushyTree::left_deep(o.rels()))
+            if let Some(threshold) = stop_threshold {
+                ev.set_stop_threshold(threshold);
+            }
+            let best = if tree_search {
+                config
+                    .runner
+                    .run_bushy(config.method, &mut ev, comp, rng)
+                    .map(|(plan, _)| BushyTree::from_plan(&plan))
+            } else {
+                config.runner.run(config.method, &mut ev, comp, rng);
+                ev.best().map(|(o, _)| BushyTree::left_deep(o.rels()))
+            };
+            return ComponentOutcome {
+                best,
+                units_used: ev.used(),
+                n_evals: ev.n_evals(),
+                deadline_expired: ev.deadline_expired(),
+                ..ComponentOutcome::default()
+            };
         };
-        (best, ev.used(), ev.n_evals(), ev.deadline_expired())
-    }));
-    match attempt {
-        Ok((best, used, evals, deadline_hit)) => {
-            outcome.units_used = used;
-            outcome.n_evals = evals;
-            outcome.deadline_expired = deadline_hit;
-            if let Some(tree) = best {
-                // A tree's leaves must be exactly the component (equal
-                // length and every relation present); an order must also
-                // be valid, which a tree's leaf order need not be.
-                let leaves = tree.leaves();
-                let accepted = if tree_search {
-                    leaves.len() == comp.len() && comp.iter().all(|r| leaves.contains(r))
-                } else {
-                    is_valid(query.graph(), leaves)
-                };
-                if accepted {
-                    outcome.best = Some(tree);
-                }
-            }
+        let methods: &[Method] = if par.methods.is_empty() {
+            std::slice::from_ref(&config.method)
+        } else {
+            &par.methods
+        };
+        // Singleton components have exactly one (trivial) plan; spawning
+        // a worker pool for them would spend `workers` units on clones of
+        // the same evaluation.
+        let opts = ParallelOptions {
+            budget,
+            workers: if comp.len() == 1 {
+                1
+            } else {
+                par.workers.max(1)
+            },
+            seed: config.seed ^ splitmix(idx as u64),
+            stop_threshold,
+            deadline: config.deadline,
+            challenger: par.structural_backstop,
+        };
+        // `None`: every worker panicked or the budget bought no state.
+        let Some(r) = portfolio_on(query, compiled, model, &config.runner, methods, comp, &opts)
+        else {
+            return ComponentOutcome::default();
+        };
+        ComponentOutcome {
+            best: Some(BushyTree::left_deep(r.order.rels())),
+            units_used: r.units_used,
+            n_evals: r.n_evals,
+            deadline_expired: r.deadline_expired,
+            workers_failed: r.workers_failed,
+            winner: (methods.len() > 1 && comp.len() > 1).then_some(r.method),
+            ..ComponentOutcome::default()
         }
-        Err(_) => {
-            // The method (or the cost model under it) panicked; its
-            // evaluator died with it, so its spend is unknown and
-            // reported as zero.
-        }
-    }
+    }))
+    .unwrap_or_default();
 
+    // A tree's leaves must be exactly the component (equal length and
+    // every relation present); an order must also be valid, which a
+    // tree's leaf order need not be.
+    outcome.best = outcome.best.take().filter(|tree| {
+        let leaves = tree.leaves();
+        if tree_search {
+            leaves.len() == comp.len() && comp.iter().all(|r| leaves.contains(r))
+        } else {
+            is_valid(query.graph(), leaves)
+        }
+    });
     if outcome.best.is_none() {
+        outcome.winner = None;
         component_fallback(query, model, config, comp, &mut outcome);
     }
     outcome
 }
 
 /// Rungs 2–4 of the fallback ladder (augmentation heuristic, structural
-/// order, then a random valid order), shared by the sequential and
-/// parallel component loops. Accumulates into `outcome` and stamps the
-/// degradation level reached.
+/// order, then a random valid order). Accumulates into `outcome` and
+/// stamps the degradation level reached.
 ///
 /// The random rung derives its RNG from `config.seed` and the
 /// component's identity — *not* from the shared method RNG. The method
 /// RNG's state depends on where the search stopped, and under a
 /// wall-clock [`Deadline`] that point is machine-dependent, which used
 /// to make fallback plans non-reproducible across same-seed runs.
-pub(crate) fn component_fallback(
+fn component_fallback(
     query: &Query,
     model: &dyn CostModel,
     config: &OptimizerConfig,
@@ -443,10 +483,12 @@ pub(crate) fn tree_cost(walker: &mut SizeWalker, model: &dyn CostModel, tree: &B
 ///
 /// Segments go in ascending order of estimated result size, so the
 /// running outer operand of the late cross products stays as small as
-/// possible. Each segment is priced by [`tree_cost`] against one
-/// compiled snapshot of `query`. Each cross product is a tree join whose
-/// outer is the plan so far and whose inner is the next segment, at the
-/// segments' result sizes and widths (see [`JoinCtx`]).
+/// possible. Each segment is priced by [`tree_cost`] against `walker`'s
+/// compiled snapshot of `query`: a cold solve passes the snapshot its
+/// search walked, a cache hit or a re-cost a fresh one. Each cross
+/// product is a tree join whose outer is the plan so far and whose inner
+/// is the next segment, at the segments' result sizes and widths (see
+/// [`JoinCtx`]).
 ///
 /// The model is panic-isolated here: a plan whose segments were rescued
 /// by the fallback ladder must not be lost to one last model fault. A
@@ -460,6 +502,7 @@ pub(crate) fn tree_cost(walker: &mut SizeWalker, model: &dyn CostModel, tree: &B
 /// fill it in.
 pub(crate) fn price_plan(
     query: &Query,
+    walker: &mut SizeWalker,
     model: &dyn CostModel,
     mut trees: Vec<BushyTree>,
 ) -> Optimized {
@@ -469,12 +512,10 @@ pub(crate) fn price_plan(
         sa.total_cmp(&sb)
     });
 
-    let mut walker = SizeWalker::new(query);
     let segment_costs: Vec<f64> = trees
         .iter()
         .map(|tree| {
-            catch_unwind(AssertUnwindSafe(|| tree_cost(&mut walker, model, tree)))
-                .unwrap_or(f64::MAX)
+            catch_unwind(AssertUnwindSafe(|| tree_cost(walker, model, tree))).unwrap_or(f64::MAX)
         })
         .collect();
 

@@ -28,8 +28,8 @@
 //!   optional [`PlanCache`](ljqo_cache::PlanCache) serves repeated
 //!   queries, and [`Optimizer::solve_batch`] spreads many queries over a
 //!   thread pool.
-//! * [`parallel`] — multicore extensions: isolated fan-out, cooperative
-//!   shared-best pruning ([`Cooperation`]), and heterogeneous method
+//! * [`parallel`] — multicore extensions: a fan-out of one method that
+//!   is bit-deterministic in `(seed, workers)`, and heterogeneous method
 //!   portfolios ([`parallel::PORTFOLIO`]) with an optional structural
 //!   challenger.
 //! * [`dp`] — exact System-R-style dynamic programming over valid
@@ -96,7 +96,7 @@ pub use methods::{Method, MethodRunner};
 pub use optimizer::{
     optimize_cached, try_optimize, BatchOptions, BatchReport, Optimizer, ServedVia,
 };
-pub use parallel::{Cooperation, Parallelism};
+pub use parallel::Parallelism;
 pub use robust::{recost_plan, recost_trees, regret_under, RegretSample};
 pub use sa::SimulatedAnnealing;
 pub use sampling::RandomSampling;

@@ -30,25 +30,24 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use ljqo_cache::{fingerprint, FingerprintConfig, Fingerprinted, PlanCache};
-use ljqo_catalog::{Query, RelId};
+use ljqo_catalog::{CompiledQuery, Query};
+use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::{CostModel, Deadline};
-use ljqo_plan::validity::is_valid;
-use ljqo_plan::BushyTree;
 
 use crate::cached::{cacheable, entry_for, producer, serve_from_entry, CacheOutcome};
 use crate::driver::{
-    component_budgets, component_fallback, plan_component, price_plan, ComponentOutcome, Optimized,
-    OptimizerConfig, SearchSpace,
+    component_budgets, plan_component, price_plan, ComponentOutcome, Optimized, OptimizerConfig,
+    SearchSpace,
 };
 use crate::error::OptError;
-use crate::methods::Method;
-use crate::parallel::{run_portfolio, splitmix, ParallelOptions, Parallelism};
+use crate::parallel::{splitmix, Parallelism};
 
 /// Options for [`Optimizer::solve_batch`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -172,8 +171,7 @@ impl<'a> Optimizer<'a> {
     /// `τ·N²·κ` total is split across components by squared size, and
     /// each component's share is then sharded over the workers (see
     /// [`crate::parallel::shard_budget`]) — so a parallel run is
-    /// comparable to a sequential run at the same budget, and under
-    /// [`Cooperation::Isolated`](crate::Cooperation::Isolated) is
+    /// comparable to a sequential run at the same budget, and is
     /// bit-deterministic in `(seed, workers)`. Worker panics are isolated
     /// (tallied in [`Optimized::workers_failed`]); a component whose
     /// *every* worker fails walks the sequential fallback ladder.
@@ -211,11 +209,11 @@ impl<'a> Optimizer<'a> {
     pub fn solve(&self, query: &Query) -> Result<(Optimized, ServedVia), OptError> {
         self.supported()?;
         let served = match self.cache {
-            None => self.serve(query, None, &mut None, self.config),
+            None => self.serve(query, None, &mut None),
             Some((_, fp_config)) => {
                 query.validate()?;
                 let fp = fingerprint(query, &fp_config);
-                self.serve(query, Some(&fp), &mut None, self.config)
+                self.serve(query, Some(&fp), &mut None)
             }
         };
         served.result.map(|r| (r, served.via))
@@ -387,7 +385,11 @@ impl<'a> Optimizer<'a> {
             if let Some(d) = self.batch.per_query_deadline {
                 config.deadline = Some(Deadline::after(d));
             }
-            let served = self.serve(&queries[i], prints[i].as_ref(), &mut entry, &config);
+            let session = Optimizer {
+                config: &config,
+                ..*self
+            };
+            let served = session.serve(&queries[i], prints[i].as_ref(), &mut entry);
             on_result(i, &served.result, &served.via, served.reused);
             out.push((i, served));
         }
@@ -401,8 +403,8 @@ impl<'a> Optimizer<'a> {
         query: &Query,
         fp: Option<&Fingerprinted>,
         group_entry: &mut Option<GroupEntry>,
-        config: &OptimizerConfig,
     ) -> Served {
+        let config = self.config;
         let cached = self.cache.zip(fp).map(|((cache, _), fp)| (cache, fp));
         let mut outcome = CacheOutcome::Miss;
         if let Some((cache, fp)) = cached {
@@ -431,7 +433,7 @@ impl<'a> Optimizer<'a> {
                 }
             }
         }
-        let result = self.cold(query, config);
+        let result = self.cold(query);
         let mut producer_name = config.method.name();
         if let Ok(r) = &result {
             producer_name = producer(r, config);
@@ -457,9 +459,9 @@ impl<'a> Optimizer<'a> {
     }
 
     /// The one refusal: the worker pool shards the linear search loop
-    /// (move filtering, shared best-cost pruning, the structural
-    /// backstop), which the tree search does not run, so the bushy space
-    /// rejects parallelism. Plans of either space cache and replay alike.
+    /// (move filtering, the structural backstop), which the tree search
+    /// does not run, so the bushy space rejects parallelism. Plans of
+    /// either space cache and replay alike.
     fn supported(&self) -> Result<(), OptError> {
         match (self.config.space, self.parallelism) {
             (SearchSpace::Bushy, Some(_)) => Err(OptError::Unsupported {
@@ -481,22 +483,24 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// The cold solve: plan every component, then assemble.
-    fn cold(&self, query: &Query, config: &OptimizerConfig) -> Result<Optimized, OptError> {
+    /// The cold solve: plan every component, then assemble. The query is
+    /// compiled once; every component's search and the plan pricing walk
+    /// that one snapshot.
+    fn cold(&self, query: &Query) -> Result<Optimized, OptError> {
         query.validate()?;
         let components = query.graph().components();
-        let budgets = component_budgets(config.budget_units(query.n_joins().max(1)), &components);
-        let fanout = self.parallelism.map(|par| Fanout::new(config, par));
-        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let budgets = component_budgets(
+            self.config.budget_units(query.n_joins().max(1)),
+            &components,
+        );
+        let compiled = Arc::new(CompiledQuery::new(query));
+        let mut rng = SmallRng::seed_from_u64(self.config.seed);
 
         let mut trees = Vec::with_capacity(components.len());
         let mut total = ComponentOutcome::default();
         let mut winner_len = 0;
         for (idx, (comp, budget)) in components.iter().zip(budgets).enumerate() {
-            let outcome = match &fanout {
-                None => plan_component(query, self.model, config, comp, budget, &mut rng),
-                Some(f) => f.plan(query, self.model, config, idx, comp, budget),
-            };
+            let outcome = plan_component(self, query, &compiled, idx, comp, budget, &mut rng);
             total.units_used += outcome.units_used;
             total.n_evals += outcome.n_evals;
             total.degradation = total.degradation.max(outcome.degradation);
@@ -520,7 +524,12 @@ impl<'a> Optimizer<'a> {
             deadline_expired: total.deadline_expired,
             workers_failed: total.workers_failed,
             winner: total.winner,
-            ..price_plan(query, self.model, trees)
+            ..price_plan(
+                query,
+                &mut SizeWalker::with_compiled(compiled),
+                self.model,
+                trees,
+            )
         })
     }
 }
@@ -539,80 +548,6 @@ struct Served {
     /// Whether a hit reused an entry produced by this batch's own cold
     /// solve (a dedup reuse) rather than a pre-existing one.
     reused: bool,
-}
-
-/// The per-query setup of the parallel component loop.
-struct Fanout<'p> {
-    parallelism: &'p Parallelism,
-    /// Methods rotated across workers.
-    methods: &'p [Method],
-}
-
-impl<'p> Fanout<'p> {
-    fn new(config: &'p OptimizerConfig, parallelism: &'p Parallelism) -> Self {
-        let methods: &[Method] = if parallelism.methods.is_empty() {
-            std::slice::from_ref(&config.method)
-        } else {
-            &parallelism.methods
-        };
-        Fanout {
-            parallelism,
-            methods,
-        }
-    }
-
-    /// Plan component `idx` with a worker pool, falling down the
-    /// sequential ladder when no worker produced a valid order.
-    fn plan(
-        &self,
-        query: &Query,
-        model: &dyn CostModel,
-        config: &OptimizerConfig,
-        idx: usize,
-        comp: &[RelId],
-        budget: u64,
-    ) -> ComponentOutcome {
-        // Singleton components have exactly one (trivial) plan; spawning
-        // a worker pool for them would spend `workers` units on clones of
-        // the same evaluation.
-        let workers = if comp.len() == 1 {
-            1
-        } else {
-            self.parallelism.workers.max(1)
-        };
-        let mut opts = ParallelOptions::new(budget, workers, config.seed ^ splitmix(idx as u64))
-            .with_cooperation(self.parallelism.cooperation);
-        opts.challenger = self.parallelism.structural_backstop;
-        opts.deadline = config.deadline;
-        if let Some(eps) = config.early_stop {
-            let lb = model.lower_bound(query, comp);
-            if lb > 0.0 {
-                opts.stop_threshold = Some(lb * (1.0 + eps));
-            }
-        }
-        let run = run_portfolio(query, model, &config.runner, self.methods, comp, &opts);
-
-        let mut outcome = ComponentOutcome::default();
-        match run {
-            Some(r) if is_valid(query.graph(), r.order.rels()) => {
-                if self.methods.len() > 1 && comp.len() > 1 {
-                    outcome.winner = Some(r.method);
-                }
-                outcome.workers_failed = r.workers_failed;
-                outcome.deadline_expired = r.deadline_expired;
-                outcome.units_used = r.units_used;
-                outcome.n_evals = r.n_evals;
-                outcome.best = Some(BushyTree::left_deep(r.order.rels()));
-            }
-            other => {
-                // Every worker panicked or the budget bought no state at
-                // all: fall down the sequential ladder.
-                outcome.workers_failed = other.map_or(0, |r| r.workers_failed);
-                component_fallback(query, model, config, comp, &mut outcome);
-            }
-        }
-        outcome
-    }
 }
 
 /// A sequential, uncached solve: `Optimizer::new(model, config).solve(query)`
@@ -648,8 +583,10 @@ pub fn optimize_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ljqo_catalog::QueryBuilder;
+    use crate::methods::Method;
+    use ljqo_catalog::{QueryBuilder, RelId};
     use ljqo_cost::{DiskCostModel, MemoryCostModel};
+    use ljqo_plan::validity::is_valid;
 
     fn connected_query() -> Query {
         QueryBuilder::new()

@@ -1,5 +1,4 @@
-//! Parallel multi-start, cooperative, and portfolio search — a modern
-//! extension.
+//! Parallel multi-start and portfolio search — a modern extension.
 //!
 //! The paper's methods are inherently multi-start (II restarts, the
 //! augmentation sweep, SA re-heats); on 1988 hardware they ran
@@ -14,14 +13,8 @@
 //! one indivisible step (one heuristic generation or one move proposal
 //! with its validity-check retries).
 //!
-//! Three orthogonal extensions on top of the plain fan-out:
+//! Two extensions on top of the plain fan-out:
 //!
-//! * **Cooperation** ([`Cooperation`]): in [`Cooperation::SharedBest`]
-//!   mode every worker publishes its best cost to a lock-free
-//!   [`SharedBest`] cell and polls it on the evaluator's amortized
-//!   cadence. When a stop threshold is set, the first worker to reach it
-//!   winds *every* worker down — the cooperative analog of the paper's
-//!   "stop when sufficiently close to the lower bound".
 //! * **Portfolio** ([`run_portfolio`] with several methods): workers run
 //!   *heterogeneous* methods (the [`PORTFOLIO`] default rotates II, SA,
 //!   AGI, and KBZ-seeded II) instead of clones of one method, and the
@@ -36,40 +29,22 @@
 //!
 //! # Determinism
 //!
-//! [`Cooperation::Isolated`] (the default) is bit-deterministic in
-//! `(seed, workers)`: worker `i` uses seed `seed ⊕ splitmix(i+1)` and
-//! shares nothing, so results do not depend on scheduling.
-//! [`Cooperation::SharedBest`] is **timing-dependent** — which worker
-//! publishes first, and when others observe it, depends on the OS
-//! scheduler — but *quality-monotone*: until a wind-down triggers, every
-//! worker's search is unit-for-unit identical to its isolated twin, and
-//! a wind-down only fires once the configured quality bar is met. With
-//! no stop threshold configured, `SharedBest` returns exactly the
-//! isolated result.
+//! A fan-out is bit-deterministic in `(seed, workers)`: worker `i` uses
+//! seed `seed ⊕ splitmix(i+1)` and shares nothing with its siblings but
+//! the read-only compiled snapshot of the query, so results do not
+//! depend on scheduling. A worker stops at its own budget share, at the
+//! early-stop threshold or at the deadline, whichever comes first.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-use ljqo_catalog::{Query, RelId};
-use ljqo_cost::{sanitize_cost, CostModel, Deadline, Evaluator, OrderCost, SharedBest};
+use ljqo_catalog::{CompiledQuery, Query, RelId};
+use ljqo_cost::{sanitize_cost, CostModel, Deadline, Evaluator, OrderCost};
 use ljqo_heuristics::CardFreeHeuristic;
 use ljqo_plan::validity::is_valid;
 use ljqo_plan::JoinOrder;
 
 use crate::methods::{Method, MethodRunner};
-
-/// How parallel workers interact during the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Cooperation {
-    /// Workers share nothing. Bit-deterministic in `(seed, workers)`.
-    #[default]
-    Isolated,
-    /// Workers publish best costs to a [`SharedBest`] cell and poll it on
-    /// the evaluator's amortized cadence; any worker reaching the stop
-    /// threshold (see [`ParallelOptions::stop_threshold`]) winds every
-    /// worker down early. Timing-dependent but quality-monotone (see the
-    /// module docs).
-    SharedBest,
-}
 
 /// The default heterogeneous portfolio, ordered so small worker counts
 /// get the strongest complementary pair first: iterative improvement
@@ -87,10 +62,7 @@ pub struct ParallelOptions {
     pub workers: usize,
     /// Base RNG seed; worker `i` derives `seed ⊕ splitmix(i+1)`.
     pub seed: u64,
-    /// Worker interaction mode.
-    pub cooperation: Cooperation,
-    /// Early-stop threshold installed in every worker's evaluator. Under
-    /// [`Cooperation::SharedBest`] this is also the global wind-down bar.
+    /// Early-stop threshold installed in every worker's evaluator.
     pub stop_threshold: Option<f64>,
     /// Wall-clock deadline installed in every worker's evaluator.
     pub deadline: Option<Deadline>,
@@ -100,38 +72,16 @@ pub struct ParallelOptions {
 }
 
 impl ParallelOptions {
-    /// Isolated fan-out with no early stop and no deadline.
+    /// A fan-out with no early stop, no deadline and no challenger.
     pub fn new(budget: u64, workers: usize, seed: u64) -> Self {
         ParallelOptions {
             budget,
             workers,
             seed,
-            cooperation: Cooperation::Isolated,
             stop_threshold: None,
             deadline: None,
             challenger: false,
         }
-    }
-
-    /// Set the cooperation mode.
-    #[must_use]
-    pub fn with_cooperation(mut self, cooperation: Cooperation) -> Self {
-        self.cooperation = cooperation;
-        self
-    }
-
-    /// Install an early-stop threshold in every worker.
-    #[must_use]
-    pub fn with_stop_threshold(mut self, threshold: f64) -> Self {
-        self.stop_threshold = Some(threshold);
-        self
-    }
-
-    /// Install a wall-clock deadline in every worker.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Let the cardinality-free structural order challenge the winner.
@@ -181,11 +131,6 @@ pub struct ParallelResult {
     pub workers_failed: usize,
     /// Whether any worker's wall-clock deadline expired during its search.
     pub deadline_expired: bool,
-    /// Final value of the cooperative best-cost cell
-    /// (`Some` only under [`Cooperation::SharedBest`]). Never worse than
-    /// any worker's own best, including workers that panicked after
-    /// publishing.
-    pub shared_cost: Option<f64>,
     /// One report per configured worker, in worker order.
     pub per_worker: Vec<WorkerReport>,
 }
@@ -225,12 +170,11 @@ enum Slot {
 /// The budget is split by [`shard_budget`], and worker `i` is seeded
 /// with `seed ⊕ splitmix(i+1)`.
 ///
-/// Cooperation, early stopping, and deadlines are configured via
-/// [`ParallelOptions`]. Workers are panic-isolated: a worker that panics
-/// (a buggy cost model, poisoned statistics) is counted in
-/// [`ParallelResult::workers_failed`] and the best state among the
-/// survivors is returned. Ties between workers are broken toward the
-/// lowest worker index, which keeps [`Cooperation::Isolated`] runs
+/// Early stopping and deadlines are configured via [`ParallelOptions`].
+/// Workers are panic-isolated: a worker that panics (a buggy cost model,
+/// poisoned statistics) is counted in [`ParallelResult::workers_failed`]
+/// and the best state among the survivors is returned. Ties between
+/// workers are broken toward the lowest worker index, which keeps runs
 /// bit-deterministic in `(seed, workers)`. Returns `None` only if no
 /// worker produced a state — every worker panicked, or the budget is
 /// smaller than one evaluation per worker — and the challenger (below)
@@ -256,8 +200,23 @@ pub fn run_portfolio(
     component: &[RelId],
     opts: &ParallelOptions,
 ) -> Option<ParallelResult> {
+    let compiled = Arc::new(CompiledQuery::new(query));
+    portfolio_on(query, &compiled, model, runner, methods, component, opts)
+}
+
+/// [`run_portfolio`] over an existing compiled snapshot of `query`, which
+/// every worker's evaluator walks.
+pub(crate) fn portfolio_on(
+    query: &Query,
+    compiled: &Arc<CompiledQuery>,
+    model: &dyn CostModel,
+    runner: &MethodRunner,
+    methods: &[Method],
+    component: &[RelId],
+    opts: &ParallelOptions,
+) -> Option<ParallelResult> {
     assert!(!methods.is_empty(), "portfolio needs at least one method");
-    let base = run_workers(query, model, runner, methods, component, opts);
+    let base = run_workers(query, compiled, model, runner, methods, component, opts);
     if opts.challenger {
         challenge_with_cardfree(query, model, component, base)
     } else {
@@ -269,6 +228,7 @@ pub fn run_portfolio(
 /// rotate methods, aggregate.
 fn run_workers(
     query: &Query,
+    compiled: &Arc<CompiledQuery>,
     model: &dyn CostModel,
     runner: &MethodRunner,
     methods: &[Method],
@@ -277,10 +237,6 @@ fn run_workers(
 ) -> Option<ParallelResult> {
     let workers = opts.workers.max(1);
     let shares = shard_budget(opts.budget, workers);
-    let shared = match opts.cooperation {
-        Cooperation::Isolated => None,
-        Cooperation::SharedBest => Some(SharedBest::new()),
-    };
     let (seed, stop_threshold, deadline) = (opts.seed, opts.stop_threshold, opts.deadline);
 
     let slots: Vec<(Method, Slot)> = std::thread::scope(|scope| {
@@ -291,17 +247,14 @@ fn run_workers(
                 if share == 0 {
                     return (method, None);
                 }
-                let shared = shared.clone();
+                let compiled = Arc::clone(compiled);
                 let handle = scope.spawn(move || {
-                    let mut ev = Evaluator::with_budget(query, model, share);
+                    let mut ev = Evaluator::with_compiled(query, model, share, compiled);
                     if let Some(d) = deadline {
                         ev.set_deadline(d);
                     }
                     if let Some(t) = stop_threshold {
                         ev.set_stop_threshold(t);
-                    }
-                    if let Some(s) = shared {
-                        ev.set_shared_best(s);
                     }
                     let worker_seed = seed ^ splitmix(w as u64 + 1);
                     let mut rng = {
@@ -396,7 +349,6 @@ fn run_workers(
         n_inc_evals,
         workers_failed,
         deadline_expired,
-        shared_cost: shared.map(|s| s.get()),
         per_worker,
     })
 }
@@ -459,7 +411,6 @@ fn challenge_with_cardfree(
             n_inc_evals: 0,
             workers_failed: 0,
             deadline_expired: false,
-            shared_cost: None,
             per_worker: vec![WorkerReport {
                 method: Method::Cardfree,
                 best_cost: Some(challenger_cost),
@@ -477,8 +428,6 @@ fn challenge_with_cardfree(
 pub struct Parallelism {
     /// Worker threads per component (clamped to at least 1).
     pub workers: usize,
-    /// Worker interaction mode.
-    pub cooperation: Cooperation,
     /// Methods rotated across workers; empty means "the configured
     /// method on every worker" (homogeneous fan-out). Use
     /// [`Parallelism::portfolio`] for the [`PORTFOLIO`] default.
@@ -496,7 +445,6 @@ impl Parallelism {
     pub fn workers(workers: usize) -> Self {
         Parallelism {
             workers,
-            cooperation: Cooperation::Isolated,
             methods: Vec::new(),
             structural_backstop: false,
         }
@@ -519,13 +467,6 @@ impl Parallelism {
             structural_backstop: true,
             ..Self::portfolio(workers)
         }
-    }
-
-    /// Set the cooperation mode.
-    #[must_use]
-    pub fn with_cooperation(mut self, cooperation: Cooperation) -> Self {
-        self.cooperation = cooperation;
-        self
     }
 }
 
@@ -656,77 +597,6 @@ mod tests {
         let q = query();
         let r = fan_out(&q, Method::Agi, 1_000, 0, 1).unwrap();
         assert!(r.cost.is_finite());
-    }
-
-    #[test]
-    fn shared_best_without_threshold_matches_isolated_exactly() {
-        let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        let base = ParallelOptions::new(4_000, 4, 9);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
-        let coop = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &base.with_cooperation(Cooperation::SharedBest),
-        )
-        .unwrap();
-        // With no stop threshold, cooperation only observes — every
-        // worker's search is bit-identical to its isolated twin.
-        assert_eq!(iso.order, coop.order);
-        assert_eq!(iso.cost, coop.cost);
-        assert_eq!(iso.units_used, coop.units_used);
-        // The shared cell ends at the winning cost, never worse than any
-        // worker's own best.
-        let shared = coop.shared_cost.unwrap();
-        assert_eq!(shared, coop.cost);
-        for w in &coop.per_worker {
-            if let Some(c) = w.best_cost {
-                assert!(shared <= c);
-            }
-        }
-        assert!(iso.shared_cost.is_none());
-    }
-
-    #[test]
-    fn shared_best_winddown_saves_budget() {
-        let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        // A generous threshold every descent reaches quickly: the cost of
-        // the best augmentation state times 4 (II descends well below it).
-        let mut pilot = Evaluator::new(&q, &model);
-        let firsts = ljqo_heuristics::AugmentationHeuristic::first_relations(&q, &comp);
-        let pilot_order = runner.augmentation.generate(&q, &comp, firsts[0]);
-        let threshold = pilot.cost(&pilot_order) * 4.0;
-        let base = ParallelOptions::new(400_000, 4, 9).with_stop_threshold(threshold);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
-        let coop = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &base.with_cooperation(Cooperation::SharedBest),
-        )
-        .unwrap();
-        // Both runs reach the quality bar...
-        assert!(iso.cost <= threshold);
-        assert!(coop.cost <= threshold);
-        // ...and the cooperative run never spends more than the isolated
-        // one (a worker stops at its own bar in both modes; cooperation
-        // can only stop *earlier* on a foreign publish).
-        assert!(
-            coop.units_used <= iso.units_used,
-            "coop {} > iso {}",
-            coop.units_used,
-            iso.units_used
-        );
     }
 
     #[test]

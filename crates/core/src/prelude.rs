@@ -12,8 +12,8 @@ pub use crate::bushy_search::{
 pub use crate::dp::{optimal_order_dp, optimal_order_exhaustive};
 pub use crate::eval::{mean_scaled_cost, per_query_best, scaled_cost, OUTLIER_CAP};
 pub use crate::parallel::{
-    run_portfolio, shard_budget, Cooperation, ParallelOptions, ParallelResult, Parallelism,
-    WorkerReport, PORTFOLIO,
+    run_portfolio, shard_budget, ParallelOptions, ParallelResult, Parallelism, WorkerReport,
+    PORTFOLIO,
 };
 pub use crate::robust::{recost_plan, recost_trees, regret_under, RegretSample};
 pub use crate::trace::{trace_run, trace_run_scheduled, Trace, TracePoint};

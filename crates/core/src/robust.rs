@@ -30,6 +30,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ljqo_cache::{fingerprint, FingerprintConfig, PlanCache, PlanCacheConfig};
 use ljqo_catalog::Query;
+use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::CostModel;
 use ljqo_plan::{BushyTree, Plan};
 
@@ -85,7 +86,7 @@ pub fn recost_plan(query: &Query, model: &dyn CostModel, plan: &Plan) -> f64 {
 /// structure is taken as-is; only prices move.
 pub fn recost_trees(query: &Query, model: &dyn CostModel, trees: &[BushyTree]) -> f64 {
     catch_unwind(AssertUnwindSafe(|| {
-        price_plan(query, model, trees.to_vec()).cost
+        price_plan(query, &mut SizeWalker::new(query), model, trees.to_vec()).cost
     }))
     .unwrap_or(f64::MAX)
 }

@@ -1,8 +1,8 @@
 //! Every shipped cost, checked against the test-only plan pricer.
 //!
 //! Each `Optimizer` path — every linear method, sequential and in a
-//! batch, each parallel fan-out (isolated workers, the portfolio, the
-//! robust portfolio, cooperating workers), early stopping, cache miss,
+//! batch, each parallel fan-out (one method's workers, the portfolio,
+//! the robust portfolio), early stopping, cache miss,
 //! cache hit (on the same and on a relabelled query), `recost_plan`, and
 //! the bushy space with and without a cache — reports a plan and its
 //! total cost. The `oracle` module prices that plan again from the query
@@ -168,15 +168,10 @@ fn linear_paths_report_the_oracle_cost() {
 
 #[test]
 fn fanouts_and_early_stop_report_the_oracle_cost() {
-    let runs: [(&str, Option<Parallelism>, Option<f64>); 6] = [
+    let runs: [(&str, Option<Parallelism>, Option<f64>); 5] = [
         ("workers2", Some(Parallelism::workers(2)), None),
         ("portfolio4", Some(Parallelism::portfolio(4)), None),
         ("robust4", Some(Parallelism::robust_portfolio(4)), None),
-        (
-            "shared_best4",
-            Some(Parallelism::portfolio(4).with_cooperation(Cooperation::SharedBest)),
-            None,
-        ),
         ("early_stop", None, Some(0.5)),
         (
             "early_stop_workers2",

@@ -1,4 +1,4 @@
-//! Property-style tests for the cooperative parallel search layer.
+//! Property-style tests for the parallel search layer.
 //!
 //! The repository builds offline, so instead of a property-testing crate
 //! these are seeded-RNG loops over randomized `(budget, workers)` inputs
@@ -129,48 +129,6 @@ fn isolated_runs_are_bit_deterministic_in_seed_and_workers() {
         assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "case {case}");
         assert_eq!(a.units_used, b.units_used, "case {case}");
         assert_eq!(a.per_worker, b.per_worker, "case {case}");
-    }
-}
-
-#[test]
-fn shared_best_is_never_worse_than_any_workers_isolated_best() {
-    for case in 0..CASES / 2 {
-        let mut rng = SmallRng::seed_from_u64(0x9a11_0004 ^ case);
-        let q = query(&mut rng);
-        let model = MemoryCostModel::default();
-        let runner = MethodRunner::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let budget = rng.gen_range(100u64..3_000);
-        let workers = rng.gen_range(2usize..8);
-        let base = ParallelOptions::new(budget, workers, case);
-        let iso = run_portfolio(&q, &model, &runner, &[Method::Ii], &comp, &base).unwrap();
-        let coop = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[Method::Ii],
-            &comp,
-            &base.with_cooperation(Cooperation::SharedBest),
-        )
-        .unwrap();
-        // Quality monotonicity at equal total budget: with no stop
-        // threshold the cooperative run is unit-for-unit identical to the
-        // isolated one, so its result can never be worse.
-        assert!(
-            coop.cost <= iso.cost,
-            "case {case}: coop {} worse than iso {}",
-            coop.cost,
-            iso.cost
-        );
-        // The shared cell holds the global minimum: never worse than any
-        // single worker's local best, and exactly the winning cost.
-        let shared = coop.shared_cost.expect("SharedBest mode fills the cell");
-        for w in &coop.per_worker {
-            if let Some(c) = w.best_cost {
-                assert!(shared <= c, "case {case}: cell {shared} vs worker {c}");
-            }
-        }
-        assert_eq!(shared.to_bits(), coop.cost.to_bits(), "case {case}");
     }
 }
 

@@ -36,7 +36,6 @@ pub mod incremental;
 mod memory;
 mod model;
 mod multi;
-mod shared;
 mod tree_eval;
 
 pub use deadline::Deadline;
@@ -47,7 +46,6 @@ pub use incremental::{costs_agree, IncrementalEvaluator};
 pub use memory::MemoryCostModel;
 pub use model::{CostModel, JoinCtx, OrderCost};
 pub use multi::{JoinMethod, MultiMethodCostModel};
-pub use shared::SharedBest;
 pub use tree_eval::TreeEvaluator;
 
 /// Intermediate cardinalities are clamped to this value so that products of

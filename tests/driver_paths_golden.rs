@@ -1,6 +1,6 @@
 //! Driver-path golden: every way of running the optimizer — sequential,
-//! isolated fan-out, portfolio, the structural challenger, cooperation,
-//! early stopping, and the uncached and cached batch pools — is a pure
+//! a one-method fan-out, portfolio, the structural challenger, early
+//! stopping, and the uncached and cached batch pools — is a pure
 //! function of its inputs.
 //!
 //! Each line records the plan order, the bits of its cost, the budget
@@ -139,16 +139,11 @@ fn grid() -> String {
     let queries = queries();
     let mut out = String::new();
 
-    let single: [(&str, Option<Parallelism>, Option<f64>); 7] = [
+    let single: [(&str, Option<Parallelism>, Option<f64>); 6] = [
         ("sequential", None, None),
         ("workers2", Some(Parallelism::workers(2)), None),
         ("portfolio4", Some(Parallelism::portfolio(4)), None),
         ("robust4", Some(Parallelism::robust_portfolio(4)), None),
-        (
-            "shared_best4",
-            Some(Parallelism::portfolio(4).with_cooperation(Cooperation::SharedBest)),
-            None,
-        ),
         ("early_stop", None, Some(5.0)),
         (
             "early_stop_workers2",
