@@ -22,11 +22,9 @@
 //! * budget parity holds: the bushy solve consumes no more units than
 //!   the linear solve's ceiling for the same τ.
 //!
-//! Writes `BENCH_bushy.json` at the workspace root (override with
-//! `BENCH_BUSHY_OUT`; set `BUSHY_SEARCH_SMOKE=1` for a seconds-long
-//! CI-sized run).
+//! Writes `BENCH_bushy.json` (see [`ljqo_bench::snapshot`] for
+//! `BENCH_OUT_DIR` and the seconds-long `BENCH_SMOKE` run).
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use ljqo::prelude::*;
@@ -89,7 +87,7 @@ fn mean(v: &[f64]) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::var("BUSHY_SEARCH_SMOKE").is_ok();
+    let smoke = ljqo_bench::snapshot::smoke();
     let (sizes, taus, seeds): (&[usize], &[f64], u64) = if smoke {
         (&[7, 13], &[9.0], 2)
     } else {
@@ -245,11 +243,5 @@ fn main() {
         "grid": ljqo_json::Value::Array(rows),
     });
 
-    let out = std::env::var("BENCH_BUSHY_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_bushy.json", env!("CARGO_MANIFEST_DIR")));
-    let mut f = std::fs::File::create(&out).expect("create BENCH_bushy.json");
-    f.write_all(report.to_string_pretty().as_bytes())
-        .and_then(|_| f.write_all(b"\n"))
-        .expect("write BENCH_bushy.json");
-    println!("wrote {out}");
+    ljqo_bench::snapshot::write_snapshot("BENCH_bushy.json", &report);
 }

@@ -13,11 +13,9 @@
 //!   `F` cold solves; every other query a hit or dedup reuse) and
 //!   records the wall-clock win over the uncached batch.
 //!
-//! Writes `BENCH_cache.json` at the workspace root (override with
-//! `BENCH_CACHE_OUT`; set `CACHE_BENCH_SMOKE=1` for a seconds-long
-//! CI-sized run).
+//! Writes `BENCH_cache.json` (see [`ljqo_bench::snapshot`] for
+//! `BENCH_OUT_DIR` and the seconds-long `BENCH_SMOKE` run).
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use ljqo_bench::timing::{bench_ns, black_box};
@@ -30,7 +28,7 @@ fn json_num(x: f64) -> ljqo_json::Value {
 }
 
 fn main() {
-    let smoke = std::env::var("CACHE_BENCH_SMOKE").is_ok();
+    let smoke = ljqo_bench::snapshot::smoke();
     let (n, batch_classes, batch_repeats) = if smoke {
         (12usize, 5usize, 4usize)
     } else {
@@ -172,11 +170,5 @@ fn main() {
         "cache_stats": cache_stats,
     });
 
-    let out = std::env::var("BENCH_CACHE_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_cache.json", env!("CARGO_MANIFEST_DIR")));
-    let mut f = std::fs::File::create(&out).expect("create BENCH_cache.json");
-    f.write_all(report.to_string_pretty().as_bytes())
-        .and_then(|_| f.write_all(b"\n"))
-        .expect("write BENCH_cache.json");
-    println!("wrote {out}");
+    ljqo_bench::snapshot::write_snapshot("BENCH_cache.json", &report);
 }

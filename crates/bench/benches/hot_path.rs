@@ -25,11 +25,9 @@
 //!   draws and memo hits behind them.
 //!
 //! Writes the snapshot consumed by EXPERIMENTS.md to
-//! `BENCH_compiled.json` at the workspace root (override the location
-//! with `BENCH_COMPILED_OUT`; set `HOT_PATH_SMOKE=1` for a seconds-long
-//! CI smoke run).
+//! `BENCH_compiled.json` (see [`ljqo_bench::snapshot`] for
+//! `BENCH_OUT_DIR` and the seconds-long `BENCH_SMOKE` run).
 
-use std::io::Write as _;
 use std::sync::Arc;
 
 use ljqo_bench::timing::{bench_ns, black_box};
@@ -51,7 +49,7 @@ fn json_num(x: f64) -> ljqo_json::Value {
 }
 
 fn main() {
-    let smoke = std::env::var("HOT_PATH_SMOKE").is_ok();
+    let smoke = ljqo_bench::snapshot::smoke();
     let (sizes, ii_budget): (Vec<usize>, u64) = if smoke {
         (vec![12], 2_000)
     } else {
@@ -291,11 +289,5 @@ fn main() {
         "ii_descent": ljqo_json::Value::Array(descent_rows),
     });
 
-    let out = std::env::var("BENCH_COMPILED_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_compiled.json", env!("CARGO_MANIFEST_DIR")));
-    let mut f = std::fs::File::create(&out).expect("create BENCH_compiled.json");
-    f.write_all(report.to_string_pretty().as_bytes())
-        .and_then(|_| f.write_all(b"\n"))
-        .expect("write BENCH_compiled.json");
-    println!("wrote {out}");
+    ljqo_bench::snapshot::write_snapshot("BENCH_compiled.json", &report);
 }

@@ -21,11 +21,10 @@
 //! too, so CI re-verifies it on every push.
 //!
 //! Writes the snapshot consumed by EXPERIMENTS.md to
-//! `BENCH_largeN.json` at the workspace root (override the location
-//! with `BENCH_LARGEN_OUT`; set `LARGE_N_SMOKE=1` for a seconds-long
-//! CI smoke run: the N = 256 cell and the kernel assertion only).
+//! `BENCH_largeN.json` (see [`ljqo_bench::snapshot`] for `BENCH_OUT_DIR`
+//! and the seconds-long `BENCH_SMOKE` run: the N = 256 cell and the
+//! kernel assertion only).
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use ljqo_bench::timing::{bench_ns, black_box};
@@ -212,7 +211,7 @@ fn bench_filter_speedup() -> ljqo_json::Value {
 }
 
 fn main() {
-    let smoke = std::env::var("LARGE_N_SMOKE").is_ok();
+    let smoke = ljqo_bench::snapshot::smoke();
     let (sizes, tau): (Vec<usize>, f64) = if smoke {
         (vec![256], 0.1)
     } else {
@@ -243,11 +242,5 @@ fn main() {
         "grid": ljqo_json::Value::Array(grid),
     });
 
-    let out = std::env::var("BENCH_LARGEN_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_largeN.json", env!("CARGO_MANIFEST_DIR")));
-    let mut f = std::fs::File::create(&out).expect("create BENCH_largeN.json");
-    f.write_all(report.to_string_pretty().as_bytes())
-        .and_then(|_| f.write_all(b"\n"))
-        .expect("write BENCH_largeN.json");
-    println!("wrote {out}");
+    ljqo_bench::snapshot::write_snapshot("BENCH_largeN.json", &report);
 }

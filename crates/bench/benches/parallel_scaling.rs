@@ -12,11 +12,8 @@
 //! * **batch throughput** — [`Optimizer::solve_batch`] over many smaller
 //!   queries at 1 vs 4 pool threads.
 //!
-//! Writes `BENCH_parallel.json` at the workspace root (override with
-//! `BENCH_PARALLEL_OUT`; set `PARALLEL_SCALING_SMOKE=1` for a
-//! seconds-long CI-sized run).
-
-use std::io::Write as _;
+//! Writes `BENCH_parallel.json` (see [`ljqo_bench::snapshot`] for
+//! `BENCH_OUT_DIR` and the seconds-long `BENCH_SMOKE` run).
 
 use ljqo_bench::timing::{bench_ns, black_box};
 
@@ -30,7 +27,7 @@ fn json_num(x: f64) -> ljqo_json::Value {
 }
 
 fn main() {
-    let smoke = std::env::var("PARALLEL_SCALING_SMOKE").is_ok();
+    let smoke = ljqo_bench::snapshot::smoke();
     let (n, budget, batch_n, batch_size) = if smoke {
         (12usize, 4_000u64, 8usize, 8usize)
     } else {
@@ -118,11 +115,5 @@ fn main() {
         "batch_throughput": ljqo_json::Value::Array(batch_rows),
     });
 
-    let out = std::env::var("BENCH_PARALLEL_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_parallel.json", env!("CARGO_MANIFEST_DIR")));
-    let mut f = std::fs::File::create(&out).expect("create BENCH_parallel.json");
-    f.write_all(report.to_string_pretty().as_bytes())
-        .and_then(|_| f.write_all(b"\n"))
-        .expect("write BENCH_parallel.json");
-    println!("wrote {out}");
+    ljqo_bench::snapshot::write_snapshot("BENCH_parallel.json", &report);
 }

@@ -20,11 +20,9 @@
 //! CARDFREE row reports an undegraded solve (the structural method
 //! cannot be hurt by statistics).
 //!
-//! Writes `BENCH_robust_est.json` at the workspace root (override with
-//! `BENCH_ROBUST_EST_OUT`; set `ROBUST_EST_SMOKE=1` for a seconds-long
-//! CI-sized run).
+//! Writes `BENCH_robust_est.json` (see [`ljqo_bench::snapshot`] for
+//! `BENCH_OUT_DIR` and the seconds-long `BENCH_SMOKE` run).
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use ljqo::prelude::*;
@@ -47,7 +45,7 @@ fn json_num(x: f64) -> ljqo_json::Value {
 }
 
 fn main() {
-    let smoke = std::env::var("ROBUST_EST_SMOKE").is_ok();
+    let smoke = ljqo_bench::snapshot::smoke();
     let (sizes, qerrors, seeds): (&[usize], &[f64], u64) = if smoke {
         (&[10], &[1.0, 10.0], 2)
     } else {
@@ -195,11 +193,5 @@ fn main() {
         "portfolio_grid": ljqo_json::Value::Array(portfolio_rows),
     });
 
-    let out = std::env::var("BENCH_ROBUST_EST_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_robust_est.json", env!("CARGO_MANIFEST_DIR")));
-    let mut f = std::fs::File::create(&out).expect("create BENCH_robust_est.json");
-    f.write_all(report.to_string_pretty().as_bytes())
-        .and_then(|_| f.write_all(b"\n"))
-        .expect("write BENCH_robust_est.json");
-    println!("wrote {out}");
+    ljqo_bench::snapshot::write_snapshot("BENCH_robust_est.json", &report);
 }

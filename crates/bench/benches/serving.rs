@@ -15,11 +15,9 @@
 //! cell, and asserts the acceptance bar: the warm p50 must beat the
 //! cold p50 in every cell (the serving layer's whole reason to exist).
 //!
-//! Writes `BENCH_serving.json` at the workspace root (override with
-//! `BENCH_SERVING_OUT`; set `SERVING_SMOKE=1` for a seconds-long
-//! CI-sized run).
+//! Writes `BENCH_serving.json` (see [`ljqo_bench::snapshot`] for
+//! `BENCH_OUT_DIR` and the seconds-long `BENCH_SMOKE` run).
 
-use std::io::Write as _;
 use std::time::Duration;
 
 use ljqo_json::Value;
@@ -63,7 +61,7 @@ fn report_json(r: &LoadReport) -> Value {
 }
 
 fn main() {
-    let smoke = std::env::var("SERVING_SMOKE").is_ok();
+    let smoke = ljqo_bench::snapshot::smoke();
     let (n_joins, connections, classes, cold_s, warmup_s, warm_s, worker_grid): (
         usize,
         usize,
@@ -189,11 +187,5 @@ fn main() {
         ("cells", Value::Array(cells)),
     ]);
 
-    let out = std::env::var("BENCH_SERVING_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_serving.json", env!("CARGO_MANIFEST_DIR")));
-    let mut f = std::fs::File::create(&out).expect("create BENCH_serving.json");
-    f.write_all(report.to_string_pretty().as_bytes())
-        .and_then(|_| f.write_all(b"\n"))
-        .expect("write BENCH_serving.json");
-    println!("wrote {out}");
+    ljqo_bench::snapshot::write_snapshot("BENCH_serving.json", &report);
 }

@@ -32,6 +32,7 @@ pub mod cli;
 pub mod grid;
 pub mod propagate;
 pub mod report;
+pub mod snapshot;
 pub mod timing;
 
 pub use cli::Args;

@@ -3,23 +3,16 @@
 //! The paper's open problem (§2) is whether restricting the search to
 //! outer linear join trees forfeits much plan quality. [`crate::bushy`]
 //! answers it exactly for small components ([`optimal_bushy_dp`]); this
-//! module answers it at scale: iterative improvement
-//! ([`BushyIterativeImprovement`]) and simulated annealing
-//! ([`BushySimulatedAnnealing`]) over arena-backed trees
-//! ([`ljqo_plan::TreePlan`]), with candidates re-costed incrementally
-//! along the path from the moved subtree to the root
-//! ([`ljqo_cost::TreeEvaluator`]).
-//!
-//! The loops deliberately mirror their linear counterparts
-//! ([`crate::IterativeImprovement`], [`crate::SimulatedAnnealing`]):
-//! the same fail-limit and freezing rules, the same budget accounting
-//! (one unit per candidate via
-//! [`Evaluator::charge_eval`](ljqo_cost::Evaluator::charge_eval), plus
-//! one unit per validity-rejected proposal attempt) — so a bushy run at
-//! budget `τ·N²·κ` is directly comparable to a linear run at the same
-//! budget. One asymmetry: the [`Evaluator`] cannot track a best *tree*
-//! (its best-state channel is typed to [`JoinOrder`](ljqo_plan::JoinOrder)),
-//! so the bushy loops track the best tree themselves; early stopping
+//! module answers it at scale: the one
+//! [`IterativeImprovement`](crate::IterativeImprovement) and the one
+//! [`SimulatedAnnealing`](crate::SimulatedAnnealing) loop walk
+//! arena-backed trees ([`ljqo_plan::TreePlan`]) whose candidates are
+//! re-costed along the path from the moved subtree to the root
+//! ([`ljqo_cost::TreeEvaluator`]). The loops' rules and unit accounting
+//! are the linear space's, so a bushy run at budget `τ·N²·κ` is directly
+//! comparable to a linear run at the same budget. The [`Evaluator`]
+//! cannot track a best *tree* (its best-state channel is typed to
+//! [`JoinOrder`]), so the tree space (`Trees`) tracks it; early stopping
 //! against the model lower bound is therefore a linear-only feature.
 //!
 //! There is no second driver: [`Optimizer::solve`](crate::Optimizer::solve)
@@ -35,285 +28,106 @@ use rand::Rng;
 use ljqo_catalog::{Query, RelId};
 use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::{CostModel, Evaluator, TreeEvaluator};
-use ljqo_plan::{random_valid_order, TreeMoveSet, TreePlan};
+use ljqo_plan::{random_valid_order, JoinOrder, TreeMoveSet, TreePlan};
 
 use crate::bushy::optimal_bushy_dp;
 use crate::driver::tree_cost;
 use crate::error::OptError;
 use crate::methods::{Method, MethodRunner};
+use crate::neighborhood::Neighborhood;
 
-/// Iterative improvement over tree moves — the bushy counterpart of
-/// [`crate::IterativeImprovement`], with the same sampled local-minimum
-/// criterion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BushyIterativeImprovement {
-    /// Tree-move mixture used to sample adjacent trees.
-    pub move_set: TreeMoveSet,
-    /// Local-minimum declaration threshold, as a fraction of `n²` (same
-    /// convention as the linear II).
-    pub fail_factor: f64,
+/// Bushy trees: moves sampled from the default [`TreeMoveSet`], priced
+/// by a [`TreeEvaluator`]; keeps the best tree visited.
+pub(crate) struct Trees<'a> {
+    te: TreeEvaluator<'a>,
+    best: TreePlan,
+    best_cost: f64,
 }
 
-impl Default for BushyIterativeImprovement {
-    fn default() -> Self {
-        BushyIterativeImprovement {
-            move_set: TreeMoveSet::default(),
-            fail_factor: 0.25,
-        }
-    }
-}
-
-impl BushyIterativeImprovement {
-    /// Consecutive-failure threshold for an `n`-leaf component.
-    pub fn fail_limit(&self, n: usize) -> u64 {
-        ((self.fail_factor * (n * n) as f64) as u64).max(32)
-    }
-
-    /// One greedy descent mutating the evaluator's current tree. Returns
-    /// the cost of the local minimum reached (or of the last state when
-    /// the budget ran out first). The caller has already paid for the
-    /// start state.
-    pub fn descend<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        te: &mut TreeEvaluator<'_>,
-        rng: &mut R,
-    ) -> f64 {
-        let mut current = te.current_cost();
-        let fail_limit = self.fail_limit(te.plan().n_leaves());
-        let mut fails = 0u64;
-        while fails < fail_limit && !ev.exhausted() {
-            let Some((_mv, attempts)) = te.propose(&self.move_set, rng) else {
-                break; // no perturbable neighborhood (tiny component)
-            };
-            ev.charge(u64::from(attempts) - 1);
-            let candidate = te.eval_pending();
-            ev.charge_eval();
-            if candidate < current {
-                te.commit();
-                current = candidate;
-                fails = 0;
-            } else {
-                te.rollback();
-                fails += u64::from(attempts);
-            }
-        }
-        current
-    }
-
-    /// The full bushy II method: repeated descents from the left-deep
-    /// embeddings of random valid orders until the budget is exhausted.
-    /// Returns the best local minimum (a greedy descent only ever
-    /// accepts improvements, so observing the end of each descent
-    /// suffices).
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        component: &[RelId],
-        rng: &mut R,
-    ) -> Option<(TreePlan, f64)> {
-        let model = ev.model();
-        let compiled = ev.compiled().clone();
-        let mut te: Option<TreeEvaluator<'_>> = None;
-        let mut best: Option<(TreePlan, f64)> = None;
-        while !ev.exhausted() {
-            let order = random_valid_order(ev.query().graph(), component, rng);
-            let plan = TreePlan::from_order(&compiled, order.rels());
-            let te = match &mut te {
-                Some(te) => {
-                    te.reset(plan);
-                    te
-                }
-                None => te.insert(TreeEvaluator::new(model, compiled.clone(), plan)),
-            };
-            ev.charge_eval(); // the start state is a candidate too
-            let cost = self.descend(ev, te, rng);
-            if best.as_ref().is_none_or(|b| cost < b.1) {
-                best = Some((te.plan().clone(), cost));
-            }
-            if component.len() < 3 {
-                break; // one tree shape exists; restarts would repeat it
-            }
-        }
-        best
-    }
-}
-
-/// Simulated annealing over tree moves — the bushy counterpart of
-/// [`crate::SimulatedAnnealing`], with the same JAMS87 calibration,
-/// chain, cooling and freezing rules.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BushySimulatedAnnealing {
-    /// Tree-move mixture.
-    pub move_set: TreeMoveSet,
-    /// Chain length multiplier (`size_factor · N` proposals per
-    /// temperature).
-    pub size_factor: usize,
-    /// Geometric cooling rate.
-    pub cooling: f64,
-    /// Target uphill acceptance probability at the initial temperature.
-    pub init_accept: f64,
-    /// Frozen after this many consecutive non-improving chains (with
-    /// collapsed acceptance).
-    pub frozen_chains: usize,
-    /// Acceptance ratio below which a chain counts as collapsed.
-    pub min_accept_ratio: f64,
-    /// Re-heat from the best tree instead of stopping when frozen with
-    /// budget to spare.
-    pub restart_on_frozen: bool,
-}
-
-impl Default for BushySimulatedAnnealing {
-    fn default() -> Self {
-        BushySimulatedAnnealing {
-            move_set: TreeMoveSet::default(),
-            size_factor: 16,
-            cooling: 0.95,
-            init_accept: 0.4,
-            frozen_chains: 5,
-            min_accept_ratio: 0.02,
-            restart_on_frozen: true,
-        }
-    }
-}
-
-impl BushySimulatedAnnealing {
-    /// Anneal from the evaluator's current tree (whose cost the caller
-    /// has already paid). Returns the best tree visited and its cost.
-    ///
-    /// Rejected candidates need no best-tracking: an SA rejection implies
-    /// the candidate was strictly uphill of the current state, and the
-    /// current state — having been evaluated — is never below the best.
-    pub fn anneal<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        te: &mut TreeEvaluator<'_>,
-        rng: &mut R,
-    ) -> (TreePlan, f64) {
-        let n = te.plan().n_leaves();
-        let start_cost = te.current_cost();
-        let mut best = te.plan().clone();
-        let mut best_cost = start_cost;
-        if n < 2 {
-            return (best, best_cost);
-        }
-
-        // Calibrate T₀ by a short always-accepting random walk, exactly
-        // like the linear annealer, then walk back to the start state
-        // (the memo rebuild is off-budget, mirroring the linear annealer's
-        // `IncrementalEvaluator::reset`).
-        let home = te.plan().clone();
-        let mut current = start_cost;
-        let mut uphill_sum = 0.0f64;
-        let mut uphill_n = 0u32;
-        for _ in 0..20 {
-            if ev.exhausted() {
-                break;
-            }
-            let Some((_mv, attempts)) = te.propose(&self.move_set, rng) else {
-                break;
-            };
-            ev.charge(u64::from(attempts) - 1);
-            let c = te.eval_pending();
-            ev.charge_eval();
-            let delta = c - current;
-            if delta > 0.0 && delta.is_finite() {
-                uphill_sum += delta;
-                uphill_n += 1;
-            }
-            te.commit(); // random walk: always accept during calibration
-            current = c;
-            if c < best_cost {
-                best_cost = c;
-                best.copy_from(te.plan());
-            }
-        }
-        te.reset_from(&home);
-        let t0 = if uphill_n == 0 {
-            1.0
-        } else {
-            (uphill_sum / uphill_n as f64) / -(self.init_accept.ln())
-        };
-
-        let chain_length = (self.size_factor * n).max(4);
-        let mut temp = t0;
-        let mut stale_chains = 0usize;
-        let mut current = start_cost;
-        while !ev.exhausted() {
-            let best_before = best_cost;
-            let mut accepted = 0usize;
-            for _ in 0..chain_length {
-                if ev.exhausted() {
-                    break;
-                }
-                let Some((_mv, attempts)) = te.propose(&self.move_set, rng) else {
-                    break;
-                };
-                ev.charge(u64::from(attempts) - 1);
-                let candidate = te.eval_pending();
-                ev.charge_eval();
-                let delta = candidate - current;
-                let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
-                if accept {
-                    te.commit();
-                    current = candidate;
-                    accepted += 1;
-                    if candidate < best_cost {
-                        best_cost = candidate;
-                        best.copy_from(te.plan());
-                    }
-                } else {
-                    te.rollback();
-                }
-            }
-            temp *= self.cooling;
-            let improved = best_cost < best_before;
-            let collapsed = (accepted as f64) < self.min_accept_ratio * chain_length as f64;
-            if improved {
-                stale_chains = 0;
-            } else {
-                stale_chains += 1;
-            }
-            if stale_chains >= self.frozen_chains && collapsed {
-                if self.restart_on_frozen && !ev.exhausted() {
-                    te.reset_from(&best);
-                    current = best_cost;
-                    temp = (t0 * 0.5).max(f64::MIN_POSITIVE);
-                    stale_chains = 0;
-                } else {
-                    break;
-                }
-            }
-        }
-        (best, best_cost)
-    }
-
-    /// The full bushy SA method: anneal from the left-deep embedding of
-    /// one random valid order. `None` when the evaluator is already
-    /// exhausted (an expired deadline): the start tree is not priced, as
-    /// bushy II prices nothing then.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        component: &[RelId],
-        rng: &mut R,
-    ) -> Option<(TreePlan, f64)> {
-        if ev.exhausted() {
-            return None;
-        }
-        let order = random_valid_order(ev.query().graph(), component, rng);
-        let plan = TreePlan::from_order(ev.compiled(), order.rels());
-        let mut te = TreeEvaluator::new(ev.model(), ev.compiled().clone(), plan);
+impl<'a> Trees<'a> {
+    /// Park on the left-deep embedding of `start`, paying one evaluation.
+    pub(crate) fn begin(ev: &mut Evaluator<'a>, start: JoinOrder) -> Self {
+        let plan = TreePlan::from_order(ev.compiled(), start.rels());
+        let te = TreeEvaluator::new(ev.model(), ev.compiled().clone(), plan);
         ev.charge_eval();
-        Some(self.anneal(ev, &mut te, rng))
+        let (best, best_cost) = (te.plan().clone(), te.current_cost());
+        Trees {
+            te,
+            best,
+            best_cost,
+        }
+    }
+}
+
+impl<'a> Neighborhood<'a> for Trees<'a> {
+    type State = TreePlan;
+
+    fn n_rels(&self) -> usize {
+        self.te.plan().n_leaves()
+    }
+
+    fn cost(&self) -> f64 {
+        self.te.current_cost()
+    }
+
+    #[inline]
+    fn step<R: Rng + ?Sized>(&mut self, ev: &mut Evaluator<'a>, rng: &mut R) -> Option<(f64, u32)> {
+        let (_mv, attempts) = self.te.propose(&TreeMoveSet::default(), rng)?;
+        ev.charge(u64::from(attempts) - 1);
+        let cost = self.te.eval_pending();
+        ev.charge_eval();
+        Some((cost, attempts))
+    }
+
+    #[inline]
+    fn commit(&mut self) {
+        self.te.commit();
+    }
+
+    #[inline]
+    fn rollback(&mut self) {
+        self.te.rollback();
+    }
+
+    fn restart(&mut self, ev: &mut Evaluator<'a>, start: JoinOrder) {
+        self.te
+            .reset(TreePlan::from_order(ev.compiled(), start.rels()));
+        ev.charge_eval();
+    }
+
+    #[inline]
+    fn note(&mut self, cost: f64) {
+        if cost < self.best_cost {
+            self.best_cost = cost;
+            self.best.copy_from(self.te.plan());
+        }
+    }
+
+    fn best_cost(&self, _ev: &Evaluator<'a>) -> f64 {
+        self.best_cost
+    }
+
+    fn to_best(&mut self, _ev: &Evaluator<'a>) -> Option<f64> {
+        self.te.reset_from(&self.best);
+        Some(self.best_cost)
+    }
+
+    fn save(&self) -> TreePlan {
+        self.te.plan().clone()
+    }
+
+    fn restore(&mut self, state: TreePlan) {
+        self.te.reset_from(&state);
     }
 }
 
 impl MethodRunner {
-    /// Run `method` on one component **in the bushy space**, returning
-    /// the best tree found. [`Method::BushySa`] (and `Sa`/`Saa`/`Sak`)
-    /// anneal; every other method runs bushy iterative improvement (the
-    /// II/heuristic hybrids have no tree analogue — their seeds are
+    /// Run `method` on one component **in the bushy space**, from the
+    /// left-deep embedding of a random valid order, returning the best
+    /// tree found (`None` when the evaluator is already exhausted).
+    /// [`Method::BushySa`] (and `Sa`/`Saa`/`Sak`) anneal with
+    /// [`MethodRunner::sa`]; every other method runs [`MethodRunner::ii`]
+    /// (the II/heuristic hybrids have no tree analogue — their seeds are
     /// inherently linear — so their bushy reading is plain II).
     pub fn run_bushy<R: Rng + ?Sized>(
         &self,
@@ -327,12 +141,18 @@ impl MethodRunner {
             let plan = TreePlan::from_order(&ev.compiled().clone(), component);
             return Some((plan, cost));
         }
+        if ev.exhausted() {
+            return None;
+        }
+        let start = random_valid_order(ev.query().graph(), component, rng);
+        let mut space = Trees::begin(ev, start);
         match method {
             Method::BushySa | Method::Sa | Method::Saa | Method::Sak => {
-                self.bushy_sa.run(ev, component, rng)
+                self.sa.anneal_in(&mut space, ev, rng);
             }
-            _ => self.bushy_ii.run(ev, component, rng),
+            _ => self.ii.restarts(&mut space, ev, component, rng),
         }
+        Some((space.best, space.best_cost))
     }
 }
 

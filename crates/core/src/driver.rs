@@ -341,18 +341,22 @@ pub(crate) fn plan_component(
             deadline: config.deadline,
             challenger: par.structural_backstop,
         };
-        // `None`: every worker panicked or the budget bought no state.
-        let Some(r) = portfolio_on(query, compiled, model, &config.runner, methods, comp, &opts)
-        else {
-            return ComponentOutcome::default();
-        };
+        // No winner: every worker panicked or the budget bought no state.
+        // The accounting stands either way.
+        let r = portfolio_on(query, compiled, model, &config.runner, methods, comp, &opts);
         ComponentOutcome {
-            best: Some(BushyTree::left_deep(r.order.rels())),
+            best: r
+                .winner
+                .as_ref()
+                .map(|(o, ..)| BushyTree::left_deep(o.rels())),
             units_used: r.units_used,
             n_evals: r.n_evals,
             deadline_expired: r.deadline_expired,
             workers_failed: r.workers_failed,
-            winner: (methods.len() > 1 && comp.len() > 1).then_some(r.method),
+            winner: r
+                .winner
+                .map(|(.., m)| m)
+                .filter(|_| methods.len() > 1 && comp.len() > 1),
             ..ComponentOutcome::default()
         }
     }))

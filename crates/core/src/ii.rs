@@ -8,7 +8,8 @@
 //! criterion). The surrounding method repeats runs from fresh start states
 //! and keeps the best local minimum — which the budgeted
 //! [`Evaluator`](ljqo_cost::Evaluator) tracks automatically, since within a
-//! run the accepted states decrease monotonically.
+//! run the accepted states decrease monotonically. The descent and restart
+//! loop serve bushy trees too ([`crate::bushy_search`]).
 
 use rand::Rng;
 
@@ -16,10 +17,12 @@ use ljqo_catalog::RelId;
 use ljqo_cost::Evaluator;
 use ljqo_plan::{random_valid_order, JoinOrder, MoveGenerator, MoveSet};
 
+use crate::neighborhood::{Neighborhood, Orders};
+
 /// Iterative improvement parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterativeImprovement {
-    /// Move-set composition used to sample adjacent states.
+    /// Move-set composition used to sample adjacent linear states.
     pub move_set: MoveSet,
     /// Local-minimum declaration threshold, as a fraction of `n²`: a run
     /// ends after `max(32, fail_factor·n²)` consecutive failed moves.
@@ -57,29 +60,36 @@ impl IterativeImprovement {
         order: &mut JoinOrder,
         rng: &mut R,
     ) -> f64 {
-        // The caller hands us an arbitrary start state; any windowed
-        // validity cache inside the generator refers to the previous one.
-        gen.reset();
         let start = std::mem::replace(order, JoinOrder::new(Vec::new()));
-        let mut inc = ev.begin_incremental(start);
-        let mut current = inc.current_cost();
-        let fail_limit = self.fail_limit(inc.order().len());
+        let mut space = Orders::begin(ev, gen, start);
+        let cost = self.descend_in(&mut space, ev, rng);
+        *order = space.into_order();
+        cost
+    }
+
+    /// One greedy descent from `space`'s current state, whose cost the
+    /// caller has already paid. Returns the cost of the state it ends on,
+    /// after offering it to the space as the best visited (a descent only
+    /// accepts improvements, so its last state is its best).
+    fn descend_in<'a, N: Neighborhood<'a>, R: Rng + ?Sized>(
+        &self,
+        space: &mut N,
+        ev: &mut Evaluator<'a>,
+        rng: &mut R,
+    ) -> f64 {
+        let mut current = space.cost();
+        let fail_limit = self.fail_limit(space.n_rels());
         let mut fails = 0u64;
-        let graph = ev.query().graph();
         while fails < fail_limit && !ev.exhausted() {
-            let Some((mv, attempts)) = gen.propose_counted(graph, inc.order_mut(), rng) else {
+            let Some((candidate, attempts)) = space.step(ev, rng) else {
                 break; // no perturbable neighborhood (tiny component)
             };
-            // Rejected proposals each performed an O(N) validity check;
-            // charge them like the paper's wall clock would.
-            ev.charge(u64::from(attempts) - 1);
-            let candidate = ev.cost_move(&mut inc, &mv);
             if candidate < current {
-                inc.commit();
+                space.commit();
                 current = candidate;
                 fails = 0;
             } else {
-                inc.rollback();
+                space.rollback();
                 // Every sampled perturbation that failed to improve —
                 // including the validity-rejected ones — counts toward
                 // declaring a local minimum, mirroring the sampled
@@ -87,7 +97,7 @@ impl IterativeImprovement {
                 fails += u64::from(attempts);
             }
         }
-        *order = inc.into_order();
+        space.note(current);
         current
     }
 
@@ -95,14 +105,33 @@ impl IterativeImprovement {
     /// states until the budget is exhausted. The best local minimum is
     /// tracked by the evaluator.
     pub fn run<R: Rng + ?Sized>(&self, ev: &mut Evaluator<'_>, component: &[RelId], rng: &mut R) {
+        if ev.exhausted() {
+            return;
+        }
         let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set);
-        while !ev.exhausted() {
-            let mut order = random_valid_order(ev.query().graph(), component, rng);
-            self.descend(ev, &mut gen, &mut order, rng);
-            if component.len() < 3 {
-                // Nothing more to explore: at most two states exist.
+        let start = random_valid_order(ev.query().graph(), component, rng);
+        let mut space = Orders::begin(ev, &mut gen, start);
+        self.restarts(&mut space, ev, component, rng);
+    }
+
+    /// Descend from `space`'s (paid) start state, then from fresh random
+    /// valid start states, until the budget is exhausted.
+    pub(crate) fn restarts<'a, N: Neighborhood<'a>, R: Rng + ?Sized>(
+        &self,
+        space: &mut N,
+        ev: &mut Evaluator<'a>,
+        component: &[RelId],
+        rng: &mut R,
+    ) {
+        loop {
+            self.descend_in(space, ev, rng);
+            // Under three relations at most two states (and one tree
+            // shape) exist: restarts would only repeat them.
+            if component.len() < 3 || ev.exhausted() {
                 break;
             }
+            let start = random_valid_order(ev.query().graph(), component, rng);
+            space.restart(ev, start);
         }
     }
 }

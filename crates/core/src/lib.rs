@@ -11,7 +11,9 @@
 //! * [`IterativeImprovement`] — repeated greedy descents from random valid
 //!   start states (SG88's best general technique).
 //! * [`SimulatedAnnealing`] — the Johnson et al. flavored annealer SG88
-//!   found second-best.
+//!   found second-best. Each of the two loops is written once and runs
+//!   over outer linear orders and, in [`SearchSpace::Bushy`], over bushy
+//!   trees.
 //! * Heuristics (re-exported from `ljqo-heuristics`): augmentation, KBZ,
 //!   and local improvement.
 //! * [`Method`] — the paper's nine combinations: **II**, **SA**, **SAA**,
@@ -36,7 +38,7 @@
 //!   left-deep trees, feasible only for small `N`; used as a test oracle
 //!   and a baseline.
 //! * [`bushy`] / [`bushy_search`] — the paper's open problem attacked
-//!   head-on: exact bushy DP for small components, and II/SA local search
+//!   head-on: exact bushy DP for small components, and the II/SA loops
 //!   over arena-backed bushy trees for large ones, with path-to-root
 //!   incremental re-costing, run by [`Optimizer`] in
 //!   [`SearchSpace::Bushy`].
@@ -78,6 +80,7 @@ mod error;
 pub mod eval;
 mod ii;
 mod methods;
+mod neighborhood;
 mod optimizer;
 pub mod parallel;
 pub mod prelude;
@@ -87,7 +90,7 @@ mod sampling;
 pub mod serving;
 pub mod trace;
 
-pub use bushy_search::{bushy_gap_vs_dp, BushyIterativeImprovement, BushySimulatedAnnealing};
+pub use bushy_search::bushy_gap_vs_dp;
 pub use cached::CacheOutcome;
 pub use driver::{Optimized, OptimizerConfig, SearchSpace};
 pub use error::{Degradation, OptError};

@@ -5,7 +5,7 @@ use rand::Rng;
 use ljqo_catalog::RelId;
 use ljqo_cost::Evaluator;
 use ljqo_heuristics::{AugmentationHeuristic, CardFreeHeuristic, KbzHeuristic, LocalImprovement};
-use ljqo_plan::{random_valid_order, MoveGenerator};
+use ljqo_plan::MoveGenerator;
 
 use crate::ii::IterativeImprovement;
 use crate::sa::SimulatedAnnealing;
@@ -118,9 +118,10 @@ impl std::fmt::Display for Method {
 /// no state of its own and can be reused across queries and methods.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MethodRunner {
-    /// Iterative improvement parameters.
+    /// Iterative improvement parameters, in both search spaces (see
+    /// [`MethodRunner::run_bushy`]).
     pub ii: IterativeImprovement,
-    /// Simulated annealing parameters.
+    /// Simulated annealing parameters, in both search spaces.
     pub sa: SimulatedAnnealing,
     /// Augmentation heuristic (criterion 3 by default, the Table 1
     /// winner).
@@ -128,12 +129,6 @@ pub struct MethodRunner {
     /// KBZ heuristic (selectivity MST weights by default, the Table 2
     /// winner).
     pub kbz: KbzHeuristic,
-    /// Bushy iterative improvement parameters (used in
-    /// [`SearchSpace::Bushy`](crate::SearchSpace::Bushy); see
-    /// [`MethodRunner::run_bushy`]).
-    pub bushy_ii: crate::bushy_search::BushyIterativeImprovement,
-    /// Bushy simulated annealing parameters.
-    pub bushy_sa: crate::bushy_search::BushySimulatedAnnealing,
 }
 
 impl MethodRunner {
@@ -254,18 +249,6 @@ impl MethodRunner {
             Method::BushyIi => self.ii.run(ev, component, rng),
             Method::BushySa => self.sa.run(ev, component, rng),
         }
-    }
-
-    /// Fallback helper shared by tests: a single random state, so `best()`
-    /// is never empty even under a one-unit budget.
-    pub fn seed_random<R: Rng + ?Sized>(
-        &self,
-        ev: &mut Evaluator<'_>,
-        component: &[RelId],
-        rng: &mut R,
-    ) {
-        let order = random_valid_order(ev.query().graph(), component, rng);
-        ev.cost(&order);
     }
 }
 

@@ -135,6 +135,38 @@ pub struct ParallelResult {
     pub per_worker: Vec<WorkerReport>,
 }
 
+/// A fan-out's accounting, with its winner when any worker (or the
+/// challenger) produced a state. [`run_portfolio`] reports it as a
+/// [`ParallelResult`] when there is a winner; the driver keeps the
+/// accounting either way.
+pub(crate) struct Fanout {
+    /// The best order, its cost and the method that produced it.
+    pub(crate) winner: Option<(JoinOrder, f64, Method)>,
+    pub(crate) units_used: u64,
+    pub(crate) n_evals: u64,
+    pub(crate) n_inc_evals: u64,
+    pub(crate) workers_failed: usize,
+    pub(crate) deadline_expired: bool,
+    pub(crate) per_worker: Vec<WorkerReport>,
+}
+
+impl Fanout {
+    fn into_result(self) -> Option<ParallelResult> {
+        let (order, cost, method) = self.winner?;
+        Some(ParallelResult {
+            order,
+            cost,
+            method,
+            units_used: self.units_used,
+            n_evals: self.n_evals,
+            n_inc_evals: self.n_inc_evals,
+            workers_failed: self.workers_failed,
+            deadline_expired: self.deadline_expired,
+            per_worker: self.per_worker,
+        })
+    }
+}
+
 /// Split `budget` into `workers` shares that sum to exactly `budget`:
 /// every worker gets `⌊budget/workers⌋` and the first `budget mod
 /// workers` workers get one remainder unit each. When
@@ -201,7 +233,7 @@ pub fn run_portfolio(
     opts: &ParallelOptions,
 ) -> Option<ParallelResult> {
     let compiled = Arc::new(CompiledQuery::new(query));
-    portfolio_on(query, &compiled, model, runner, methods, component, opts)
+    portfolio_on(query, &compiled, model, runner, methods, component, opts).into_result()
 }
 
 /// [`run_portfolio`] over an existing compiled snapshot of `query`, which
@@ -214,14 +246,13 @@ pub(crate) fn portfolio_on(
     methods: &[Method],
     component: &[RelId],
     opts: &ParallelOptions,
-) -> Option<ParallelResult> {
+) -> Fanout {
     assert!(!methods.is_empty(), "portfolio needs at least one method");
-    let base = run_workers(query, compiled, model, runner, methods, component, opts);
+    let mut fanout = run_workers(query, compiled, model, runner, methods, component, opts);
     if opts.challenger {
-        challenge_with_cardfree(query, model, component, base)
-    } else {
-        base
+        challenge_with_cardfree(query, model, component, &mut fanout);
     }
+    fanout
 }
 
 /// The portfolio body: spawn one worker per [`shard_budget`] share,
@@ -234,7 +265,7 @@ fn run_workers(
     methods: &[Method],
     component: &[RelId],
     opts: &ParallelOptions,
-) -> Option<ParallelResult> {
+) -> Fanout {
     let workers = opts.workers.max(1);
     let shares = shard_budget(opts.budget, workers);
     let (seed, stop_threshold, deadline) = (opts.seed, opts.stop_threshold, opts.deadline);
@@ -339,18 +370,15 @@ fn run_workers(
             }
         }
     }
-    let (order, cost, method) = winner?;
-    Some(ParallelResult {
-        order,
-        cost,
-        method,
+    Fanout {
+        winner,
         units_used,
         n_evals,
         n_inc_evals,
         workers_failed,
         deadline_expired,
         per_worker,
-    })
+    }
 }
 
 /// The challenger step of [`run_portfolio`].
@@ -358,8 +386,8 @@ fn challenge_with_cardfree(
     query: &Query,
     model: &dyn CostModel,
     component: &[RelId],
-    base: Option<ParallelResult>,
-) -> Option<ParallelResult> {
+    fanout: &mut Fanout,
+) {
     // The structural challenger. Generation is pure graph traversal and
     // cannot consult statistics, but it is still panic-isolated — the
     // robust path must never be *less* reliable than the plain one.
@@ -369,57 +397,29 @@ fn challenge_with_cardfree(
     .ok()
     .filter(|o| is_valid(query.graph(), o.rels())) else {
         // Structural generation itself failed (should be unreachable on a
-        // validated query): fall back to the plain portfolio result.
-        return base;
+        // validated query): the plain portfolio result stands.
+        return;
     };
     let challenger_cost = catch_unwind(AssertUnwindSafe(|| {
         sanitize_cost(model.order_cost(query, order.rels()))
     }))
     .unwrap_or(f64::MAX);
     let challenger_units = component.len() as u64 + 1;
-
-    match base {
-        Some(mut r) => {
-            r.units_used += challenger_units;
-            r.n_evals += 1;
-            r.per_worker.push(WorkerReport {
-                method: Method::Cardfree,
-                best_cost: Some(challenger_cost),
-                units_used: challenger_units,
-                n_evals: 1,
-                panicked: false,
-            });
-            // Strict `<`: on a tie the portfolio winner stands, mirroring
-            // the lowest-worker-index tie-break inside `run_portfolio`.
-            if challenger_cost < r.cost {
-                r.order = order;
-                r.cost = challenger_cost;
-                r.method = Method::Cardfree;
-            }
-            Some(r)
-        }
-        // Challenger-only rescue. The base run reported nothing, so no
-        // per-worker accounting is available; the report carries the
-        // challenger alone (workers that panicked or were skipped for
-        // lack of budget are indistinguishable here).
-        None if challenger_cost < f64::MAX => Some(ParallelResult {
-            order,
-            cost: challenger_cost,
-            method: Method::Cardfree,
-            units_used: challenger_units,
-            n_evals: 1,
-            n_inc_evals: 0,
-            workers_failed: 0,
-            deadline_expired: false,
-            per_worker: vec![WorkerReport {
-                method: Method::Cardfree,
-                best_cost: Some(challenger_cost),
-                units_used: challenger_units,
-                n_evals: 1,
-                panicked: false,
-            }],
-        }),
-        None => None,
+    fanout.units_used += challenger_units;
+    fanout.n_evals += 1;
+    fanout.per_worker.push(WorkerReport {
+        method: Method::Cardfree,
+        best_cost: Some(challenger_cost),
+        units_used: challenger_units,
+        n_evals: 1,
+        panicked: false,
+    });
+    // Strict `<`: on a tie the portfolio winner stands, mirroring the
+    // lowest-worker-index tie-break among the workers. With no winner, a
+    // challenger that prices to a finite cost rescues the run alone.
+    let bar = fanout.winner.as_ref().map_or(f64::MAX, |&(_, c, _)| c);
+    if challenger_cost < bar {
+        fanout.winner = Some((order, challenger_cost, Method::Cardfree));
     }
 }
 

@@ -13,18 +13,21 @@
 //! The paper's stopping condition includes the overall time limit; as an
 //! anytime extension, a frozen annealer with budget remaining can re-heat
 //! from the best state found (`restart_on_frozen`), so that SA never idles
-//! while its competitors keep searching.
+//! while its competitors keep searching. The same annealer runs over
+//! bushy trees ([`crate::bushy_search`]).
 
 use rand::Rng;
 
 use ljqo_catalog::RelId;
-use ljqo_cost::{Evaluator, IncrementalEvaluator};
+use ljqo_cost::Evaluator;
 use ljqo_plan::{random_valid_order, JoinOrder, MoveGenerator, MoveSet};
+
+use crate::neighborhood::{Neighborhood, Orders};
 
 /// Simulated annealing parameters (defaults follow SG88 / JAMS87).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulatedAnnealing {
-    /// Move-set composition.
+    /// Move-set composition for linear states.
     pub move_set: MoveSet,
     /// Chain length multiplier: each temperature proposes
     /// `size_factor · N` moves.
@@ -59,42 +62,30 @@ impl Default for SimulatedAnnealing {
 }
 
 impl SimulatedAnnealing {
-    /// Calibrate the initial temperature from `start` by sampling moves:
+    /// Calibrate the initial temperature from `space`'s current state by
+    /// a short always-accepting random walk:
     /// `T₀ = mean(uphill Δ) / −ln(p₀)` makes the average uphill move
     /// acceptable with probability `p₀`. Consumes budget like any other
-    /// search work.
-    ///
-    /// Returns `(T₀, inc, start_cost)` with the incremental evaluator
-    /// reset to `start` so the annealing loop can continue on the same
-    /// evaluated state. Returning the evaluator matters for accounting:
-    /// beginning a second one on the start state in [`anneal`] would
-    /// charge the start twice — one wasted budget unit and a duplicate
-    /// evaluation on every SA run.
-    ///
-    /// [`anneal`]: SimulatedAnnealing::anneal
-    fn initial_temperature<'a, R: Rng + ?Sized>(
+    /// search work, then returns `space` to the start state. Its cost was
+    /// paid when the space was parked on it, so the return charges
+    /// nothing (it rebuilds the memoized state off-budget).
+    fn initial_temperature<'a, N: Neighborhood<'a>, R: Rng + ?Sized>(
         &self,
+        space: &mut N,
         ev: &mut Evaluator<'a>,
-        gen: &mut MoveGenerator,
-        start: JoinOrder,
         rng: &mut R,
-    ) -> (f64, IncrementalEvaluator<'a>, f64) {
-        let home = start.clone();
-        let mut inc = ev.begin_incremental(start);
-        let start_cost = inc.current_cost();
-        let mut current = start_cost;
+    ) -> f64 {
+        let home = space.save();
+        let mut current = space.cost();
         let mut uphill_sum = 0.0f64;
         let mut uphill_n = 0u32;
-        let graph = ev.query().graph();
         for _ in 0..20 {
             if ev.exhausted() {
                 break;
             }
-            let Some((mv, attempts)) = gen.propose_counted(graph, inc.order_mut(), rng) else {
+            let Some((c, _)) = space.step(ev, rng) else {
                 break;
             };
-            ev.charge(u64::from(attempts) - 1);
-            let c = ev.cost_move(&mut inc, &mv);
             // A saturated cost (a NaN or overflow priced as `f64::MAX`)
             // on either side of a step says nothing about the uphill
             // steps of the healthy landscape: counting one would set
@@ -104,21 +95,16 @@ impl SimulatedAnnealing {
                 uphill_sum += delta;
                 uphill_n += 1;
             }
-            inc.commit(); // random walk: always accept during calibration
+            space.commit(); // random walk: always accept during calibration
+            space.note(c);
             current = c;
         }
-        // Walk back to the start state. Its cost was paid when the
-        // evaluator began, so the reset charges nothing (it rebuilds the
-        // memoized state off-budget). The jump invalidates the
-        // generator's windowed validity cache.
-        inc.reset(home);
-        gen.reset();
-        let t0 = if uphill_n == 0 {
+        space.restore(home);
+        if uphill_n == 0 {
             1.0
         } else {
             (uphill_sum / uphill_n as f64) / -(self.init_accept.ln())
-        };
-        (t0, inc, start_cost)
+        }
     }
 
     /// Run annealing from `start` until frozen (and out of restarts) or the
@@ -130,43 +116,57 @@ impl SimulatedAnnealing {
         if ev.exhausted() {
             return;
         }
-        let n = start.len();
-        if n < 2 {
+        if start.len() < 2 {
             ev.cost(&start);
             return;
         }
         let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), self.move_set);
-        let (t0, mut inc, mut current) = self.initial_temperature(ev, &mut gen, start, rng);
-        let chain_length = (self.size_factor * n).max(4);
-        let graph = ev.query().graph();
+        let mut space = Orders::begin(ev, &mut gen, start);
+        self.anneal_in(&mut space, ev, rng);
+    }
+
+    /// Anneal from `space`'s current state (of two or more relations,
+    /// whose cost the caller has already paid) until frozen (and out of
+    /// restarts) or the budget is exhausted. The space keeps the best
+    /// state visited.
+    pub(crate) fn anneal_in<'a, N: Neighborhood<'a>, R: Rng + ?Sized>(
+        &self,
+        space: &mut N,
+        ev: &mut Evaluator<'a>,
+        rng: &mut R,
+    ) {
+        let mut current = space.cost();
+        let t0 = self.initial_temperature(space, ev, rng);
+        let chain_length = (self.size_factor * space.n_rels()).max(4);
 
         let mut temp = t0;
         let mut stale_chains = 0usize;
 
         while !ev.exhausted() {
-            let best_before = ev.best_cost();
+            let best_before = space.best_cost(ev);
             let mut accepted = 0usize;
             for _ in 0..chain_length {
                 if ev.exhausted() {
                     break;
                 }
-                let Some((mv, attempts)) = gen.propose_counted(graph, inc.order_mut(), rng) else {
+                let Some((candidate, _)) = space.step(ev, rng) else {
                     break;
                 };
-                ev.charge(u64::from(attempts) - 1);
-                let candidate = ev.cost_move(&mut inc, &mv);
                 let delta = candidate - current;
                 let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
                 if accept {
-                    inc.commit();
+                    space.commit();
+                    space.note(candidate);
                     current = candidate;
                     accepted += 1;
                 } else {
-                    inc.rollback();
+                    // A rejected candidate was strictly uphill of the
+                    // current state, which is never below the best.
+                    space.rollback();
                 }
             }
             temp *= self.cooling;
-            let improved = ev.best_cost() < best_before;
+            let improved = space.best_cost(ev) < best_before;
             let collapsed = (accepted as f64) < self.min_accept_ratio * chain_length as f64;
             if improved {
                 stale_chains = 0;
@@ -177,12 +177,8 @@ impl SimulatedAnnealing {
                 if self.restart_on_frozen && !ev.exhausted() {
                     // Re-heat from the best state found so far. Its cost
                     // was already paid when it was first evaluated, so the
-                    // restart itself charges nothing (the incremental evaluator
-                    // rebuilds its memoized state off-budget).
-                    if let Some((best, best_cost)) = ev.best() {
-                        let best = best.clone();
-                        inc.reset(best);
-                        gen.reset();
+                    // restart itself charges nothing.
+                    if let Some(best_cost) = space.to_best(ev) {
                         current = best_cost;
                     }
                     temp = (t0 * 0.5).max(f64::MIN_POSITIVE);
@@ -205,10 +201,11 @@ impl SimulatedAnnealing {
 mod tests {
     use super::*;
     use ljqo_catalog::{Query, QueryBuilder};
-    use ljqo_cost::MemoryCostModel;
+    use ljqo_cost::{CostModel, JoinCtx, MemoryCostModel};
     use ljqo_plan::validity::is_valid;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::sync::Mutex;
 
     fn chain_query() -> Query {
         QueryBuilder::new()
@@ -287,42 +284,108 @@ mod tests {
         let sa = SimulatedAnnealing::default();
         let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), sa.move_set);
         let start = random_valid_order(q.graph(), &comp, &mut rng);
-        let (t0, inc, start_cost) =
-            sa.initial_temperature(&mut ev, &mut gen, start.clone(), &mut rng);
+        let mut space = Orders::begin(&mut ev, &mut gen, start.clone());
+        let start_cost = space.cost();
+        let t0 = sa.initial_temperature(&mut space, &mut ev, &mut rng);
         assert!(t0.is_finite() && t0 > 0.0);
         assert!(start_cost.is_finite());
-        // The evaluator comes back parked on the start state, ready to
+        // The space comes back parked on the start state, ready to
         // anneal.
-        assert_eq!(inc.order(), &start);
+        assert_eq!(space.save(), start);
+        assert_eq!(space.cost(), start_cost);
+    }
+
+    /// The memory model, except that it prices `NaN` for one join context
+    /// wherever it occurs, and records every context it prices.
+    #[derive(Default)]
+    struct NanOn {
+        ctx: Option<JoinCtx>,
+        priced: Mutex<Vec<JoinCtx>>,
+    }
+
+    impl CostModel for NanOn {
+        fn join_cost(&self, ctx: &JoinCtx) -> f64 {
+            self.priced.lock().unwrap().push(*ctx);
+            if self.ctx == Some(*ctx) {
+                return f64::NAN;
+            }
+            MemoryCostModel::default().join_cost(ctx)
+        }
+
+        fn name(&self) -> &'static str {
+            "nan-on"
+        }
     }
 
     #[test]
     fn nan_during_calibration_does_not_inflate_initial_temperature() {
         // Regression: a NaN step during the calibration walk saturates to
         // `f64::MAX`, and its Δ used to count as an uphill sample, which
-        // set T₀ ≈ 2e307 for most k below.
-        use ljqo_cost::{CostModel, FaultMode, FaultyCostModel};
+        // set T₀ ≈ 2e307 for most of the faults below — in the linear
+        // space, and in the tree space while it had a walk of its own.
+        use crate::bushy_search::Trees;
+        use ljqo_cost::{FaultMode, FaultyCostModel};
         let q = chain_query();
         let comp: Vec<RelId> = q.rel_ids().collect();
         let sa = SimulatedAnnealing::default();
-        let t0_under = |model: &dyn CostModel| {
+        let t0_under = |model: &dyn CostModel, bushy: bool| {
             let mut ev = Evaluator::new(&q, model);
             let mut rng = SmallRng::seed_from_u64(11);
-            let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), sa.move_set);
             let start = random_valid_order(q.graph(), &comp, &mut rng);
-            sa.initial_temperature(&mut ev, &mut gen, start, &mut rng).0
+            if bushy {
+                let mut space = Trees::begin(&mut ev, start);
+                sa.initial_temperature(&mut space, &mut ev, &mut rng)
+            } else {
+                let mut gen = MoveGenerator::with_compiled(ev.compiled().clone(), sa.move_set);
+                let mut space = Orders::begin(&mut ev, &mut gen, start);
+                sa.initial_temperature(&mut space, &mut ev, &mut rng)
+            }
         };
-        let healthy = t0_under(&MemoryCostModel::default());
-        // The start state prices the first 5 join steps and the 20-move
-        // walk the rest, so every k here lands inside the walk.
+
+        // Linear orders: one NaN step. The start state prices the first 5
+        // join steps and the 20-move walk the rest, so every k here lands
+        // inside the walk.
+        let healthy = t0_under(&MemoryCostModel::default(), false);
         for k in 6..=40 {
             let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(k));
-            let t0 = t0_under(&model);
+            let t0 = t0_under(&model, false);
             assert!(model.evals() >= k, "the NaN at step {k} never fired");
             let ratio = t0 / healthy;
             assert!(
                 (0.5..=2.0).contains(&ratio),
                 "k={k}: T₀ {t0:e} vs {healthy:e}"
+            );
+        }
+
+        // Bushy trees: one join priced NaN wherever it occurs, for each
+        // join the walk reaches that its start tree lacks. A one-shot NaN
+        // would not do: debug builds re-price every tree candidate from
+        // scratch and assert both walks agree bit for bit. Calibration
+        // accepts every move, so a poisoned walk visits the healthy
+        // walk's trees, and T₀ averages the healthy uphill steps between
+        // unpoisoned trees. Poisoning a join for good drops every step
+        // into or out of the trees holding it, so T₀ moves further than
+        // under one NaN step (0.2× to 1.2× on this walk), but stays on
+        // the healthy scale where the defect put it 1e303× above.
+        let healthy = NanOn::default();
+        let t0_healthy = t0_under(&healthy, true);
+        let mut walked: Vec<JoinCtx> = Vec::new();
+        for ctx in healthy.priced.into_inner().unwrap() {
+            if !walked.contains(&ctx) {
+                walked.push(ctx);
+            }
+        }
+        assert!(walked.len() > 10, "{} joins", walked.len());
+        for ctx in walked.split_off(5) {
+            let model = NanOn {
+                ctx: Some(ctx),
+                ..NanOn::default()
+            };
+            let t0 = t0_under(&model, true);
+            let ratio = t0 / t0_healthy;
+            assert!(
+                (0.1..=10.0).contains(&ratio),
+                "bushy, {ctx:?}: T₀ {t0:e} vs {t0_healthy:e}"
             );
         }
     }

@@ -265,28 +265,37 @@ fn immediate_deadline_returns_degraded_fallback() {
 fn expired_deadline_degrades_every_search_method_to_the_heuristic() {
     // No search time means no searched plan, whichever method runs: the
     // annealers must not price their random start and ship it as an
-    // undegraded result.
+    // undegraded result, and a fan-out whose workers found nothing must
+    // still report the deadline they hit.
     let q = chain_query();
     let model = MemoryCostModel::default();
-    for (method, space) in [
-        (Method::Ii, SearchSpace::Linear),
-        (Method::Iai, SearchSpace::Linear),
-        (Method::Sa, SearchSpace::Linear),
-        (Method::Saa, SearchSpace::Linear),
-        (Method::Sak, SearchSpace::Linear),
-        (Method::BushyIi, SearchSpace::Bushy),
-        (Method::BushySa, SearchSpace::Bushy),
+    let (workers, portfolio) = (Parallelism::workers(2), Parallelism::portfolio(2));
+    for (method, space, parallelism) in [
+        (Method::Ii, SearchSpace::Linear, None),
+        (Method::Iai, SearchSpace::Linear, None),
+        (Method::Sa, SearchSpace::Linear, None),
+        (Method::Saa, SearchSpace::Linear, None),
+        (Method::Sak, SearchSpace::Linear, None),
+        (Method::BushyIi, SearchSpace::Bushy, None),
+        (Method::BushySa, SearchSpace::Bushy, None),
+        (Method::Iai, SearchSpace::Linear, Some(&workers)),
+        (Method::Iai, SearchSpace::Linear, Some(&portfolio)),
     ] {
         let config = OptimizerConfig::new(method)
             .with_seed(1)
             .with_space(space)
             .with_deadline(Duration::ZERO);
-        let r = Optimizer::new(&model, &config)
+        let mut optimizer = Optimizer::new(&model, &config);
+        if let Some(parallelism) = parallelism {
+            optimizer = optimizer.with_parallelism(parallelism);
+        }
+        let label = format!("{method} {parallelism:?}");
+        let r = optimizer
             .solve(&q)
-            .unwrap_or_else(|e| panic!("{method}: no plan: {e}"))
+            .unwrap_or_else(|e| panic!("{label}: no plan: {e}"))
             .0;
-        assert!(r.deadline_expired, "{method}");
-        assert_eq!(r.degradation, Degradation::Heuristic, "{method}");
+        assert!(r.deadline_expired, "{label}");
+        assert_eq!(r.degradation, Degradation::Heuristic, "{label}");
     }
 }
 
