@@ -169,11 +169,13 @@ fn main() {
                             gaps.push(gap);
 
                             if matches!(shape, Shape::HubChains) {
-                                let (_, linear_opt) =
-                                    optimal_order_dp(&query, &comp, &model).unwrap();
-                                let (tree, bushy_opt) = optimal_bushy_dp(&query, &comp, &model)
-                                    .expect("hub-chains queries fit the bushy DP")
-                                    .expect("hub-chains queries are not singletons");
+                                let optimum = |space| {
+                                    optimal_dp(&query, &comp, &model, space)
+                                        .expect("hub-chains queries fit the DP")
+                                        .expect("hub-chains queries are not singletons")
+                                };
+                                let (_, linear_opt) = optimum(SearchSpace::Linear);
+                                let (tree, bushy_opt) = optimum(SearchSpace::Bushy);
                                 // The shape exists to make this pair of
                                 // strict inequalities true: no linear
                                 // order can match the bushy optimum, and

@@ -7,8 +7,8 @@ use ljqo_bench::timing::bench;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ljqo::dp::optimal_order_dp;
-use ljqo::{IterativeImprovement, Method, MethodRunner, SimulatedAnnealing};
+use ljqo::dp::optimal_dp;
+use ljqo::{IterativeImprovement, Method, MethodRunner, SearchSpace, SimulatedAnnealing};
 use ljqo_cost::{Evaluator, MemoryCostModel};
 use ljqo_workload::{generate_query, Benchmark};
 
@@ -62,7 +62,7 @@ fn bench_dp() {
         let query = generate_query(&Benchmark::Default.spec(), n, 43);
         let comp: Vec<_> = query.rel_ids().collect();
         bench(&format!("dp_exact/{n}"), || {
-            optimal_order_dp(&query, &comp, &model)
+            optimal_dp(&query, &comp, &model, SearchSpace::Linear)
         });
     }
 }

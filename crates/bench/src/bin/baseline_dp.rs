@@ -6,8 +6,8 @@
 //! 9N². This validates that "scaled cost ≈ 1" in the main experiments
 //! really means near-optimal, not merely "as good as the other methods".
 
-use ljqo::dp::optimal_order_dp;
-use ljqo::{Method, MethodRunner, RandomSampling};
+use ljqo::dp::optimal_dp;
+use ljqo::{Method, MethodRunner, RandomSampling, SearchSpace};
 use ljqo_bench::Args;
 use ljqo_cost::{Evaluator, MemoryCostModel, TimeLimit};
 use ljqo_workload::{generate_query, Benchmark};
@@ -38,7 +38,9 @@ fn main() {
             let seed = args.seed.unwrap_or(0xd9) + (n as u64) * 7919 + qi as u64;
             let query = generate_query(&Benchmark::Default.spec(), n, seed);
             let comp: Vec<_> = query.rel_ids().collect();
-            let (_, opt) = optimal_order_dp(&query, &comp, &model).expect("n >= 2");
+            let (_, opt) = optimal_dp(&query, &comp, &model, SearchSpace::Linear)
+                .expect("generated queries are connected and fit the DP")
+                .expect("n >= 2");
             let budget = TimeLimit::of(9.0).units(n, kappa);
             for (mi, m) in Method::ALL.into_iter().enumerate() {
                 let mut ev = Evaluator::with_budget(&query, &model, budget);

@@ -4,13 +4,13 @@
 //! §2 restricts the search to outer linear trees on the *assumption*
 //! that enough low-cost trees are linear, noting that "the validation of
 //! this assumption is an open problem". For components small enough to
-//! solve exactly, this binary computes both the linear-tree optimum
-//! (System-R DP) and the bushy-tree optimum (`O(3^k)` DP) and reports
-//! the ratio — per benchmark shape, since stars and chains constrain the
-//! tree shapes very differently.
+//! solve exactly, this binary computes the optimum in each space with
+//! the one exact DP (`2^k` subsets in the linear space, `O(3^k)` splits
+//! in the bushy space) and reports the ratio — per benchmark shape,
+//! since stars and chains constrain the tree shapes very differently.
 
-use ljqo::bushy::{optimal_bushy_dp, BUSHY_MAX_RELATIONS};
-use ljqo::dp::optimal_order_dp;
+use ljqo::dp::{dp_limit, optimal_dp};
+use ljqo::SearchSpace::{Bushy, Linear};
 use ljqo_bench::Args;
 use ljqo_cost::{DiskCostModel, MemoryCostModel};
 use ljqo_workload::{generate_query, Benchmark};
@@ -19,13 +19,13 @@ fn main() {
     let args = Args::parse();
     let queries_per_bench = args.queries_per_n.unwrap_or(8);
     // N relations = joins + 1 must fit the exact bushy DP.
-    let max_joins = BUSHY_MAX_RELATIONS - 1;
+    let max_joins = dp_limit(Bushy) - 1;
     let n_joins = match args.joins {
         Some(j) if j > max_joins => {
             eprintln!(
-                "--joins {j} exceeds the exact bushy DP limit of \
-                 {BUSHY_MAX_RELATIONS} relations; clamping to {max_joins} joins \
-                 (use the bushy_search bench for larger N)"
+                "--joins {j} exceeds the exact DP's bushy-space limit of {} relations; \
+                 clamping to {max_joins} joins (use the bushy_search bench for larger N)",
+                dp_limit(Bushy)
             );
             max_joins
         }
@@ -61,14 +61,17 @@ fn main() {
             let query = generate_query(&bench.spec(), n_joins, seed);
             let comp: Vec<_> = query.rel_ids().collect();
 
-            let (_, lin_m) = optimal_order_dp(&query, &comp, &memory).unwrap();
-            // The bushy DP returns typed errors for oversized or
-            // disconnected inputs; neither can occur here (joins are
-            // clamped above, generated queries are connected), so an
-            // error is a real bug worth surfacing.
-            let (tree, bush_m) = optimal_bushy_dp(&query, &comp, &memory)
-                .expect("bushy DP rejected a clamped, connected query")
-                .expect("generated queries have at least two relations");
+            // The DP returns typed errors for oversized or disconnected
+            // inputs; neither can occur here (joins are clamped above,
+            // generated queries are connected), so an error is a real bug
+            // worth surfacing.
+            let optimum = |model, space| {
+                optimal_dp(&query, &comp, model, space)
+                    .expect("DP rejected a clamped, connected query")
+                    .expect("generated queries have at least two relations")
+            };
+            let (_, lin_m) = optimum(&memory, Linear);
+            let (tree, bush_m) = optimum(&memory, Bushy);
             let ratio_m = lin_m / bush_m;
             mem_sum += ratio_m;
             mem_max = mem_max.max(ratio_m);
@@ -76,10 +79,8 @@ fn main() {
                 wins += 1;
             }
 
-            let (_, lin_d) = optimal_order_dp(&query, &comp, &disk).unwrap();
-            let (_, bush_d) = optimal_bushy_dp(&query, &comp, &disk)
-                .expect("bushy DP rejected a clamped, connected query")
-                .expect("generated queries have at least two relations");
+            let (_, lin_d) = optimum(&disk, Linear);
+            let (_, bush_d) = optimum(&disk, Bushy);
             disk_sum += lin_d / bush_d;
         }
         let q = queries_per_bench as f64;

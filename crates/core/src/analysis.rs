@@ -169,6 +169,8 @@ pub fn census_local_minima<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::optimal_dp;
+    use crate::SearchSpace;
     use ljqo_catalog::QueryBuilder;
     use ljqo_cost::MemoryCostModel;
     use rand::rngs::SmallRng;
@@ -224,7 +226,10 @@ mod tests {
         let q = query();
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let (opt_order, _) = crate::dp::optimal_order_dp(&q, &comp, &model).unwrap();
+        let (tree, _) = optimal_dp(&q, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
+        let opt_order = JoinOrder::new(tree.leaves().to_vec());
         assert!(is_swap_local_minimum(&q, &model, &opt_order));
     }
 
@@ -239,7 +244,9 @@ mod tests {
         assert!(census.distinct_minima >= 1);
         assert!(census.deep_fraction > 0.0 && census.deep_fraction <= 1.0);
         // The census's best minimum cannot beat the DP optimum.
-        let (_, opt) = crate::dp::optimal_order_dp(&q, &comp, &model).unwrap();
+        let (_, opt) = optimal_dp(&q, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
         assert!(census.best >= opt - opt * 1e-9);
     }
 }

@@ -1,9 +1,9 @@
 //! Local search over the **bushy** tree space.
 //!
 //! The paper's open problem (§2) is whether restricting the search to
-//! outer linear join trees forfeits much plan quality. [`crate::bushy`]
-//! answers it exactly for small components ([`optimal_bushy_dp`]); this
-//! module answers it at scale: the one
+//! outer linear join trees forfeits much plan quality. The exact DP
+//! ([`optimal_dp`] in [`SearchSpace::Bushy`]) answers it for small
+//! components; this module answers it at scale: the one
 //! [`IterativeImprovement`](crate::IterativeImprovement) and the one
 //! [`SimulatedAnnealing`](crate::SimulatedAnnealing) loop walk
 //! arena-backed trees ([`ljqo_plan::TreePlan`]) whose candidates are
@@ -16,7 +16,7 @@
 //! against the model lower bound is therefore a linear-only feature.
 //!
 //! There is no second driver: [`Optimizer::solve`](crate::Optimizer::solve)
-//! with [`SearchSpace::Bushy`](crate::SearchSpace::Bushy) runs these
+//! with [`SearchSpace::Bushy`] runs these
 //! searches as rung 1 of the one component loop (through
 //! [`MethodRunner::run_bushy`]), under the same per-component budget
 //! split and panic isolation. On any rung-1 failure the linear fallback
@@ -30,8 +30,8 @@ use ljqo_cost::estimate::SizeWalker;
 use ljqo_cost::{CostModel, Evaluator, TreeEvaluator};
 use ljqo_plan::{random_valid_order, JoinOrder, TreeMoveSet, TreePlan};
 
-use crate::bushy::optimal_bushy_dp;
-use crate::driver::tree_cost;
+use crate::dp::optimal_dp;
+use crate::driver::{tree_cost, SearchSpace};
 use crate::error::OptError;
 use crate::methods::{Method, MethodRunner};
 use crate::neighborhood::Neighborhood;
@@ -159,14 +159,15 @@ impl MethodRunner {
 /// Optimality gap of a bushy search result against the exact bushy DP on
 /// one component: `(search − optimum) / optimum`, with the DP tree
 /// re-costed as plan pricing costs a segment, by the walks the search
-/// prices with (zero means bit-equal costs). `Ok(None)` for singletons.
+/// prices with (zero means bit-equal costs). `Ok(None)` for singletons;
+/// the DP's typed errors pass through.
 pub fn bushy_gap_vs_dp(
     query: &Query,
     model: &dyn CostModel,
     component: &[RelId],
     search_cost: f64,
 ) -> Result<Option<f64>, OptError> {
-    let Some((dp_tree, _dp_cost)) = optimal_bushy_dp(query, component, model)? else {
+    let Some((dp_tree, _)) = optimal_dp(query, component, model, SearchSpace::Bushy)? else {
         return Ok(None);
     };
     let optimum = tree_cost(&mut SizeWalker::new(query), model, &dp_tree);
@@ -179,8 +180,7 @@ pub fn bushy_gap_vs_dp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::optimal_order_dp;
-    use crate::{Optimized, Optimizer, OptimizerConfig, SearchSpace};
+    use crate::{Optimized, Optimizer, OptimizerConfig};
     use ljqo_catalog::QueryBuilder;
     use ljqo_cost::MemoryCostModel;
     use ljqo_cost::TimeLimit;
@@ -232,7 +232,9 @@ mod tests {
         let q = hub_chains_query();
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let (tree, _) = optimal_bushy_dp(&q, &comp, &model).unwrap().unwrap();
+        let (tree, _) = optimal_dp(&q, &comp, &model, SearchSpace::Bushy)
+            .unwrap()
+            .unwrap();
         let compiled = std::sync::Arc::new(ljqo_catalog::CompiledQuery::new(&q));
         let plan = tree.to_plan(&compiled);
         assert!(plan.audit(&compiled).is_ok());
@@ -261,7 +263,9 @@ mod tests {
         let q = hub_chains_query();
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let (_, linear_opt) = optimal_order_dp(&q, &comp, &model).unwrap();
+        let (_, linear_opt) = optimal_dp(&q, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
         for method in [Method::BushyIi, Method::BushySa] {
             let r = solve(&q, &model, &config(method, 5));
             assert!(
@@ -321,7 +325,9 @@ mod tests {
         let q = chain_query();
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let (_, linear_opt) = optimal_order_dp(&q, &comp, &model).unwrap();
+        let (_, linear_opt) = optimal_dp(&q, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
         for seed in 0..4 {
             let r = solve(&q, &model, &config(Method::BushyIi, seed));
             assert!(

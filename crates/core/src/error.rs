@@ -28,10 +28,9 @@ pub enum OptError {
         component: usize,
     },
     /// An exact algorithm was asked to solve a component larger than its
-    /// complexity admits (the bushy DP is `O(3^k)`; beyond
-    /// [`BUSHY_MAX_RELATIONS`](crate::bushy::BUSHY_MAX_RELATIONS) a single
-    /// call would outlast any budget). Callers degrade to local search
-    /// instead of crashing.
+    /// complexity admits (beyond [`dp_limit`](crate::dp::dp_limit) one
+    /// call of the DP would outlast any budget). Callers degrade to local
+    /// search instead of crashing.
     ComponentTooLarge {
         /// Relations in the offending component.
         n_relations: usize,

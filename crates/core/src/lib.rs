@@ -34,14 +34,13 @@
 //!   is bit-deterministic in `(seed, workers)`, and heterogeneous method
 //!   portfolios ([`parallel::PORTFOLIO`]) with an optional structural
 //!   challenger.
-//! * [`dp`] — exact System-R-style dynamic programming over valid
-//!   left-deep trees, feasible only for small `N`; used as a test oracle
-//!   and a baseline.
-//! * [`bushy`] / [`bushy_search`] — the paper's open problem attacked
-//!   head-on: exact bushy DP for small components, and the II/SA loops
-//!   over arena-backed bushy trees for large ones, with path-to-root
+//! * [`dp`] — exact System-R-style dynamic programming over the
+//!   cross-product-free plans of either search space, feasible only for
+//!   small `N`; used as a test oracle and a baseline.
+//! * [`bushy_search`] — the paper's open problem attacked head-on: the
+//!   II/SA loops over arena-backed bushy trees, with path-to-root
 //!   incremental re-costing, run by [`Optimizer`] in
-//!   [`SearchSpace::Bushy`].
+//!   [`SearchSpace::Bushy`] and measured against the DP's bushy optimum.
 //! * [`eval`] — the paper's scaled-cost statistics (outlying values coerced
 //!   to 10).
 //!
@@ -71,7 +70,6 @@
 
 pub mod analysis;
 pub mod bound;
-pub mod bushy;
 pub mod bushy_search;
 mod cached;
 pub mod dp;

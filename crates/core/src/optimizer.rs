@@ -636,7 +636,9 @@ mod tests {
         let q = connected_query();
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let (_, opt) = crate::dp::optimal_order_dp(&q, &comp, &model).unwrap();
+        let (_, opt) = crate::dp::optimal_dp(&q, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
         let r = Optimizer::new(&model, &OptimizerConfig::new(Method::Iai).with_seed(42))
             .solve(&q)
             .unwrap()

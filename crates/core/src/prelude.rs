@@ -5,9 +5,8 @@
 //! ```
 
 pub use crate::bound::{bound_report, cardinality_floors, component_bound, BoundReport};
-pub use crate::bushy::optimal_bushy_dp;
 pub use crate::bushy_search::bushy_gap_vs_dp;
-pub use crate::dp::{optimal_order_dp, optimal_order_exhaustive};
+pub use crate::dp::{dp_limit, optimal_dp, optimal_order_exhaustive};
 pub use crate::eval::{mean_scaled_cost, per_query_best, scaled_cost, OUTLIER_CAP};
 pub use crate::parallel::{
     run_portfolio, shard_budget, ParallelOptions, ParallelResult, Parallelism, WorkerReport,

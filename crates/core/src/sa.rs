@@ -358,9 +358,7 @@ mod tests {
         }
 
         // Bushy trees: one join priced NaN wherever it occurs, for each
-        // join the walk reaches that its start tree lacks. A one-shot NaN
-        // would not do: debug builds re-price every tree candidate from
-        // scratch and assert both walks agree bit for bit. Calibration
+        // join the walk reaches that its start tree lacks. Calibration
         // accepts every move, so a poisoned walk visits the healthy
         // walk's trees, and T₀ averages the healthy uphill steps between
         // unpoisoned trees. Poisoning a join for good drops every step

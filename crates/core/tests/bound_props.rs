@@ -1,12 +1,12 @@
 //! Soundness of the LP-style lower-bound certifier (`ljqo::bound`).
 //!
 //! The certifier's one obligation is admissibility: on every instance,
-//! `linear ≤` the exact left-deep DP optimum and `tree ≤` the exact
-//! bushy DP optimum. These tests check that obligation against 200
-//! seeded random catalogs per model — chains, stars, and random trees
-//! with one to four components — at sizes where the DPs are exact
-//! (`N ≤ 14` linear, `N ≤ 18` bushy... kept smaller per-case so 200
-//! cases stay fast; a few pinned cases exercise the upper sizes).
+//! `linear ≤` the exact DP's left-deep optimum and `tree ≤` its bushy
+//! optimum. These tests check that obligation against 200 seeded random
+//! catalogs per model — chains, stars, and random trees with one to four
+//! components — at sizes where the DP is exact (kept small per case so
+//! 200 cases stay fast; a few pinned cases exercise the upper sizes).
+//! Each optimum must also be the price of its own tree.
 //!
 //! Offline property-test idiom: seeded-RNG loops, one derived seed per
 //! case, failures reproduce exactly.
@@ -60,37 +60,43 @@ fn models() -> Vec<(&'static str, Box<dyn CostModel>)> {
     ]
 }
 
+/// The DP's optimum in `space`, checked to be the price of its own tree.
+fn priced_optimum(
+    tag: &str,
+    q: &Query,
+    comp: &[RelId],
+    model: &dyn CostModel,
+    space: SearchSpace,
+) -> Option<f64> {
+    let (tree, dp_cost) = optimal_dp(q, comp, model, space).ok()??;
+    let priced = recost_trees(q, model, std::slice::from_ref(&tree));
+    assert!(
+        (dp_cost - priced).abs() <= priced * 1e-12,
+        "{tag}: {} DP reports {dp_cost} for a tree that prices at {priced}",
+        space.name()
+    );
+    Some(dp_cost)
+}
+
 fn assert_sound(tag: &str, q: &Query, model: &dyn CostModel) {
     for comp in q.graph().components() {
         let b = component_bound(q, model, &comp);
-        if let Some((order, dp_cost)) = optimal_order_dp(q, &comp, model) {
+        let linear = priced_optimum(tag, q, &comp, model, SearchSpace::Linear);
+        if let Some(lin) = linear {
             assert!(
-                b.linear <= dp_cost * (1.0 + 1e-12) + 1e-9,
-                "{tag}: linear bound {} exceeds linear DP optimum {dp_cost} (order {order:?})",
+                b.linear <= lin * (1.0 + 1e-12) + 1e-9,
+                "{tag}: linear bound {} exceeds linear DP optimum {lin}",
                 b.linear
             );
         }
-        if comp.len() <= 18 {
-            if let Ok(Some((tree, dp_cost))) = optimal_bushy_dp(q, &comp, model) {
-                // Compare against the arena re-costing (the same fold the
-                // searches use); the DP's own fold may differ in the last
-                // bits.
-                let recost = recost_trees(q, model, std::slice::from_ref(&tree));
-                let optimum = dp_cost.min(recost);
-                assert!(
-                    b.tree <= optimum * (1.0 + 1e-12) + 1e-9,
-                    "{tag}: tree bound {} exceeds bushy DP optimum {optimum}",
-                    b.tree
-                );
-                // A bushy bound must also hold on the *linear* optimum.
-                if let Some((_, lin)) = optimal_order_dp(q, &comp, model) {
-                    assert!(
-                        b.tree <= lin * (1.0 + 1e-12) + 1e-9,
-                        "{tag}: tree bound {} exceeds linear optimum {lin}",
-                        b.tree
-                    );
-                }
-            }
+        // A bushy bound must hold on both optima.
+        let bushy = priced_optimum(tag, q, &comp, model, SearchSpace::Bushy);
+        for optimum in [bushy, linear].into_iter().flatten() {
+            assert!(
+                b.tree <= optimum * (1.0 + 1e-12) + 1e-9,
+                "{tag}: tree bound {} exceeds DP optimum {optimum}",
+                b.tree
+            );
         }
     }
 }
@@ -109,14 +115,30 @@ fn bound_is_admissible_on_200_random_catalogs() {
 
 #[test]
 fn bound_is_admissible_at_dp_size_limits() {
-    // The largest sizes the exact DPs handle comfortably: N = 14 linear,
-    // N = 18 bushy (bushy only priced when the component is ≤ 18).
+    // The largest sizes the exact DP handles comfortably, up to its
+    // bushy-space limit of 18 relations.
     for (name, model) in models() {
         for (case, n) in [(0u64, 14usize), (1, 16), (2, 18)] {
             let mut rng = SmallRng::seed_from_u64(0x0b0c_da11 ^ case);
             let q = random_query(&mut rng, n);
             assert_sound(&format!("{name}/limit/n{n}"), &q, model.as_ref());
         }
+        // A chain whose relations multiply past the 1e120 cardinality
+        // clamp while every real intermediate stays at 1e8 rows: a
+        // subset's cardinality must come from join steps, not from the
+        // product of its base cardinalities.
+        let mut b = QueryBuilder::new();
+        for i in 0..18 {
+            b = b.relation(format!("r{i}"), 100_000_000);
+        }
+        for i in 1..18 {
+            b = b.join(&format!("r{}", i - 1), &format!("r{i}"), 1e-8);
+        }
+        assert_sound(
+            &format!("{name}/limit/chain18"),
+            &b.build().unwrap(),
+            model.as_ref(),
+        );
     }
 }
 

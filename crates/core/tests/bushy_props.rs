@@ -133,9 +133,9 @@ fn tree_moves_preserve_leaves_and_cross_product_freedom() {
 
 #[test]
 fn incremental_recost_is_bit_identical_to_full_under_every_model() {
-    // The promise debug builds assert on every move, re-checked here
-    // explicitly so release runs (CI's release test step) cover it too,
-    // under all three cost models.
+    // The evaluator does not re-check itself, so this suite is where
+    // the promise is kept, on every move, under all three cost models
+    // and in both test profiles.
     let moves = TreeMoveSet::default();
     for (name, model) in models() {
         for case in 0..CASES {
@@ -231,39 +231,43 @@ fn dp_typed_errors_fire_for_exactly_the_inputs_that_deserve_them() {
     let model = MemoryCostModel::default();
     let mut rng = SmallRng::seed_from_u64(0xb000_0005);
 
-    // Oversized component: a connected chain one past the DP limit.
-    let big = connected_query(&mut rng, ljqo::bushy::BUSHY_MAX_RELATIONS + 1);
-    let comp: Vec<RelId> = big.rel_ids().collect();
-    match optimal_bushy_dp(&big, &comp, &model) {
-        Err(OptError::ComponentTooLarge { n_relations, limit }) => {
-            assert_eq!(n_relations, comp.len());
-            assert_eq!(limit, ljqo::bushy::BUSHY_MAX_RELATIONS);
-        }
-        other => panic!("expected ComponentTooLarge, got {other:?}"),
-    }
-    // The gap helper propagates the same typed error.
-    assert!(matches!(
-        bushy_gap_vs_dp(&big, &model, &comp, 1.0),
-        Err(OptError::ComponentTooLarge { .. })
-    ));
-
-    // A "component" spanning two real components is disconnected.
-    let two = component_query(&mut rng, 2);
-    let all: Vec<RelId> = two.rel_ids().collect();
-    if two.graph().components().len() == 2 {
-        match optimal_bushy_dp(&two, &all, &model) {
-            Err(OptError::DisconnectedComponent { n_relations }) => {
-                assert_eq!(n_relations, all.len());
+    for space in [SearchSpace::Bushy, SearchSpace::Linear] {
+        // Oversized component: a connected query one past the DP limit.
+        let big = connected_query(&mut rng, dp_limit(space) + 1);
+        let comp: Vec<RelId> = big.rel_ids().collect();
+        match optimal_dp(&big, &comp, &model, space) {
+            Err(OptError::ComponentTooLarge { n_relations, limit }) => {
+                assert_eq!(n_relations, comp.len());
+                assert_eq!(limit, dp_limit(space));
             }
-            other => panic!("expected DisconnectedComponent, got {other:?}"),
+            other => panic!("{space:?}: expected ComponentTooLarge, got {other:?}"),
         }
-    }
+        if space == SearchSpace::Bushy {
+            // The gap helper propagates the same typed error.
+            assert!(matches!(
+                bushy_gap_vs_dp(&big, &model, &comp, 1.0),
+                Err(OptError::ComponentTooLarge { .. })
+            ));
+        }
 
-    // Singletons are not an error: there is simply nothing to join.
-    let single = component_query(&mut rng, 1);
-    let first = single.rel_ids().next().unwrap();
-    assert!(matches!(
-        optimal_bushy_dp(&single, &[first], &model),
-        Ok(None)
-    ));
+        // A "component" spanning two real components is disconnected.
+        let two = component_query(&mut rng, 2);
+        let all: Vec<RelId> = two.rel_ids().collect();
+        if two.graph().components().len() == 2 {
+            match optimal_dp(&two, &all, &model, space) {
+                Err(OptError::DisconnectedComponent { n_relations }) => {
+                    assert_eq!(n_relations, all.len());
+                }
+                other => panic!("{space:?}: expected DisconnectedComponent, got {other:?}"),
+            }
+        }
+
+        // Singletons are not an error: there is simply nothing to join.
+        let single = component_query(&mut rng, 1);
+        let first = single.rel_ids().next().unwrap();
+        assert!(matches!(
+            optimal_dp(&single, &[first], &model, space),
+            Ok(None)
+        ));
+    }
 }

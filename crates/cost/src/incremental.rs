@@ -35,7 +35,7 @@
 //!
 //! Reusing the memoized tail re-associates a sum of `f64` step costs, so
 //! an *evaluation* may differ from a from-scratch walk by a few ulps
-//! (debug builds assert agreement within `1e-9` relative). Two guard
+//! (the differential suites check agreement within `1e-9` relative). Two guard
 //! rails keep this honest:
 //!
 //! * [`IncrementalEvaluator::commit`] recomputes the suffix with the exact
@@ -294,7 +294,7 @@ impl<'a> IncrementalEvaluator<'a> {
 
     /// From-scratch reference cost of the current order (including a
     /// pending move, if one is applied): the exact value the incremental
-    /// path must reproduce. `O(N·deg)` — for tests, debug assertions and
+    /// path must reproduce. `O(N·deg)` — for tests and
     /// callers that need an authoritative re-check.
     pub fn full_eval(&self) -> f64 {
         let mut walker = SizeWalker::with_compiled(Arc::clone(&self.compiled));
@@ -564,8 +564,7 @@ fn swap_slot(lo: usize, hi: usize) -> usize {
 }
 
 /// Whether two saturated costs agree up to the incremental path's
-/// re-association tolerance (used by the debug-mode agreement assertion
-/// and the cross-checking property tests).
+/// re-association tolerance (used by the cross-checking property tests).
 pub fn costs_agree(a: f64, b: f64) -> bool {
     if a == b {
         return true;

@@ -48,7 +48,7 @@ impl JoinCtx {
     ///
     /// The left-deep walks reach this through
     /// [`crate::estimate::join_step`], which folds `sel` from the
-    /// compiled snapshot; the tree walk, the linear DP and the late cross
+    /// compiled snapshot; the tree walk, the exact DP and the late cross
     /// products of plan pricing supply their own `sel`.
     #[inline(always)]
     pub fn step(

@@ -33,7 +33,7 @@
 //! associate identically. That makes bushy-vs-linear comparisons exact
 //! rather than tolerance-based. Each node's value is a pure function of its
 //! children's values, so the path-to-root recompute is bit-identical to a
-//! full bottom-up re-cost — debug builds assert this on **every** move.
+//! full bottom-up re-cost; `bushy_props` checks this on every move.
 //!
 //! # Protocol
 //!
@@ -264,10 +264,9 @@ impl<'a> TreeEvaluator<'a> {
     }
 
     /// Cost of the pending (applied) tree, re-costing only the dirtied
-    /// path-to-root nodes against the memoized subtrees below them.
-    ///
-    /// Debug builds assert the result is **bit-identical** to a full
-    /// bottom-up re-cost of the applied tree.
+    /// path-to-root nodes against the memoized subtrees below them. It is
+    /// bit-identical to [`full_cost`](TreeEvaluator::full_cost) of the
+    /// applied tree; the differential suites pin that.
     pub fn eval_pending(&mut self) -> f64 {
         debug_assert!(!self.pending, "eval_pending called twice");
         debug_assert!(self.plan.has_pending(), "no applied move to evaluate");
@@ -303,14 +302,6 @@ impl<'a> TreeEvaluator<'a> {
         );
         let total = sanitize_cost(self.cand_cost[root as usize].min(f64::MAX));
         self.pending = true;
-        #[cfg(debug_assertions)]
-        {
-            let full = self.full_cost_scratchless();
-            assert_eq!(
-                total, full,
-                "path-to-root incremental cost diverged from full tree re-cost"
-            );
-        }
         total
     }
 
@@ -349,12 +340,8 @@ impl<'a> TreeEvaluator<'a> {
 
     /// Full bottom-up re-cost of the tree *as it currently stands*
     /// (including a pending move, if any), without touching the memo.
-    /// Allocates; for tests and the debug agreement assertion.
+    /// Allocates; for tests.
     pub fn full_cost(&mut self) -> f64 {
-        self.full_cost_scratchless()
-    }
-
-    fn full_cost_scratchless(&mut self) -> f64 {
         let n = self.plan.n_nodes();
         let mut card = vec![0.0; n];
         let mut cost = vec![0.0; n];
@@ -439,8 +426,6 @@ mod tests {
                 continue;
             };
             let cand = te.eval_pending();
-            // Release builds need the explicit check too (debug builds
-            // assert inside eval_pending already).
             let full = te.full_cost();
             assert_eq!(cand, full);
             if cand < current {

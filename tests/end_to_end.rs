@@ -71,7 +71,9 @@ fn methods_reach_dp_optimum_on_small_queries() {
     for seed in 0..total {
         let query = generate_query(&Benchmark::Default.spec(), 10, seed);
         let comp: Vec<RelId> = query.rel_ids().collect();
-        let (_, opt) = optimal_order_dp(&query, &comp, &model).unwrap();
+        let (_, opt) = optimal_dp(&query, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
         let result = Optimizer::new(
             &model,
             &OptimizerConfig::new(Method::Iai).with_seed(seed ^ 0xf),

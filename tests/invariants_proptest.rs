@@ -208,7 +208,9 @@ fn dp_is_a_true_lower_bound() {
         let query = generate_query(&Benchmark::Default.spec(), n, seed);
         let comp: Vec<RelId> = query.rel_ids().collect();
         let model = MemoryCostModel::default();
-        let (_, opt) = optimal_order_dp(&query, &comp, &model).unwrap();
+        let (_, opt) = optimal_dp(&query, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
         for method in [Method::Ii, Method::Iai, Method::Agi] {
             let mut ev = Evaluator::with_budget(&query, &model, 2_000);
             let mut method_rng = SmallRng::seed_from_u64(seed ^ 0x5);

@@ -1,5 +1,5 @@
-//! Cross-crate checks of the bushy-tree DP against the linear DP and the
-//! randomized methods, on workload-generated queries (the paper's open
+//! Cross-crate checks of the exact DP's bushy optimum against its linear
+//! optimum and the randomized methods, on workload-generated queries (the paper's open
 //! problem about restricting to outer linear trees).
 
 use ljqo::prelude::*;
@@ -11,8 +11,12 @@ fn bushy_optimum_lower_bounds_linear_methods() {
     for seed in 0..6u64 {
         let query = generate_query(&Benchmark::Default.spec(), 10, 0xb5 + seed);
         let comp: Vec<RelId> = query.rel_ids().collect();
-        let (_, linear) = optimal_order_dp(&query, &comp, &model).unwrap();
-        let (tree, bushy) = optimal_bushy_dp(&query, &comp, &model).unwrap().unwrap();
+        let (_, linear) = optimal_dp(&query, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
+        let (tree, bushy) = optimal_dp(&query, &comp, &model, SearchSpace::Bushy)
+            .unwrap()
+            .unwrap();
         assert!(
             bushy <= linear * (1.0 + 1e-12),
             "seed {seed}: bushy {bushy} > linear {linear}"
@@ -39,8 +43,12 @@ fn linear_assumption_holds_on_default_benchmark() {
     for seed in 0..8u64 {
         let query = generate_query(&Benchmark::Default.spec(), 10, 0x11ea + seed);
         let comp: Vec<RelId> = query.rel_ids().collect();
-        let (_, linear) = optimal_order_dp(&query, &comp, &model).unwrap();
-        let (_, bushy) = optimal_bushy_dp(&query, &comp, &model).unwrap().unwrap();
+        let (_, linear) = optimal_dp(&query, &comp, &model, SearchSpace::Linear)
+            .unwrap()
+            .unwrap();
+        let (_, bushy) = optimal_dp(&query, &comp, &model, SearchSpace::Bushy)
+            .unwrap()
+            .unwrap();
         worst = worst.max(linear / bushy);
     }
     assert!(

@@ -190,15 +190,34 @@ fn nan_costs_never_poison_the_result() {
     }
 }
 
+/// A fault is counted in model calls, so a fault test means the same
+/// thing in a debug and a release build only if both builds call the
+/// model equally often. One constant per method holds in both profiles.
+#[test]
+fn model_calls_under_a_fault_are_the_same_in_every_build() {
+    let q = chain_query();
+    for (method, want) in [(Method::Ii, 698u64), (Method::Sa, 1161), (Method::Iai, 685)] {
+        let model = FaultyCostModel::new(MemoryCostModel::default(), FaultMode::NanOnKth(2));
+        let config = OptimizerConfig::new(method)
+            .with_seed(7)
+            .with_time_limit(18.0);
+        Optimizer::new(&model, &config).solve(&q).unwrap();
+        assert_eq!(model.evals(), want, "{method}");
+    }
+}
+
 #[test]
 fn bushy_space_faults_walk_the_one_fallback_ladder() {
     // The bushy tree search is rung 1 of the one component loop. A
     // panic under it falls down the same ladder as a linear method, and
     // the rescued order enters the result as its left-deep tree. A NaN
     // saturates, as in the linear space: the search completes undegraded
-    // and never selects the poisoned tree.
+    // and never selects the poisoned tree, wherever in the walk it lands.
     let q = chain_query();
-    for mode in [FaultMode::PanicOnKth(1), FaultMode::NanOnKth(1)] {
+    let modes = [FaultMode::PanicOnKth(1)]
+        .into_iter()
+        .chain([1].into_iter().chain(6..=40).map(FaultMode::NanOnKth));
+    for mode in modes {
         for method in [Method::BushyIi, Method::BushySa] {
             let model = FaultyCostModel::new(MemoryCostModel::default(), mode);
             let config = OptimizerConfig::new(method)
