@@ -168,10 +168,9 @@ fn linear_paths_report_the_oracle_cost() {
 
 #[test]
 fn fanouts_and_early_stop_report_the_oracle_cost() {
-    let runs: [(&str, Option<Parallelism>, Option<f64>); 5] = [
+    let runs: [(&str, Option<Parallelism>, Option<f64>); 4] = [
         ("workers2", Some(Parallelism::workers(2)), None),
         ("portfolio4", Some(Parallelism::portfolio(4)), None),
-        ("robust4", Some(Parallelism::robust_portfolio(4)), None),
         ("early_stop", None, Some(0.5)),
         (
             "early_stop_workers2",

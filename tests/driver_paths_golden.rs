@@ -1,7 +1,6 @@
 //! Driver-path golden: every way of running the optimizer — sequential,
-//! a one-method fan-out, portfolio, the structural challenger, early
-//! stopping, and the uncached and cached batch pools — is a pure
-//! function of its inputs.
+//! a one-method fan-out, portfolio, early stopping, and the uncached and
+//! cached batch pools — is a pure function of its inputs.
 //!
 //! Each line records the plan order, the bits of its cost, the budget
 //! units used, the evaluations performed, the portfolio winner, the
@@ -139,11 +138,10 @@ fn grid() -> String {
     let queries = queries();
     let mut out = String::new();
 
-    let single: [(&str, Option<Parallelism>, Option<f64>); 6] = [
+    let single: [(&str, Option<Parallelism>, Option<f64>); 5] = [
         ("sequential", None, None),
         ("workers2", Some(Parallelism::workers(2)), None),
         ("portfolio4", Some(Parallelism::portfolio(4)), None),
-        ("robust4", Some(Parallelism::robust_portfolio(4)), None),
         ("early_stop", None, Some(5.0)),
         (
             "early_stop_workers2",
