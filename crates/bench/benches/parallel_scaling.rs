@@ -55,11 +55,10 @@ fn main() {
                 &[Method::Ii],
                 &comp,
                 &ParallelOptions::new(budget, w, 9),
-            )
-            .expect("budgeted run yields a state");
-            cost = r.cost;
+            );
+            cost = r.winner.expect("budgeted run yields a state").1;
             units = r.units_used;
-            black_box(r.cost)
+            black_box(cost)
         });
         scaling_rows.push(ljqo_json::json!({
             "workers": w as u64,

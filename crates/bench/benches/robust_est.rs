@@ -9,19 +9,10 @@
 //! user actually runs, relative to a perfect-information solve
 //! (`max(0, true/reference − 1)`, averaged over seeds).
 //!
-//! A second grid compares the uniform II/SA/AGI/KBI portfolio with the
-//! robust portfolio (the same rotation plus the cardinality-free
-//! structural challenger) over memory and disk models, τ 0.3 and 9, 10
-//! to 60 joins and q-error 10 to 1000. It asserts the never-worse
-//! contract on every instance (at equal budget, the robust run's cost is
-//! never above the uniform run's) and counts the cells where the
-//! challenger lowers mean regret by at least 1% (EXPERIMENTS.md, "The
-//! cardinality-free challenger against the uniform portfolio").
-//!
-//! Two more in-run assertions pin the harness itself: regret is exactly
-//! `0` at q = 1 (the perturbation is the identity there), and every
-//! CARDFREE row reports an undegraded solve (the structural method
-//! cannot be hurt by statistics).
+//! Two in-run assertions pin the harness itself: regret is exactly `0`
+//! at q = 1 (the perturbation is the identity there), and every CARDFREE
+//! row reports an undegraded solve (the structural method cannot be
+//! hurt by statistics).
 //!
 //! Writes `BENCH_robust_est.json` (see [`ljqo_bench::snapshot`] for
 //! `BENCH_OUT_DIR` and the seconds-long `BENCH_SMOKE` run).
@@ -57,7 +48,6 @@ fn main() {
     let model = MemoryCostModel::default();
     let started = Instant::now();
 
-    // --- Per-method regret grid -----------------------------------------
     let mut method_rows: Vec<ljqo_json::Value> = Vec::new();
     for shape in JobShape::ALL {
         for &n_joins in sizes {
@@ -116,114 +106,10 @@ fn main() {
         }
     }
 
-    // --- Portfolio grid: uniform vs robust, never-worse asserted --------
-    // The widened grid of the challenger experiment (EXPERIMENTS.md):
-    // model x tau x shape x size x q, with q >= 10 throughout.
-    let (p_models, p_taus, p_sizes, p_qerrors): (&[&str], &[f64], &[usize], &[f64]) = if smoke {
-        (&["memory"], &[9.0], &[10], &[10.0])
-    } else {
-        (
-            &["memory", "disk"],
-            &[0.3, 9.0],
-            &[10, 30, 60],
-            &[10.0, 100.0, 1000.0],
-        )
-    };
-    let disk = DiskCostModel::default();
-    let mut portfolio_rows: Vec<ljqo_json::Value> = Vec::new();
-    let (mut cells, mut cells_helped, mut instances, mut plans_changed) = (0u64, 0u64, 0u64, 0u64);
-    for &model_name in p_models {
-        let p_model: &dyn CostModel = if model_name == "disk" { &disk } else { &model };
-        for &tau in p_taus {
-            for shape in JobShape::ALL {
-                for &n_joins in p_sizes {
-                    for &q in p_qerrors {
-                        let mut plain_regrets = Vec::new();
-                        let mut robust_regrets = Vec::new();
-                        let mut changed = 0u64;
-                        for seed in 0..seeds {
-                            let truth = generate_job_query(
-                                &JobSpec::new(shape),
-                                n_joins,
-                                0xe571_0001 ^ (n_joins as u64) << 32 ^ seed,
-                            );
-                            let observed = Perturbation::new(q, PerturbMode::Correlated, seed)
-                                .observed(&truth);
-                            let config = OptimizerConfig::new(Method::Ii)
-                                .with_seed(seed)
-                                .with_time_limit(tau);
-                            let optimizer = Optimizer::new(p_model, &config);
-                            let plain = regret_under(
-                                &truth,
-                                &observed,
-                                &optimizer.with_parallelism(&Parallelism::portfolio(4)),
-                            )
-                            .expect("uniform portfolio plans every instance");
-                            let robust = regret_under(
-                                &truth,
-                                &observed,
-                                &optimizer.with_parallelism(&Parallelism::robust_portfolio(4)),
-                            )
-                            .expect("robust portfolio plans every instance");
-                            // The acceptance contract: with material estimation
-                            // error, the portfolio including the cardinality-free
-                            // challenger is never worse than the uniform one at
-                            // equal budget, on the catalog both optimized.
-                            if q >= 10.0 {
-                                assert!(
-                                    robust.observed_cost <= plain.observed_cost,
-                                    "never-worse violated: {model_name}/{tau}/{shape:?}/\
-                                     {n_joins}/q{q}/{seed}: robust {} > uniform {}",
-                                    robust.observed_cost,
-                                    plain.observed_cost
-                                );
-                            }
-                            changed += u64::from(robust.observed_cost < plain.observed_cost);
-                            plain_regrets.push(plain.regret);
-                            robust_regrets.push(robust.regret);
-                        }
-                        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-                        let (uniform, robust) = (mean(&plain_regrets), mean(&robust_regrets));
-                        // The experiment's rule: the challenger helps in a cell
-                        // when it lowers a positive mean regret by at least 1%.
-                        let helped = uniform > 0.0 && robust <= 0.99 * uniform;
-                        cells += 1;
-                        cells_helped += u64::from(helped);
-                        instances += seeds;
-                        plans_changed += changed;
-                        println!(
-                            "{model_name}/tau{tau}/{}/{n_joins}j/q{q}/portfolio: \
-                             uniform regret {uniform:.5}, robust {robust:.5}, \
-                             plans changed {changed}",
-                            shape.name(),
-                        );
-                        portfolio_rows.push(ljqo_json::json!({
-                            "model": model_name,
-                            "tau": tau,
-                            "shape": shape.name(),
-                            "n_joins": n_joins as u64,
-                            "qerror": q,
-                            "uniform_mean_regret": json_num(uniform),
-                            "robust_mean_regret": json_num(robust),
-                            "plans_changed": changed,
-                            "challenger_helped": helped,
-                            "never_worse_checked": q >= 10.0,
-                            "seeds": seeds,
-                        }));
-                    }
-                }
-            }
-        }
-    }
-    println!(
-        "challenger: helped in {cells_helped} of {cells} cells, \
-         changed the plan in {plans_changed} of {instances} instances"
-    );
-
     let report = ljqo_json::json!({
         "bench": "robust_est",
-        "description": "Regret under controlled estimation error (q-error), per method and for the uniform vs robust portfolio",
-        "model": "memory (method grid); memory and disk (portfolio grid)",
+        "description": "Regret under controlled estimation error (q-error), per method",
+        "model": "memory",
         "workload": "JOB-shaped generators (star / snowflake / cyclic), correlated perturbation",
         "perturb_mode": "correlated",
         "smoke": smoke,
@@ -232,13 +118,6 @@ fn main() {
             METHODS.iter().map(|m| ljqo_json::Value::from(m.name())).collect()
         ),
         "method_grid": ljqo_json::Value::Array(method_rows),
-        "portfolio_grid": ljqo_json::Value::Array(portfolio_rows),
-        "portfolio_verdict": ljqo_json::json!({
-            "cells": cells,
-            "cells_helped": cells_helped,
-            "instances": instances,
-            "plans_changed": plans_changed,
-        }),
     });
 
     ljqo_bench::snapshot::write_snapshot("BENCH_robust_est.json", &report);

@@ -37,7 +37,7 @@ use ljqo_plan::{random_valid_order, BushyTree, JoinOrder, Plan};
 use crate::error::Degradation;
 use crate::methods::{Method, MethodRunner};
 use crate::optimizer::Optimizer;
-use crate::parallel::{portfolio_on, splitmix, ParallelOptions};
+use crate::parallel::{run_workers, splitmix, ParallelOptions};
 
 /// The plan shapes a search ranges over.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -339,11 +339,10 @@ pub(crate) fn plan_component(
             seed: config.seed ^ splitmix(idx as u64),
             stop_threshold,
             deadline: config.deadline,
-            challenger: par.structural_backstop,
         };
         // No winner: every worker panicked or the budget bought no state.
         // The accounting stands either way.
-        let r = portfolio_on(query, compiled, model, &config.runner, methods, comp, &opts);
+        let r = run_workers(query, compiled, model, &config.runner, methods, comp, &opts);
         ComponentOutcome {
             best: r
                 .winner

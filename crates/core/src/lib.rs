@@ -32,8 +32,7 @@
 //!   thread pool.
 //! * [`parallel`] — multicore extensions: a fan-out of one method that
 //!   is bit-deterministic in `(seed, workers)`, and heterogeneous method
-//!   portfolios ([`parallel::PORTFOLIO`]) with an optional structural
-//!   challenger.
+//!   portfolios ([`parallel::PORTFOLIO`]).
 //! * [`dp`] — exact System-R-style dynamic programming over the
 //!   cross-product-free plans of either search space, feasible only for
 //!   small `N`; used as a test oracle and a baseline.

@@ -15,8 +15,7 @@
 //! * **Component loop.** Without parallelism each component runs the
 //!   configured method sequentially down the fallback ladder. With it,
 //!   each component's share is sharded over a worker pool
-//!   ([`run_portfolio`]), and the structural backstop challenges the
-//!   winner.
+//!   ([`run_portfolio`]).
 //! * **Cache step.** With a cache, a resident entry is re-validated and
 //!   re-priced against the live catalog before it is served, and a
 //!   full-quality cold result is inserted (see [`crate::cached`] for the

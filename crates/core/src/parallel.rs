@@ -20,8 +20,7 @@
 //!   AGI, and KBZ-seeded II) instead of clones of one method, and the
 //!   best survivor wins. Complementary heuristics hedge each other:
 //!   augmentation-seeded workers dominate at small budgets, II/SA at
-//!   large ones. An optional cardinality-free challenger backstops the
-//!   winner.
+//!   large ones.
 //! * **Batching**: [`Optimizer::solve_batch`](crate::Optimizer::solve_batch)
 //!   shards many *queries* across a thread pool with per-query
 //!   deadlines — throughput-oriented parallelism one level above this
@@ -35,13 +34,10 @@
 //! depend on scheduling. A worker stops at its own budget share, at the
 //! early-stop threshold or at the deadline, whichever comes first.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ljqo_catalog::{CompiledQuery, Query, RelId};
-use ljqo_cost::{sanitize_cost, CostModel, Deadline, Evaluator, OrderCost};
-use ljqo_heuristics::CardFreeHeuristic;
-use ljqo_plan::validity::is_valid;
+use ljqo_cost::{CostModel, Deadline, Evaluator};
 use ljqo_plan::JoinOrder;
 
 use crate::methods::{Method, MethodRunner};
@@ -66,13 +62,10 @@ pub struct ParallelOptions {
     pub stop_threshold: Option<f64>,
     /// Wall-clock deadline installed in every worker's evaluator.
     pub deadline: Option<Deadline>,
-    /// Whether the cardinality-free structural order challenges the
-    /// winner once the workers finish (see [`run_portfolio`]).
-    pub challenger: bool,
 }
 
 impl ParallelOptions {
-    /// A fan-out with no early stop, no deadline and no challenger.
+    /// A fan-out with no early stop and no deadline.
     pub fn new(budget: u64, workers: usize, seed: u64) -> Self {
         ParallelOptions {
             budget,
@@ -80,15 +73,7 @@ impl ParallelOptions {
             seed,
             stop_threshold: None,
             deadline: None,
-            challenger: false,
         }
-    }
-
-    /// Let the cardinality-free structural order challenge the winner.
-    #[must_use]
-    pub fn with_challenger(mut self) -> Self {
-        self.challenger = true;
-        self
     }
 }
 
@@ -108,17 +93,16 @@ pub struct WorkerReport {
     pub panicked: bool,
 }
 
-/// Outcome of a parallel run.
+/// Outcome of a parallel run: its winner, if any worker produced a
+/// state, and its accounting, which stands either way.
 #[derive(Debug, Clone)]
 pub struct ParallelResult {
-    /// The best order across all workers.
-    pub order: JoinOrder,
-    /// Its cost.
-    pub cost: f64,
-    /// The method run by the worker that produced the best order (always
-    /// the input method for homogeneous runs; informative under
-    /// portfolio mode).
-    pub method: Method,
+    /// The best order across all workers, its cost, and the method run
+    /// by the worker that produced it (always the input method for
+    /// homogeneous runs; informative under portfolio mode). `None` when
+    /// no worker produced a state: every worker panicked, or the budget
+    /// was smaller than one evaluation per worker.
+    pub winner: Option<(JoinOrder, f64, Method)>,
     /// Total budget units consumed across workers.
     pub units_used: u64,
     /// Total evaluations across workers.
@@ -133,38 +117,6 @@ pub struct ParallelResult {
     pub deadline_expired: bool,
     /// One report per configured worker, in worker order.
     pub per_worker: Vec<WorkerReport>,
-}
-
-/// A fan-out's accounting, with its winner when any worker (or the
-/// challenger) produced a state. [`run_portfolio`] reports it as a
-/// [`ParallelResult`] when there is a winner; the driver keeps the
-/// accounting either way.
-pub(crate) struct Fanout {
-    /// The best order, its cost and the method that produced it.
-    pub(crate) winner: Option<(JoinOrder, f64, Method)>,
-    pub(crate) units_used: u64,
-    pub(crate) n_evals: u64,
-    pub(crate) n_inc_evals: u64,
-    pub(crate) workers_failed: usize,
-    pub(crate) deadline_expired: bool,
-    pub(crate) per_worker: Vec<WorkerReport>,
-}
-
-impl Fanout {
-    fn into_result(self) -> Option<ParallelResult> {
-        let (order, cost, method) = self.winner?;
-        Some(ParallelResult {
-            order,
-            cost,
-            method,
-            units_used: self.units_used,
-            n_evals: self.n_evals,
-            n_inc_evals: self.n_inc_evals,
-            workers_failed: self.workers_failed,
-            deadline_expired: self.deadline_expired,
-            per_worker: self.per_worker,
-        })
-    }
 }
 
 /// Split `budget` into `workers` shares that sum to exactly `budget`:
@@ -205,25 +157,11 @@ enum Slot {
 /// Early stopping and deadlines are configured via [`ParallelOptions`].
 /// Workers are panic-isolated: a worker that panics (a buggy cost model,
 /// poisoned statistics) is counted in [`ParallelResult::workers_failed`]
-/// and the best state among the survivors is returned. Ties between
-/// workers are broken toward the lowest worker index, which keeps runs
-/// bit-deterministic in `(seed, workers)`. Returns `None` only if no
-/// worker produced a state — every worker panicked, or the budget is
-/// smaller than one evaluation per worker — and the challenger (below)
-/// could not rescue the run.
-///
-/// # The structural challenger
-///
-/// With [`ParallelOptions::challenger`] set, the cardinality-free
-/// structural order ([`CardFreeHeuristic`]) challenges the winner after
-/// the workers finish: it is generated (it reads no statistics, so a
-/// poisoned catalog cannot defeat it), priced best-effort under panic
-/// isolation, and replaces the winner only when strictly cheaper. The
-/// worker searches never see it, so the result is never worse than the
-/// same run without the challenger. Its spend, `component.len() + 1`
-/// units and one evaluation, is accounted on top and reported as one
-/// extra [`WorkerReport`]. When the workers produce nothing, a
-/// challenger that prices to a finite cost rescues the run alone.
+/// and the best state among the survivors wins. Ties between workers
+/// are broken toward the lowest worker index, which keeps runs
+/// bit-deterministic in `(seed, workers)`. The result has no
+/// [`winner`](ParallelResult::winner) only if no worker produced a
+/// state; its accounting is reported either way.
 pub fn run_portfolio(
     query: &Query,
     model: &dyn CostModel,
@@ -231,14 +169,15 @@ pub fn run_portfolio(
     methods: &[Method],
     component: &[RelId],
     opts: &ParallelOptions,
-) -> Option<ParallelResult> {
+) -> ParallelResult {
     let compiled = Arc::new(CompiledQuery::new(query));
-    portfolio_on(query, &compiled, model, runner, methods, component, opts).into_result()
+    run_workers(query, &compiled, model, runner, methods, component, opts)
 }
 
 /// [`run_portfolio`] over an existing compiled snapshot of `query`, which
-/// every worker's evaluator walks.
-pub(crate) fn portfolio_on(
+/// every worker's evaluator walks: spawn one worker per [`shard_budget`]
+/// share, rotate methods, aggregate.
+pub(crate) fn run_workers(
     query: &Query,
     compiled: &Arc<CompiledQuery>,
     model: &dyn CostModel,
@@ -246,26 +185,8 @@ pub(crate) fn portfolio_on(
     methods: &[Method],
     component: &[RelId],
     opts: &ParallelOptions,
-) -> Fanout {
+) -> ParallelResult {
     assert!(!methods.is_empty(), "portfolio needs at least one method");
-    let mut fanout = run_workers(query, compiled, model, runner, methods, component, opts);
-    if opts.challenger {
-        challenge_with_cardfree(query, model, component, &mut fanout);
-    }
-    fanout
-}
-
-/// The portfolio body: spawn one worker per [`shard_budget`] share,
-/// rotate methods, aggregate.
-fn run_workers(
-    query: &Query,
-    compiled: &Arc<CompiledQuery>,
-    model: &dyn CostModel,
-    runner: &MethodRunner,
-    methods: &[Method],
-    component: &[RelId],
-    opts: &ParallelOptions,
-) -> Fanout {
     let workers = opts.workers.max(1);
     let shares = shard_budget(opts.budget, workers);
     let (seed, stop_threshold, deadline) = (opts.seed, opts.stop_threshold, opts.deadline);
@@ -370,7 +291,7 @@ fn run_workers(
             }
         }
     }
-    Fanout {
+    ParallelResult {
         winner,
         units_used,
         n_evals,
@@ -378,48 +299,6 @@ fn run_workers(
         workers_failed,
         deadline_expired,
         per_worker,
-    }
-}
-
-/// The challenger step of [`run_portfolio`].
-fn challenge_with_cardfree(
-    query: &Query,
-    model: &dyn CostModel,
-    component: &[RelId],
-    fanout: &mut Fanout,
-) {
-    // The structural challenger. Generation is pure graph traversal and
-    // cannot consult statistics, but it is still panic-isolated — the
-    // robust path must never be *less* reliable than the plain one.
-    let Some(order) = catch_unwind(AssertUnwindSafe(|| {
-        CardFreeHeuristic.generate(query.graph(), component)
-    }))
-    .ok()
-    .filter(|o| is_valid(query.graph(), o.rels())) else {
-        // Structural generation itself failed (should be unreachable on a
-        // validated query): the plain portfolio result stands.
-        return;
-    };
-    let challenger_cost = catch_unwind(AssertUnwindSafe(|| {
-        sanitize_cost(model.order_cost(query, order.rels()))
-    }))
-    .unwrap_or(f64::MAX);
-    let challenger_units = component.len() as u64 + 1;
-    fanout.units_used += challenger_units;
-    fanout.n_evals += 1;
-    fanout.per_worker.push(WorkerReport {
-        method: Method::Cardfree,
-        best_cost: Some(challenger_cost),
-        units_used: challenger_units,
-        n_evals: 1,
-        panicked: false,
-    });
-    // Strict `<`: on a tie the portfolio winner stands, mirroring the
-    // lowest-worker-index tie-break among the workers. With no winner, a
-    // challenger that prices to a finite cost rescues the run alone.
-    let bar = fanout.winner.as_ref().map_or(f64::MAX, |&(_, c, _)| c);
-    if challenger_cost < bar {
-        fanout.winner = Some((order, challenger_cost, Method::Cardfree));
     }
 }
 
@@ -432,12 +311,6 @@ pub struct Parallelism {
     /// method on every worker" (homogeneous fan-out). Use
     /// [`Parallelism::portfolio`] for the [`PORTFOLIO`] default.
     pub methods: Vec<Method>,
-    /// When set, the cardinality-free structural order challenges every
-    /// component's portfolio winner (see [`run_portfolio`]), so the
-    /// result is never worse than the same configuration without the
-    /// backstop at equal budget. Use [`Parallelism::robust_portfolio`]
-    /// for the default.
-    pub structural_backstop: bool,
 }
 
 impl Parallelism {
@@ -446,26 +319,14 @@ impl Parallelism {
         Parallelism {
             workers,
             methods: Vec::new(),
-            structural_backstop: false,
         }
     }
 
     /// The default heterogeneous portfolio over `workers` threads.
     pub fn portfolio(workers: usize) -> Self {
         Parallelism {
+            workers,
             methods: PORTFOLIO.to_vec(),
-            ..Self::workers(workers)
-        }
-    }
-
-    /// The robustness portfolio over `workers` threads: the [`PORTFOLIO`]
-    /// rotation with the cardinality-free structural challenger enabled
-    /// (see [`run_portfolio`]). The rotation is unchanged, so the worker
-    /// searches are bit-for-bit those of the plain portfolio.
-    pub fn robust_portfolio(workers: usize) -> Self {
-        Parallelism {
-            structural_backstop: true,
-            ..Self::portfolio(workers)
         }
     }
 }
@@ -509,7 +370,7 @@ mod tests {
         budget: u64,
         workers: usize,
         seed: u64,
-    ) -> Option<ParallelResult> {
+    ) -> ParallelResult {
         let (model, runner) = (MemoryCostModel::default(), MethodRunner::default());
         let comp: Vec<RelId> = q.rel_ids().collect();
         let opts = ParallelOptions::new(budget, workers, seed);
@@ -519,13 +380,13 @@ mod tests {
     #[test]
     fn parallel_run_is_deterministic_and_budgeted() {
         let q = query();
-        let a = fan_out(&q, Method::Ii, 4_000, 4, 9).unwrap();
-        let b = fan_out(&q, Method::Ii, 4_000, 4, 9).unwrap();
-        assert_eq!(a.order, b.order);
-        assert_eq!(a.cost, b.cost);
+        let a = fan_out(&q, Method::Ii, 4_000, 4, 9);
+        let b = fan_out(&q, Method::Ii, 4_000, 4, 9);
+        assert_eq!(a.winner, b.winner);
         assert_eq!(a.units_used, b.units_used);
-        assert_eq!(a.method, Method::Ii);
-        assert!(is_valid(q.graph(), a.order.rels()));
+        let (order, _, method) = a.winner.unwrap();
+        assert_eq!(method, Method::Ii);
+        assert!(is_valid(q.graph(), order.rels()));
         // Each worker may overrun its share by one indivisible step.
         assert!(a.units_used <= 4_000 + 4 * (64 + 4 * 6 + 7));
     }
@@ -554,13 +415,13 @@ mod tests {
         // unit to *each* worker, spending up to 8 units against a budget
         // of 3. Now only the first 3 workers run, one unit each.
         let q = query();
-        let r = fan_out(&q, Method::Ii, 3, 8, 5).unwrap();
+        let r = fan_out(&q, Method::Ii, 3, 8, 5);
         assert!(
             r.units_used <= 3,
             "budget 3 oversubscribed: {} units spent",
             r.units_used
         );
-        assert!(r.cost.is_finite());
+        assert!(r.winner.as_ref().is_some_and(|w| w.1.is_finite()));
         let active = r.per_worker.iter().filter(|w| w.units_used > 0).count();
         assert_eq!(active, 3);
     }
@@ -571,7 +432,7 @@ mod tests {
         // 12 × 8 = 96 units. II runs until exhaustion, so the full 100
         // allotted units must now be consumed (up to per-worker overrun).
         let q = query();
-        let r = fan_out(&q, Method::Ii, 100, 8, 5).unwrap();
+        let r = fan_out(&q, Method::Ii, 100, 8, 5);
         assert!(
             r.units_used >= 100,
             "remainder dropped: only {} of 100 units consumed",
@@ -584,19 +445,19 @@ mod tests {
     #[test]
     fn more_workers_do_not_break_quality() {
         let q = query();
-        let solo = fan_out(&q, Method::Iai, 6_000, 1, 5).unwrap();
-        let quad = fan_out(&q, Method::Iai, 6_000, 4, 5).unwrap();
+        let (_, solo, _) = fan_out(&q, Method::Iai, 6_000, 1, 5).winner.unwrap();
+        let (_, quad, _) = fan_out(&q, Method::Iai, 6_000, 4, 5).winner.unwrap();
         // Both must find reasonable plans; neither dominates in general,
         // but both should be within 2x of each other on this small query.
-        let ratio = (solo.cost / quad.cost).max(quad.cost / solo.cost);
-        assert!(ratio < 2.0, "solo {} vs quad {}", solo.cost, quad.cost);
+        let ratio = (solo / quad).max(quad / solo);
+        assert!(ratio < 2.0, "solo {solo} vs quad {quad}");
     }
 
     #[test]
     fn zero_worker_count_is_clamped() {
         let q = query();
-        let r = fan_out(&q, Method::Agi, 1_000, 0, 1).unwrap();
-        assert!(r.cost.is_finite());
+        let r = fan_out(&q, Method::Agi, 1_000, 0, 1);
+        assert!(r.winner.is_some_and(|w| w.1.is_finite()));
     }
 
     #[test]
@@ -612,88 +473,41 @@ mod tests {
             &PORTFOLIO,
             &comp,
             &ParallelOptions::new(8_000, 6, 3),
-        )
-        .unwrap();
-        assert!(is_valid(q.graph(), r.order.rels()));
+        );
+        let (order, cost, method) = r.winner.unwrap();
+        assert!(is_valid(q.graph(), order.rels()));
         assert_eq!(r.per_worker.len(), 6);
         for (w, report) in r.per_worker.iter().enumerate() {
             assert_eq!(report.method, PORTFOLIO[w % PORTFOLIO.len()]);
             assert!(report.best_cost.is_some());
         }
-        assert!(PORTFOLIO.contains(&r.method));
+        assert!(PORTFOLIO.contains(&method));
         // The portfolio's winner is the minimum across workers.
         let min = r
             .per_worker
             .iter()
             .filter_map(|w| w.best_cost)
             .fold(f64::INFINITY, f64::min);
-        assert_eq!(r.cost, min);
+        assert_eq!(cost, min);
     }
 
     #[test]
-    fn robust_portfolio_is_never_worse_than_plain() {
-        let q = query();
-        let model = MemoryCostModel::default();
-        let comp: Vec<RelId> = q.rel_ids().collect();
-        let runner = MethodRunner::default();
-        for (budget, workers, seed) in [(200u64, 2usize, 1u64), (2_000, 4, 7), (8_000, 6, 42)] {
-            let opts = ParallelOptions::new(budget, workers, seed);
-            let plain = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts).unwrap();
-            let robust = run_portfolio(
-                &q,
-                &model,
-                &runner,
-                &PORTFOLIO,
-                &comp,
-                &opts.with_challenger(),
-            )
-            .unwrap();
-            assert!(
-                robust.cost <= plain.cost,
-                "robust {} worse than plain {} at budget {budget}",
-                robust.cost,
-                plain.cost
-            );
-            assert!(is_valid(q.graph(), robust.order.rels()));
-            // Challenger spend is accounted on top of the identical base.
-            assert_eq!(robust.units_used, plain.units_used + comp.len() as u64 + 1);
-            assert_eq!(robust.n_evals, plain.n_evals + 1);
-            // The challenger appears as one extra per-worker report.
-            assert_eq!(robust.per_worker.len(), plain.per_worker.len() + 1);
-            let last = robust.per_worker.last().unwrap();
-            assert_eq!(last.method, Method::Cardfree);
-            assert!(last.best_cost.is_some());
-        }
-    }
-
-    #[test]
-    fn robust_portfolio_rescues_an_empty_base_run() {
-        // Budget 0: no worker is ever spawned, so the plain portfolio
-        // returns None — but the challenger needs no budget share and
-        // rescues the run with the structural order.
+    fn zero_budget_has_no_winner_and_spends_nothing() {
+        // Budget 0: no worker is ever spawned.
         let q = query();
         let model = MemoryCostModel::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(0, 3, 11);
-        assert!(run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts).is_none());
-        let r = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &PORTFOLIO,
-            &comp,
-            &opts.with_challenger(),
-        )
-        .unwrap();
-        assert_eq!(r.method, Method::Cardfree);
-        assert!(r.cost.is_finite());
-        assert!(is_valid(q.graph(), r.order.rels()));
-        assert_eq!(r.units_used, comp.len() as u64 + 1);
+        let r = run_portfolio(&q, &model, &runner, &PORTFOLIO, &comp, &opts);
+        assert!(r.winner.is_none());
+        assert_eq!((r.units_used, r.n_evals, r.workers_failed), (0, 0, 0));
+        assert_eq!(r.per_worker.len(), 3);
+        assert!(r.per_worker.iter().all(|w| w.best_cost.is_none()));
     }
 
     #[test]
-    fn robust_portfolio_stays_none_when_pricing_is_impossible() {
+    fn every_worker_dead_keeps_the_accounting() {
         struct AlwaysPanic;
         impl CostModel for AlwaysPanic {
             fn join_cost(&self, _ctx: &ljqo_cost::JoinCtx) -> f64 {
@@ -707,28 +521,10 @@ mod tests {
         let comp: Vec<RelId> = q.rel_ids().collect();
         let runner = MethodRunner::default();
         let opts = ParallelOptions::new(1_000, 3, 11);
-        // Plain portfolio: every worker dies, no result at all.
-        assert!(run_portfolio(&q, &AlwaysPanic, &runner, &PORTFOLIO, &comp, &opts).is_none());
-        // Robust: the challenger's pricing also panics, so its cost is
-        // f64::MAX — not finite enough to claim a rescue either. The
-        // degradation ladder in the driver handles this case instead.
-        assert!(run_portfolio(
-            &q,
-            &AlwaysPanic,
-            &runner,
-            &PORTFOLIO,
-            &comp,
-            &opts.with_challenger()
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn robust_constructor_sets_the_backstop() {
-        let p = Parallelism::robust_portfolio(4);
-        assert!(p.structural_backstop);
-        assert_eq!(p.methods, PORTFOLIO.to_vec());
-        assert!(!Parallelism::portfolio(4).structural_backstop);
-        assert!(!Parallelism::workers(4).structural_backstop);
+        // Every worker dies: no winner, but the deaths are still counted.
+        let r = run_portfolio(&q, &AlwaysPanic, &runner, &PORTFOLIO, &comp, &opts);
+        assert!(r.winner.is_none());
+        assert_eq!(r.workers_failed, 3);
+        assert!(r.per_worker.iter().all(|w| w.panicked));
     }
 }

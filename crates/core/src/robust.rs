@@ -115,17 +115,13 @@ fn regret_of(true_cost: f64, reference_cost: f64) -> f64 {
 /// exactly what a `Perturbation` produces.
 ///
 /// Both solves run under `optimizer`'s model, configuration and
-/// parallelism — pass [`Parallelism::robust_portfolio`] to measure how
-/// much the cardinality-free structural backstop buys under estimation
-/// error. The study brings its own plan cache for the replay; the
+/// parallelism. The study brings its own plan cache for the replay; the
 /// optimizer's cache, if any, is neither read nor written.
 ///
 /// Errors propagate from either solve (an invalid catalog on either
 /// side, or a query no rung of the fallback ladder could plan). The
 /// replay re-prices the observed plan's trees, so a bushy-space
 /// `optimizer` measures the regret of the tree it found.
-///
-/// [`Parallelism::robust_portfolio`]: crate::Parallelism::robust_portfolio
 pub fn regret_under(
     true_query: &Query,
     observed_query: &Query,
@@ -238,7 +234,7 @@ mod tests {
         let s = regret_under(
             &truth,
             &truth.clone(),
-            &Optimizer::new(&model, &config).with_parallelism(&Parallelism::robust_portfolio(3)),
+            &Optimizer::new(&model, &config).with_parallelism(&Parallelism::portfolio(3)),
         )
         .unwrap();
         assert_eq!(s.regret, 0.0);

@@ -12,8 +12,8 @@
 //! This makes the heuristic the natural *last line of defense*: it cannot
 //! be misled by corrupted statistics (it never reads them) and it cannot
 //! panic on NaN cardinalities (it never touches them). The optimizer
-//! layer uses it both as a portfolio challenger and as a degradation rung
-//! above the random-order fallback.
+//! layer offers it as a method (`CARDFREE`) and uses it as a degradation
+//! rung above the random-order fallback.
 
 use ljqo_catalog::{JoinGraph, RelId};
 use ljqo_plan::JoinOrder;

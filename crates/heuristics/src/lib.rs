@@ -20,8 +20,8 @@
 //! * **Cardinality-free** ([`cardfree`]) — order by join-graph structure
 //!   only (after Simpli-Squared, arxiv 2111.00163). It reads no
 //!   statistics at all, so it is immune to estimation error; the
-//!   optimizer uses it as a portfolio challenger and as a degradation
-//!   rung when statistics are missing or corrupt. Like augmentation, one
+//!   optimizer offers it as a method and uses it as a degradation rung
+//!   when statistics are missing or corrupt. Like augmentation, one
 //!   generated order is charged `N` budget units.
 //!
 //! Augmentation and KBZ are *constructive*: they generate orders from the
