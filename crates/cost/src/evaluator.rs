@@ -192,13 +192,14 @@ impl<'a> Evaluator<'a> {
         self.walker.compiled()
     }
 
-    /// Record `rels` as the new best order without allocating when a best
-    /// buffer already exists.
+    /// Record `order` as the new best order without allocating when a
+    /// best buffer already exists. `order` is a [`JoinOrder`], so it is
+    /// already duplicate-free and is copied unchecked.
     #[inline]
-    fn record_best(&mut self, rels: &[RelId]) {
+    fn record_best(&mut self, order: &JoinOrder) {
         match &mut self.best_order {
-            Some(best) => best.copy_from_rels(rels),
-            None => self.best_order = Some(JoinOrder::new(rels.to_vec())),
+            Some(best) => best.copy_from(order),
+            None => self.best_order = Some(order.clone()),
         }
     }
 
@@ -212,7 +213,7 @@ impl<'a> Evaluator<'a> {
         self.n_evals += 1;
         if c < self.best_cost {
             self.best_cost = c;
-            self.record_best(order.rels());
+            self.record_best(order);
         }
         c
     }
@@ -224,7 +225,11 @@ impl<'a> Evaluator<'a> {
         self.n_evals += 1;
         if c < self.best_cost {
             self.best_cost = c;
-            self.record_best(rels);
+            // A raw slice is checked for duplicates on the way in.
+            match &mut self.best_order {
+                Some(best) => best.copy_from_rels(rels),
+                None => self.best_order = Some(JoinOrder::new(rels.to_vec())),
+            }
         }
         c
     }
@@ -247,7 +252,7 @@ impl<'a> Evaluator<'a> {
         self.n_evals += 1;
         if c < self.best_cost {
             self.best_cost = c;
-            self.record_best(inc.order().rels());
+            self.record_best(inc.order());
         }
         inc
     }
@@ -272,7 +277,7 @@ impl<'a> Evaluator<'a> {
         self.n_memo_hits += inc.memo_hits() - hits;
         if c < self.best_cost {
             self.best_cost = c;
-            self.record_best(inc.order().rels());
+            self.record_best(inc.order());
         }
         c
     }
