@@ -458,8 +458,8 @@ impl<'a> Optimizer<'a> {
     }
 
     /// The one refusal: the worker pool shards the linear search loop
-    /// (move filtering, the structural backstop), which the tree search
-    /// does not run, so the bushy space rejects parallelism. Plans of
+    /// (move filtering over join orders), which the tree search does not
+    /// run, so the bushy space rejects parallelism. Plans of
     /// either space cache and replay alike.
     fn supported(&self) -> Result<(), OptError> {
         match (self.config.space, self.parallelism) {

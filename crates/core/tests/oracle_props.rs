@@ -1,10 +1,10 @@
 //! Every shipped cost, checked against the test-only plan pricer.
 //!
 //! Each `Optimizer` path — every linear method, sequential and in a
-//! batch, each parallel fan-out (one method's workers, the portfolio,
-//! the robust portfolio), early stopping, cache miss,
-//! cache hit (on the same and on a relabelled query), `recost_plan`, and
-//! the bushy space with and without a cache — reports a plan and its
+//! batch, each parallel fan-out (one method's workers, the portfolio),
+//! early stopping, cache miss, cache hit (on the same and on a
+//! relabelled query), `recost_plan`, and the bushy space with and
+//! without a cache — reports a plan and its
 //! total cost. The `oracle` module prices that plan again from the query
 //! and the plan's trees alone, with its own width bookkeeping for tree
 //! joins and late cross products. Every segment cost must be the

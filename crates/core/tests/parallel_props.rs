@@ -69,43 +69,48 @@ fn total_units_never_exceed_budget_plus_bounded_overrun() {
         let model = MemoryCostModel::default();
         let runner = MethodRunner::default();
         let comp: Vec<RelId> = q.rel_ids().collect();
-        let budget = rng.gen_range(0u64..500);
+        let drawn = rng.gen_range(0u64..500);
         let workers = rng.gen_range(1usize..12);
         let method = [Method::Ii, Method::Sa, Method::Agi][case as usize % 3];
-        let r = run_portfolio(
-            &q,
-            &model,
-            &runner,
-            &[method],
-            &comp,
-            &ParallelOptions::new(budget, workers, case),
-        );
-        if r.winner.is_none() {
-            assert_eq!(budget, 0, "only a zero budget may yield no state");
+        // Every case also runs at budget 0, which the draw rarely hits.
+        for budget in [drawn, 0] {
+            let r = run_portfolio(
+                &q,
+                &model,
+                &runner,
+                &[method],
+                &comp,
+                &ParallelOptions::new(budget, workers, case),
+            );
+            if budget == 0 {
+                // No worker is spawned: no winner, and nothing spent.
+                assert!(r.winner.is_none(), "case {case}");
+                assert_eq!((r.units_used, r.n_evals), (0, 0), "case {case}");
+                assert_eq!(r.per_worker.len(), workers, "case {case}");
+            } else {
+                assert!(
+                    r.winner.is_some(),
+                    "case {case}: budget {budget} yielded no state"
+                );
+            }
+            let active = r.per_worker.iter().filter(|w| w.units_used > 0).count() as u64;
+            let bound = budget + active * per_worker_slack(q.n_relations());
+            assert!(
+                r.units_used <= bound,
+                "case {case}: {} units against budget {budget} with {workers} workers \
+                 ({active} active; bound {bound})",
+                r.units_used
+            );
+            // Accounting is self-consistent: totals are the per-worker sums.
+            assert_eq!(
+                r.units_used,
+                r.per_worker.iter().map(|w| w.units_used).sum::<u64>()
+            );
+            assert_eq!(
+                r.n_evals,
+                r.per_worker.iter().map(|w| w.n_evals).sum::<u64>()
+            );
         }
-        if budget == 0 {
-            // No worker is spawned: no winner, and nothing spent.
-            assert!(r.winner.is_none(), "case {case}");
-            assert_eq!((r.units_used, r.n_evals), (0, 0), "case {case}");
-            assert_eq!(r.per_worker.len(), workers, "case {case}");
-        }
-        let active = r.per_worker.iter().filter(|w| w.units_used > 0).count() as u64;
-        let bound = budget + active * per_worker_slack(q.n_relations());
-        assert!(
-            r.units_used <= bound,
-            "case {case}: {} units against budget {budget} with {workers} workers \
-             ({active} active; bound {bound})",
-            r.units_used
-        );
-        // Accounting is self-consistent: totals are the per-worker sums.
-        assert_eq!(
-            r.units_used,
-            r.per_worker.iter().map(|w| w.units_used).sum::<u64>()
-        );
-        assert_eq!(
-            r.n_evals,
-            r.per_worker.iter().map(|w| w.n_evals).sum::<u64>()
-        );
     }
 }
 
